@@ -14,10 +14,10 @@ import csv
 import sys
 from pathlib import Path
 
-from . import io
+from . import __version__, io
 from .cascade import build_cascade
 from .errors import CascadeKitError, ConfigInvalidError
-from .features import FeatureVector, extract_features_batch
+from .features import extract_features_batch
 from .learner import (
     DEFAULT_LAMBDA,
     Metrics,
@@ -29,8 +29,7 @@ from .stats import fit_powerlaw_alpha, gini
 from .synth import SynthParams, generate_social_graph, simulate_cascades
 from .tasks import (
     CascadeRecord,
-    ClusterInstance,
-    ClusterMember,
+    FeatureRanking,
     build_cluster_task,
     group_summaries,
     label_growth,
@@ -39,8 +38,6 @@ from .tasks import (
     rank_single_feature_predictors,
 )
 from .virality import wiener_index_exact
-
-__version__ = "0.1.0"
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -90,24 +87,36 @@ def _print_metrics(metrics: Metrics, stream=None) -> None:
     print(f"baseline  {metrics.majority_baseline:.6f}  -", file=stream)
 
 
-def _write_metrics_csv(path: Path, metrics: Metrics) -> None:
+def _write_rows(path: Path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "mean", "sd"])
-        writer.writerow(["accuracy", io.fmt(metrics.accuracy), io.fmt(metrics.accuracy_sd)])
-        writer.writerow(["f1", io.fmt(metrics.f1), io.fmt(metrics.f1_sd)])
-        writer.writerow(["auc", io.fmt(metrics.auc), io.fmt(metrics.auc_sd)])
-        writer.writerow(["baseline", io.fmt(metrics.majority_baseline), ""])
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write_metrics_csv(path: Path, metrics: Metrics) -> None:
+    _write_rows(path, [
+        ["metric", "mean", "sd"],
+        ["accuracy", io.fmt(metrics.accuracy), io.fmt(metrics.accuracy_sd)],
+        ["f1", io.fmt(metrics.f1), io.fmt(metrics.f1_sd)],
+        ["auc", io.fmt(metrics.auc), io.fmt(metrics.auc_sd)],
+        ["baseline", io.fmt(metrics.majority_baseline), ""],
+    ])
 
 
 def _write_per_fold_csv(path: Path, metrics: Metrics) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fold", "size", "accuracy", "f1", "auc"])
-        for i, (size, acc, f1v, aucv) in enumerate(
-            zip(metrics.fold_sizes, metrics.fold_accuracy, metrics.fold_f1, metrics.fold_auc)
-        ):
-            writer.writerow([str(i), str(size), io.fmt(acc), io.fmt(f1v), io.fmt(aucv)])
+    folds = zip(
+        metrics.fold_sizes, metrics.fold_accuracy, metrics.fold_f1, metrics.fold_auc
+    )
+    _write_rows(path, [["fold", "size", "accuracy", "f1", "auc"]] + [
+        [str(i), str(size), io.fmt(acc), io.fmt(f1v), io.fmt(aucv)]
+        for i, (size, acc, f1v, aucv) in enumerate(folds)
+    ])
+
+
+def _ranking_table(rankings: list[FeatureRanking]) -> list[tuple[str, ...]]:
+    return [("feature", "accuracy", "pearson_log_size")] + [
+        (row.feature, io.fmt(row.accuracy), io.fmt(row.pearson_with_log_size))
+        for row in rankings
+    ]
 
 
 # --- subcommands ------------------------------------------------------------
@@ -210,29 +219,7 @@ def cmd_evaluate(args) -> int:
         if not args.model:
             raise ConfigInvalidError("--cluster evaluation requires --model")
         model = io.read_model(_require(args.model))
-        rows = io.read_cluster_csv(_require(args.cluster))
-        by_cluster: dict[str, list[dict]] = {}
-        for row in rows:
-            by_cluster.setdefault(row["cluster_id"], []).append(row)
-        instances = []
-        for cid in sorted(by_cluster):
-            members = by_cluster[cid]
-            winner = next(i for i, r in enumerate(members) if r["is_winner"])
-            instances.append(
-                ClusterInstance(
-                    cluster_id=cid,
-                    members=tuple(
-                        ClusterMember(
-                            cascade_id=r["cascade_id"],
-                            features=_vector_from_values(r["values"]),
-                            final_size=r["final_size"],
-                            epoch=0.0,
-                        )
-                        for r in members
-                    ),
-                    winner_index=winner,
-                )
-            )
+        instances = io.read_cluster_csv(_require(args.cluster))
         top1, mean_rr = evaluate_cluster(model, instances)
         print(f"clusters   {len(instances)}")
         print(f"top1_accuracy {top1:.6f}")
@@ -252,62 +239,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _vector_from_values(values: dict[str, float]) -> FeatureVector:
-    """Rebuild a vector from CSV columns (values plus _missing indicators)."""
-    names = [c for c in values if not c.endswith("_missing")]
-    raw = {
-        n: (None if values.get(f"{n}_missing", 0.0) == 1.0 else values[n])
-        for n in names
-    }
-    return FeatureVector(names, raw)
-
-
 def cmd_rank_features(args) -> int:
-    X, y, sizes, ids, columns = io.read_labeled_csv(_require(args.input))
-    examples = _examples_from_matrix(X, y, sizes, ids, columns, args.k)
-    rankings = rank_single_feature_predictors(
-        examples, folds=args.folds, seed=args.seed, lam=args.lam
-    )
-    out = _resolve(args.out_dir, args.out) if args.out else None
-    lines = [("feature", "accuracy", "pearson_log_size")]
-    lines += [
-        (row.feature, io.fmt(row.accuracy), io.fmt(row.pearson_with_log_size))
-        for row in rankings
-    ]
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(lines)
+    X, y, sizes, _, columns = io.read_labeled_csv(_require(args.input))
+    lines = _ranking_table(rank_single_feature_predictors(
+        X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
+    ))
+    if args.out:
+        _write_rows(_resolve(args.out_dir, args.out), lines)
     for feature, acc, r in lines[1 : args.top + 1]:
         print(f"{feature}\t{acc}\t{r}")
     return 0
-
-
-def _examples_from_matrix(X, y, sizes, ids, columns, k):
-    """Reconstruct LabeledExample objects from a labeled CSV's arrays."""
-    from .tasks import LabeledExample
-
-    value_cols = [c for c in columns if not c.endswith("_missing")]
-    col_index = {c: i for i, c in enumerate(columns)}
-    examples = []
-    for i, cid in enumerate(ids):
-        raw = {}
-        for name in value_cols:
-            miss_col = col_index.get(f"{name}_missing")
-            if miss_col is not None and X[i, miss_col] == 1.0:
-                raw[name] = None
-            else:
-                raw[name] = X[i, col_index[name]]
-        examples.append(
-            LabeledExample(
-                cascade_id=cid,
-                features=FeatureVector(value_cols, raw),
-                label=int(y[i]),
-                final_size=int(sizes[i]),
-                k=k,
-            )
-        )
-    return examples
 
 
 def cmd_wiener(args) -> int:
@@ -350,14 +291,11 @@ def cmd_report(args) -> int:
         ]
     elif args.kind == "rank-features":
         dataset = label_growth(records, args.k, graph=graph, threads=args.threads)
-        rankings = rank_single_feature_predictors(
-            dataset.examples, folds=args.folds, seed=args.seed, lam=args.lam
-        )
-        lines = [("feature", "accuracy", "pearson_log_size")]
-        lines += [
-            (r.feature, io.fmt(r.accuracy), io.fmt(r.pearson_with_log_size))
-            for r in rankings
-        ]
+        X, y, columns = dataset.design_matrix()
+        sizes = [ex.final_size for ex in dataset.examples]
+        lines = _ranking_table(rank_single_feature_predictors(
+            X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
+        ))
     else:
         ks = [int(s) for s in args.ks.split(",")]
         lines = [
@@ -403,9 +341,7 @@ def cmd_report(args) -> int:
                 )
             )
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(lines)
+        _write_rows(out_path, lines)
     for line in lines:
         print("\t".join(line))
     return 0
@@ -555,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-features", help="accuracy of each feature used alone")
     _common_flags(p)
     p.add_argument("--in", dest="input", required=True, help="labeled CSV")
-    p.add_argument("--k", type=int, default=0, help="k recorded on examples")
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--top", type=int, default=20, help="rows to print")

@@ -11,6 +11,10 @@ One call produces a named vector covering five feature families:
 Any feature whose inputs are unknown is carried as missing (value 0 plus a
 missing flag), never fabricated. Per-index features are emitted for the
 configured k only; vectors for different k must not be mixed in a dataset.
+
+``feature_layout`` is the one column layout of a vector, shared by the CSV
+files and the design matrix: each value column followed by its
+``<name>_missing`` indicator.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ CONTENT_SCORE_NAMES = (
     "score_water",
     "score_overlaid_text",
 )
+MISSING_SUFFIX = "_missing"
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class FeatureVector:
     """Ordered map feature name -> (value, missing flag).
 
     Missing entries hold value 0.0 so a dense design matrix can be formed
-    directly; the flag is exported alongside as ``<name>_missing``.
+    directly; ``feature_layout`` exports the flag alongside the value.
     """
 
     __slots__ = ("names", "values", "missing", "meta")
@@ -117,6 +122,23 @@ class FeatureVector:
 
     def __len__(self) -> int:
         return len(self.names)
+
+
+def feature_layout(fv: FeatureVector) -> tuple[list[str], list[float]]:
+    """Column names and row of ``fv`` in the CSV / design-matrix layout.
+
+    Each value column is followed by its ``<name>_missing`` indicator, 1.0
+    when the value is missing (the value column then holds 0.0).
+    """
+    values, missing = fv.values, fv.missing
+    columns: list[str] = []
+    row: list[float] = []
+    for name in fv.names:
+        columns.append(name)
+        columns.append(name + MISSING_SUFFIX)
+        row.append(values[name])
+        row.append(1.0 if name in missing else 0.0)
+    return columns, row
 
 
 def feature_names(k: int) -> list[str]:

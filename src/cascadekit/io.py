@@ -3,6 +3,9 @@ model files, and flat key=value configs.
 
 Everything is plain text (JSONL, CSV, whitespace edge lists) with floats
 written via repr, so outputs are diffable and byte-stable across runs.
+Feature and cluster CSVs use ``features.feature_layout`` for their feature
+columns. A malformed input file raises ``ConfigInvalidError`` naming
+``path:line``.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -18,9 +22,9 @@ import numpy as np
 
 from .cascade import ReshareEvent, SocialGraph
 from .errors import ConfigInvalidError
-from .features import ContentRecord, FeatureVector
+from .features import ContentRecord, FeatureVector, feature_layout
 from .learner import Model
-from .tasks import ClusterInstance, LabeledExample
+from .tasks import ClusterInstance, ClusterMember, LabeledExample
 
 EVENT_FIELDS = tuple(f.name for f in fields(ReshareEvent))
 CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
@@ -34,6 +38,7 @@ _EVENT_INTS = {
 }
 _EVENT_FLOATS = {"timestamp", "age_years", "fb_age_days", "activity_days"}
 _CONTENT_BOOLS = {"is_en", "has_caption"}
+_CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
 
 
 def fmt(value: float) -> str:
@@ -177,20 +182,42 @@ def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
 
 # --- feature / labeled CSVs ---------------------------------------------------
 
-def _feature_columns(names: Sequence[str]) -> list[str]:
-    cols = []
-    for n in names:
-        cols.append(n)
-        cols.append(f"{n}_missing")
-    return cols
+def _layout_cells(fv: FeatureVector) -> list[str]:
+    """The ``feature_layout`` row of ``fv`` as CSV cells."""
+    _, row = feature_layout(fv)
+    cells = row[:]
+    cells[0::2] = map(fmt, row[0::2])
+    cells[1::2] = ["1" if flag else "0" for flag in row[1::2]]
+    return cells
 
 
-def _vector_row(fv: FeatureVector) -> list[str]:
-    row = []
-    for n in fv.names:
-        row.append(fmt(fv.values[n]))
-        row.append("1" if n in fv.missing else "0")
-    return row
+def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and (line number, cells) of every data row of a CSV file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigInvalidError(f"{path}:1: empty file, expected a header row")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ConfigInvalidError(
+                    f"{path}:{reader.line_num}: {len(row)} cells, "
+                    f"header has {len(header)}"
+                )
+            rows.append((reader.line_num, row))
+    return header, rows
+
+
+def _numbers(path: str | Path, lineno: int, cells: Sequence[str]) -> list[float]:
+    """Cells parsed as finite floats."""
+    try:
+        values = [float(c) for c in cells]
+    except ValueError as exc:
+        raise ConfigInvalidError(f"{path}:{lineno}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigInvalidError(f"{path}:{lineno}: non-finite value")
+    return values
 
 
 def write_features_csv(
@@ -199,25 +226,24 @@ def write_features_csv(
     """Feature vectors keyed by cascade_id, one row each, sorted by id."""
     if not rows:
         raise ConfigInvalidError("no feature rows to write")
-    names = rows[0][1].names
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cascade_id"] + _feature_columns(names))
+        writer.writerow(["cascade_id"] + feature_layout(rows[0][1])[0])
         for cid, fv in sorted(rows, key=lambda r: r[0]):
-            writer.writerow([cid] + _vector_row(fv))
+            writer.writerow([cid] + _layout_cells(fv))
 
 
 def write_labeled_csv(path: str | Path, examples: Sequence[LabeledExample]) -> None:
     """Task dataset rows: features..., label, final_size, cascade_id."""
     if not examples:
         raise ConfigInvalidError("no labeled examples to write")
-    names = examples[0].features.names
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_feature_columns(names) + ["label", "final_size", "cascade_id"])
+        columns, _ = feature_layout(examples[0].features)
+        writer.writerow(columns + ["label", "final_size", "cascade_id"])
         for ex in sorted(examples, key=lambda e: e.cascade_id):
             writer.writerow(
-                _vector_row(ex.features)
+                _layout_cells(ex.features)
                 + [str(ex.label), str(ex.final_size), ex.cascade_id]
             )
 
@@ -226,38 +252,27 @@ def read_labeled_csv(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
     """Returns (X, y, final_sizes, cascade_ids, feature_columns)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-3:] != ["label", "final_size", "cascade_id"]:
-            raise ConfigInvalidError(
-                f"{path}: expected trailing label,final_size,cascade_id columns"
-            )
-        feature_cols = header[:-3]
-        rows = []
-        labels = []
-        sizes = []
-        ids = []
-        for row in reader:
-            rows.append([float(v) for v in row[: len(feature_cols)]])
-            labels.append(float(row[-3]))
-            sizes.append(float(row[-2]))
-            ids.append(row[-1])
-    X = np.array(rows, dtype=np.float64)
-    return X, np.array(labels), np.array(sizes), ids, feature_cols
+    header, rows = _read_rows(path)
+    if header[-3:] != ["label", "final_size", "cascade_id"]:
+        raise ConfigInvalidError(
+            f"{path}:1: expected trailing label,final_size,cascade_id columns"
+        )
+    table = np.array(
+        [_numbers(path, lineno, row[:-1]) for lineno, row in rows], dtype=np.float64
+    ).reshape(len(rows), len(header) - 1)
+    ids = [row[-1] for _, row in rows]
+    X = np.ascontiguousarray(table[:, :-2])
+    return X, table[:, -2].copy(), table[:, -1].copy(), ids, header[:-3]
 
 
 def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) -> None:
     """One row per sampled cluster member, winner flagged."""
     if not instances:
         raise ConfigInvalidError("no cluster instances to write")
-    names = instances[0].members[0].features.names
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["cluster_id", "cascade_id", "final_size", "is_winner"]
-            + _feature_columns(names)
-        )
+        columns, _ = feature_layout(instances[0].members[0].features)
+        writer.writerow(list(_CLUSTER_KEYS) + columns)
         for inst in instances:
             for idx, member in enumerate(inst.members):
                 writer.writerow(
@@ -267,29 +282,47 @@ def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) ->
                         str(member.final_size),
                         "1" if idx == inst.winner_index else "0",
                     ]
-                    + _vector_row(member.features)
+                    + _layout_cells(member.features)
                 )
 
 
-def read_cluster_csv(path: str | Path) -> list[dict]:
-    """Rows of the cluster CSV as dicts with parsed feature mappings."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        feature_cols = header[4:]
-        for row in reader:
-            values = {c: float(v) for c, v in zip(feature_cols, row[4:])}
-            out.append(
-                {
-                    "cluster_id": row[0],
-                    "cascade_id": row[1],
-                    "final_size": int(row[2]),
-                    "is_winner": row[3] == "1",
-                    "values": values,
-                }
+def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
+    """The instances ``write_cluster_csv`` wrote, in file order.
+
+    The file does not record upload times, so every member's epoch is 0.0.
+    """
+    header, rows = _read_rows(path)
+    names = header[4::2]
+    if (
+        tuple(header[:4]) != _CLUSTER_KEYS
+        or feature_layout(FeatureVector(names, {}))[0] != header[4:]
+    ):
+        raise ConfigInvalidError(
+            f"{path}:1: expected {','.join(_CLUSTER_KEYS)} then each feature "
+            "column followed by its missing indicator"
+        )
+    groups: dict[str, list[tuple[int, list[str]]]] = {}
+    for lineno, row in rows:
+        groups.setdefault(row[0], []).append((lineno, row))
+    instances = []
+    for cluster_id, group in groups.items():
+        members = []
+        winners = []
+        for idx, (lineno, row) in enumerate(group):
+            cells = _numbers(path, lineno, row[2:])
+            values, flags = cells[2::2], cells[3::2]
+            raw = {n: None if m == 1.0 else v for n, v, m in zip(names, values, flags)}
+            fv = FeatureVector(names, raw)
+            members.append(ClusterMember(row[1], fv, int(cells[0]), epoch=0.0))
+            if cells[1] == 1.0:
+                winners.append(idx)
+        if len(winners) != 1:
+            raise ConfigInvalidError(
+                f"{path}:{group[0][0]}: cluster {cluster_id!r} has "
+                f"{len(winners)} winner rows, expected 1"
             )
-    return out
+        instances.append(ClusterInstance(cluster_id, tuple(members), winners[0]))
+    return instances
 
 
 # --- model files ----------------------------------------------------------------
@@ -325,14 +358,17 @@ def read_model(path: str | Path) -> Model:
             if not parts:
                 continue
             key = parts[0]
+            width = 5 if key == "feature" else 2
+            if len(parts) != width:
+                raise ConfigInvalidError(
+                    f"{path}:{lineno}: expected {width} fields in a {key!r} line, "
+                    f"got {len(parts)}"
+                )
             if key == "feature":
-                if len(parts) != 5:
-                    raise ConfigInvalidError(f"{path}:{lineno}: bad feature line")
                 name = parts[1]
                 names.append(name)
-                weights[name] = float(parts[2])
-                means[name] = float(parts[3])
-                stds[name] = float(parts[4])
+                weight, mean, std = _numbers(path, lineno, parts[2:])
+                weights[name], means[name], stds[name] = weight, mean, std
             elif key == "dropped":
                 dropped.append(parts[1])
             else:

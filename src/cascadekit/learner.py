@@ -22,7 +22,6 @@ from .errors import (
     SingleClassError,
     TooFewExamplesError,
 )
-from .features import FeatureVector
 
 DEFAULT_LAMBDA = 0.01
 GRAD_TOL = 1e-6
@@ -77,6 +76,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _data_loss(z: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def _gradient(
+    X: np.ndarray, z: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float
+) -> tuple[np.ndarray, float]:
+    """Gradient in (w, b) of the regularized loss at margins ``z = X @ w + b``."""
+    residual = _sigmoid(z) - y
+    return X.T @ residual / X.shape[0] + lam * w, float(np.mean(residual))
+
+
 def loss_and_gradient(
     w: np.ndarray,
     b: float,
@@ -85,17 +96,10 @@ def loss_and_gradient(
     lam: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic loss + (lam/2)||w||^2 and its gradient in (w, b)."""
-    n = X.shape[0]
     z = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * float(w @ w)
-    residual = _sigmoid(z) - y
-    grad_w = X.T @ residual / n + lam * w
-    grad_b = float(np.mean(residual))
+    loss = _data_loss(z, y) + 0.5 * lam * float(w @ w)
+    grad_w, grad_b = _gradient(X, z, y, w, lam)
     return loss, grad_w, grad_b
-
-
-def _data_loss(z: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
 def train(
@@ -152,10 +156,7 @@ def train(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        p = _sigmoid(z)
-        residual = p - y
-        grad_w = Xs.T @ residual / Xs.shape[0] + lam * w
-        grad_b = float(np.mean(residual))
+        grad_w, grad_b = _gradient(Xs, z, y, w, lam)
         grad_inf = max(
             float(np.max(np.abs(grad_w))) if grad_w.size else 0.0, abs(grad_b)
         )
@@ -222,29 +223,22 @@ def _scores_from_matrix(
 def predict_proba(model: Model, x) -> float:
     """Probability of the positive class for one example.
 
-    Accepts a FeatureVector (its missing flags populate the ``_missing``
-    indicator columns), a name->value mapping, or a dense row aligned to
+    Accepts a name->value mapping or a dense row aligned to
     ``model.feature_names``.
     """
-    if isinstance(x, FeatureVector):
-        values = dict(x.values)
-        for name in x.names:
-            values[f"{name}_missing"] = 1.0 if name in x.missing else 0.0
-    elif isinstance(x, Mapping):
-        values = x
+    if isinstance(x, Mapping):
+        for name in model.feature_names:
+            if name not in x:
+                raise MissingFeatureError(f"input lacks feature {name!r}")
+        row = [x[name] for name in model.feature_names]
     else:
         row = np.asarray(x, dtype=np.float64).ravel()
         if row.shape[0] != len(model.feature_names):
             raise MissingFeatureError(
                 f"expected {len(model.feature_names)} values, got {row.shape[0]}"
             )
-        values = dict(zip(model.feature_names, row))
-    z = model.bias
-    for name in model.feature_names:
-        if name not in values:
-            raise MissingFeatureError(f"input lacks feature {name!r}")
-        z += model.weights[name] * (values[name] - model.means[name]) / model.stds[name]
-    return float(_sigmoid(np.array([z]))[0])
+    X = np.asarray(row, dtype=np.float64).reshape(1, -1)
+    return float(_scores_from_matrix(model, X, model.feature_names)[0])
 
 
 def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -384,12 +378,16 @@ def evaluate_cluster(model: Model, instances: Sequence) -> tuple[float, float]:
     """
     if len(instances) == 0:
         raise EmptyInputError("no cluster instances")
+    from .tasks import design_matrix  # tasks imports this module
+
     hits = 0
     ranks: list[int] = []
     for inst in instances:
+        X, columns = design_matrix([member.features for member in inst.members])
+        scores = _scores_from_matrix(model, X, columns)
         scored = [
-            (-predict_proba(model, member.features), member.cascade_id, idx)
-            for idx, member in enumerate(inst.members)
+            (-float(score), member.cascade_id, idx)
+            for idx, (score, member) in enumerate(zip(scores, inst.members))
         ]
         scored.sort()
         rank = next(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cascade import ReshareEvent, SocialGraph
 from .errors import AlphaOutOfRangeError, BadParamsError
-from .features import ContentRecord
+from .features import CONTENT_SCORE_NAMES, ContentRecord
 
 CATEGORY_LABELS = ("animals", "food", "music", "news", "sports")
 
@@ -257,7 +257,7 @@ def simulate_cascades(
 
         all_events.append(events)
         contents[cascade_id] = ContentRecord(
-            **{name: float(rng.random()) for name in _SCORE_FIELDS},
+            **{name: float(rng.random()) for name in CONTENT_SCORE_NAMES},
             is_en=bool(rng.random() < 0.7),
             has_caption=bool(rng.random() < 0.5),
             liwc_pos=float(rng.random()),
@@ -266,20 +266,6 @@ def simulate_cascades(
             category=CATEGORY_LABELS[int(rng.integers(len(CATEGORY_LABELS)))],
         )
     return all_events, contents
-
-
-_SCORE_FIELDS = (
-    "score_closeup",
-    "score_indoor",
-    "score_outdoor",
-    "score_synthetic",
-    "score_food",
-    "score_landmark",
-    "score_person",
-    "score_nature",
-    "score_water",
-    "score_overlaid_text",
-)
 
 
 def _event(

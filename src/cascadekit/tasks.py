@@ -25,7 +25,13 @@ from .errors import (
     UnknownFieldError,
     ZeroVarianceError,
 )
-from .features import ContentRecord, FeatureVector, extract_features_batch
+from .features import (
+    MISSING_SUFFIX,
+    ContentRecord,
+    FeatureVector,
+    extract_features_batch,
+    feature_layout,
+)
 from .learner import DEFAULT_LAMBDA, cross_validate
 from .stats import pearson
 from .virality import wiener_index_exact
@@ -88,10 +94,8 @@ class TaskDataset:
 
 
 def design_matrix(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, list[str]]:
-    """Stack feature vectors into a dense matrix with missing indicators.
-
-    Columns follow the canonical feature order, each immediately followed by
-    its ``<name>_missing`` indicator, mirroring the CSV layout.
+    """Stack feature vectors into a dense matrix in the ``feature_layout``
+    column order: each feature followed by its ``<name>_missing`` indicator.
     """
     if not vectors:
         raise EmptyDatasetError("no feature vectors")
@@ -99,15 +103,8 @@ def design_matrix(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, list[st
     for v in vectors[1:]:
         if v.names != names:
             raise ValueError("feature vectors disagree on names (mixed k?)")
-    columns: list[str] = []
-    for n in names:
-        columns.append(n)
-        columns.append(f"{n}_missing")
-    X = np.empty((len(vectors), 2 * len(names)), dtype=np.float64)
-    for i, v in enumerate(vectors):
-        for j, n in enumerate(names):
-            X[i, 2 * j] = v.values[n]
-            X[i, 2 * j + 1] = 1.0 if n in v.missing else 0.0
+    columns, _ = feature_layout(vectors[0])
+    X = np.array([feature_layout(v)[1] for v in vectors], dtype=np.float64)
     return X, columns
 
 
@@ -397,31 +394,34 @@ class FeatureRanking:
 
 
 def rank_single_feature_predictors(
-    examples: Sequence[LabeledExample],
+    X: np.ndarray,
+    y: np.ndarray,
+    final_sizes: Sequence[float],
+    columns: Sequence[str],
     folds: int = 10,
     seed: int = 0,
     lam: float = DEFAULT_LAMBDA,
 ) -> list[FeatureRanking]:
-    """Cross-validated accuracy of each feature used alone, plus its
-    correlation with log final size.
+    """Cross-validated accuracy of each feature column of ``X`` used alone,
+    plus its correlation with log final size.
 
-    Sorted by accuracy descending, ties broken by feature name. Constant
-    features fall back to the majority-class rate and an undefined (NaN)
-    correlation.
+    Every column except the ``<name>_missing`` indicators is ranked. Sorted
+    by accuracy descending, ties broken by feature name. Constant features
+    fall back to the majority-class rate and an undefined (NaN) correlation.
     """
-    if not examples:
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[0] == 0:
         raise EmptyDatasetError("no examples")
-    labels = np.array([ex.label for ex in examples], dtype=np.float64)
+    labels = np.asarray(y, dtype=np.float64)
     for cls in (0, 1):
         if np.sum(labels == cls) < 2:
             raise SingleClassError(f"need >= 2 examples of class {cls}")
-    log_sizes = [math.log(ex.final_size) for ex in examples]
-    names = examples[0].features.names
+    log_sizes = [math.log(s) for s in final_sizes]
     rows: list[FeatureRanking] = []
-    for name in names:
-        column = np.array(
-            [ex.features.values[name] for ex in examples], dtype=np.float64
-        )
+    for j, name in enumerate(columns):
+        if name.endswith(MISSING_SUFFIX):
+            continue
+        column = X[:, j]
         metrics = cross_validate(
             column.reshape(-1, 1),
             labels,

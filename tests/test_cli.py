@@ -7,10 +7,11 @@ from cascadekit import io
 from cascadekit.cascade import SocialGraph, build_cascade
 from cascadekit.cli import build_parser, main
 from cascadekit.features import ContentRecord
-from cascadekit.learner import train
+from cascadekit.learner import Model, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
+from cascadekit.tasks import CascadeRecord, build_cluster_task, label_growth
 
-from conftest import event
+from conftest import event, star_tree
 
 
 PIPELINE_CFG = """\
@@ -262,7 +263,96 @@ def test_rank_features_cli(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+CLUSTER_HEADER = "cluster_id,cascade_id,final_size,is_winner,x,x_missing\n"
+LABELED_HEADER = "x,x_missing,label,final_size,cascade_id\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, where",
+    [
+        ("labeled", "", 1),
+        ("cluster", "", 1),
+        ("cluster", CLUSTER_HEADER + "g0,a,5,0,1.0,0\ng0,b,6,0,2.0,0\n", 2),
+        ("cluster", CLUSTER_HEADER + "g0,a,5,1,1.0,0\ng0,b,6,1,2.0,0\n", 2),
+        ("labeled", LABELED_HEADER + "1.0,0,1,5,a\nnan,0,0,6,b\n", 3),
+        ("cluster", CLUSTER_HEADER + "g0,a,5,1,inf,0\n", 2),
+        ("model", "lambda 0.01\ndropped\n", 2),
+        ("model", "lambda\n", 1),
+        ("labeled", LABELED_HEADER + "1.0,0,1,5\n", 2),
+        ("cluster", "cluster_id,cascade_id,final_size,is_winner,x\n", 1),
+    ],
+    ids=[
+        "empty-labeled", "empty-cluster", "no-winner", "two-winners",
+        "nonfinite-labeled", "nonfinite-cluster", "one-token-dropped",
+        "one-token-scalar", "short-row", "cluster-header-without-indicator",
+    ],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
+    model = tmp_path / "model.txt"
+    io.write_model(model, Model(("x",), {"x": 1.0}, 0.0, {"x": 0.0}, {"x": 1.0},
+                                ("x_missing",), 0.01, 0, 1, 0.0, True))
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text(CLUSTER_HEADER + "g0,a,5,1,1.0,0\n")
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_text(text)
+    if kind == "labeled":
+        argv = ["train", "--in", str(bad), "--model-out", str(model)]
+    elif kind == "cluster":
+        argv = ["evaluate", "--cluster", str(bad), "--model", str(model)]
+    else:
+        argv = ["evaluate", "--cluster", str(clusters), "--model", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}:{where}: ")
+
+
 class TestIoRoundTrips:
+    def test_labeled_csv_roundtrip(self, tmp_path):
+        records = [
+            CascadeRecord(
+                star_tree(5 + 3 * i, cascade_id=f"c{i:02d}"),
+                ContentRecord(score_food=i / 20) if i % 2 else None,
+            )
+            for i in range(20)
+        ]
+        ds = label_growth(records, 5)
+        path = tmp_path / "labeled.csv"
+        io.write_labeled_csv(path, ds.examples)
+        X, y, sizes, ids, columns = io.read_labeled_csv(path)
+        X_ds, y_ds, columns_ds = ds.design_matrix()
+        assert columns == columns_ds
+        assert set(X[:, columns.index("score_food_missing")]) == {0.0, 1.0}
+        assert np.array_equal(X, X_ds)
+        assert np.array_equal(y, y_ds)
+        assert sizes.tolist() == [ex.final_size for ex in ds.examples]
+        assert ids == [ex.cascade_id for ex in ds.examples]
+
+    def test_cluster_csv_roundtrip(self, tmp_path):
+        records = [
+            CascadeRecord(
+                star_tree(5 + i, cascade_id=f"c{i:02d}"),
+                ContentRecord(score_food=i / 20 if i % 3 else None,
+                              cluster_id=f"g{i % 2}"),
+            )
+            for i in range(12)
+        ]
+        instances = build_cluster_task(records, 5, m=4, seed=1)
+        path = tmp_path / "clusters.csv"
+        io.write_cluster_csv(path, instances)
+
+        def summary(insts):
+            return [
+                (inst.cluster_id, inst.winner_index, [
+                    (m.cascade_id, m.final_size, m.features.names,
+                     m.features.values, m.features.missing)
+                    for m in inst.members
+                ])
+                for inst in insts
+            ]
+
+        assert summary(io.read_cluster_csv(path)) == summary(instances)
+
     def test_events_jsonl_roundtrip(self, tmp_path):
         events = [
             event("c", "r", 0, node_type="page", outdeg=5, fan_count=5),

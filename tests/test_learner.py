@@ -21,7 +21,7 @@ from cascadekit.learner import (
     train,
 )
 from cascadekit.tasks import ClusterInstance, ClusterMember
-from cascadekit.features import FeatureVector
+from cascadekit.features import FeatureVector, feature_layout
 
 
 def separable_1d(rng, n=200, gap=3.0):
@@ -173,7 +173,7 @@ class TestPredictProba:
             predict_proba(model, {"a": 1.0})
 
     def test_feature_vector_missing_indicators_available(self, rng):
-        # A model trained with indicator columns scores FeatureVectors directly.
+        # A model trained with indicator columns scores a vector's layout row.
         names = ["x"]
         raws = []
         labels = []
@@ -182,11 +182,10 @@ class TestPredictProba:
             raws.append({"x": None if missing else float(rng.normal())})
             labels.append(1.0 if (not missing and raws[-1]["x"] > 0) else 0.0)
         vectors = [FeatureVector(names, raw) for raw in raws]
-        X = np.array(
-            [[v.values["x"], 1.0 if "x" in v.missing else 0.0] for v in vectors]
-        )
+        X = np.array([feature_layout(v)[1] for v in vectors])
         model = train(X, np.array(labels), feature_names=["x", "x_missing"])
-        p = predict_proba(model, vectors[1])
+        columns, row = feature_layout(vectors[1])
+        p = predict_proba(model, dict(zip(columns, row)))
         assert 0.0 <= p <= 1.0
 
 

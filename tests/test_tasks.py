@@ -258,43 +258,37 @@ class TestGroupSummaries:
 
 
 class TestRankSingleFeatures:
-    def _examples(self, rng, n=80):
+    def _dataset(self, rng, n=80):
         sizes = rng.choice(np.arange(5, 500), size=n, replace=False)
         ds = label_growth(records_with_sizes(sizes), k=5)
-        return ds.examples
+        X, y, columns = ds.design_matrix()
+        return X, y, np.array([ex.final_size for ex in ds.examples]), columns
 
     def test_label_leak_feature_tops_ranking(self, rng):
-        examples = self._examples(rng)
-        leaked = []
-        for ex in examples:
-            fv = ex.features
-            values = dict(fv.values)
-            raw = {n: (None if n in fv.missing else values[n]) for n in fv.names}
-            raw["score_closeup"] = float(ex.label)  # implant a perfect predictor
-            from cascadekit.features import FeatureVector
-
-            leaked.append(
-                dataclasses.replace(ex, features=FeatureVector(fv.names, raw))
-            )
-        rows = rank_single_feature_predictors(leaked, folds=5, seed=0)
+        X, y, sizes, columns = self._dataset(rng)
+        X[:, columns.index("score_closeup")] = y  # implant a perfect predictor
+        rows = rank_single_feature_predictors(X, y, sizes, columns, folds=5, seed=0)
         assert rows[0].feature == "score_closeup"
         assert rows[0].accuracy == 1.0
 
     def test_noise_feature_near_chance(self, rng):
-        examples = self._examples(rng, n=200)
-        rows = rank_single_feature_predictors(examples, folds=5, seed=0)
+        rows = rank_single_feature_predictors(
+            *self._dataset(rng, n=200), folds=5, seed=0
+        )
         by_name = {r.feature: r for r in rows}
         # Content scores are absent here, hence constant zero: majority rate.
         assert by_name["score_water"].accuracy <= 0.56
         assert np.isnan(by_name["score_water"].pearson_with_log_size)
 
     def test_requires_both_classes(self, rng):
-        examples = self._examples(rng)
-        positives = [ex for ex in examples if ex.label == 1]
+        X, y, sizes, columns = self._dataset(rng)
+        pos = y == 1
         with pytest.raises(SingleClassError):
-            rank_single_feature_predictors(positives, folds=5, seed=0)
+            rank_single_feature_predictors(
+                X[pos], y[pos], sizes[pos], columns, folds=5, seed=0
+            )
 
     def test_sorted_by_accuracy_then_name(self, rng):
-        rows = rank_single_feature_predictors(self._examples(rng), folds=5, seed=0)
+        rows = rank_single_feature_predictors(*self._dataset(rng), folds=5, seed=0)
         keys = [(-r.accuracy, r.feature) for r in rows]
         assert keys == sorted(keys)
