@@ -147,11 +147,13 @@ class SocialGraph:
 
     def edges(self) -> list[tuple[str, str]]:
         """Deterministic edge list; undirected edges appear once, (min, max)."""
-        out: set[tuple[str, str]] = set()
-        for u, nbrs in self.adjacency.items():
-            for v in nbrs:
-                out.add((u, v) if self.directed else (min(u, v), max(u, v)))
-        return sorted(out)
+        directed = self.directed
+        return sorted(
+            (u, v)
+            for u, nbrs in self.adjacency.items()
+            for v in nbrs
+            if directed or u < v
+        )
 
     def induced(self, nodes: Iterable[str]) -> "SocialGraph":
         keep = set(nodes)

@@ -26,7 +26,13 @@ from .learner import (
     train,
 )
 from .stats import fit_powerlaw_alpha, gini
-from .synth import SynthParams, generate_social_graph, simulate_cascades
+from .synth import (
+    PARAM_TYPES,
+    SynthParams,
+    finite_float,
+    generate_social_graph,
+    simulate_cascades,
+)
 from .tasks import (
     CascadeRecord,
     FeatureRanking,
@@ -122,7 +128,7 @@ def _ranking_table(rankings: list[FeatureRanking]) -> list[tuple[str, ...]]:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    cfg = io.read_config(_require(args.params))
+    cfg = io.read_config(_require(args.params), PARAM_TYPES)
     params = SynthParams.from_config(cfg)
     seed = params.seed
     graph = generate_social_graph(params, seed)
@@ -347,6 +353,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+# The pipeline's own config keys, next to the SynthParams fields.
+PIPELINE_KEYS = {
+    "k": int,
+    "task": str,
+    "quartiles": str,
+    "lambda": finite_float,
+    "folds": int,
+    "use_graph": str,
+    "centered_slopes": str,
+}
+
 PIPELINE_OUTPUTS = (
     "events.jsonl",
     "graph.edges",
@@ -361,7 +378,7 @@ PIPELINE_OUTPUTS = (
 
 def cmd_pipeline(args) -> int:
     """generate -> label (featurize inside) -> train -> evaluate -> manifest."""
-    cfg = io.read_config(_require(args.config))
+    cfg = io.read_config(_require(args.config), {**PARAM_TYPES, **PIPELINE_KEYS})
     params = SynthParams.from_config(cfg)
     k = int(cfg.get("k", "5"))
     task = cfg.get("task", "growth")

@@ -14,9 +14,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,16 @@ _EVENT_INTS = {
 _EVENT_FLOATS = {"timestamp", "age_years", "fb_age_days", "activity_days"}
 _CONTENT_BOOLS = {"is_en", "has_caption"}
 _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
+# The encoder json.dumps(obj, sort_keys=True) would build on every call.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+# What turning one malformed JSONL line or CSV row into a record raises: bad
+# JSON or a bad value (ValueError), a missing required field (TypeError,
+# KeyError), or a line that is not a JSON object (AttributeError).
+_RECORD_ERRORS = (ValueError, TypeError, KeyError, AttributeError)
+
+
+def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidError:
+    return ConfigInvalidError(f"{path}:{lineno}: {type(exc).__name__}: {exc}")
 
 
 def fmt(value: float) -> str:
@@ -49,7 +59,8 @@ def fmt(value: float) -> str:
 # --- events -----------------------------------------------------------------
 
 def event_to_dict(event: ReshareEvent) -> dict:
-    return {k: v for k, v in asdict(event).items() if v is not None}
+    """The event's fields that are not None; every field is a scalar."""
+    return {k: v for k in EVENT_FIELDS if (v := getattr(event, k)) is not None}
 
 
 def _event_from_dict(row: Mapping) -> ReshareEvent:
@@ -71,9 +82,7 @@ def _event_from_dict(row: Mapping) -> ReshareEvent:
 def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for events in cascades:
-            for e in events:
-                fh.write(json.dumps(event_to_dict(e), sort_keys=True))
-                fh.write("\n")
+            fh.writelines(f"{_encode_sorted(event_to_dict(e))}\n" for e in events)
 
 
 def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
@@ -86,16 +95,23 @@ def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
     grouped: dict[str, list[ReshareEvent]] = {}
     if path.suffix.lower() == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                e = _event_from_dict(row)
+            reader = csv.DictReader(fh)
+            for row in reader:
+                try:
+                    e = _event_from_dict(row)
+                except _RECORD_ERRORS as exc:
+                    raise _bad_record(path, reader.line_num, exc) from None
                 grouped.setdefault(e.cascade_id, []).append(e)
         return grouped
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            e = _event_from_dict(json.loads(line))
+            try:
+                e = _event_from_dict(json.loads(line))
+            except _RECORD_ERRORS as exc:
+                raise _bad_record(path, lineno, exc) from None
             grouped.setdefault(e.cascade_id, []).append(e)
     return grouped
 
@@ -103,6 +119,9 @@ def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
 def write_events_csv(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # csv.writer quotes only the characters of its line terminator, but
+        # csv readers end a record at a bare "\r" too: quote such a row whole.
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(EVENT_FIELDS)
         for events in cascades:
             for e in events:
@@ -115,7 +134,7 @@ def write_events_csv(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]
                         row.append(fmt(v))
                     else:
                         row.append(str(v))
-                writer.writerow(row)
+                (quoted if any("\r" in c for c in row) else writer).writerow(row)
 
 
 # --- social graph ----------------------------------------------------------
@@ -138,8 +157,7 @@ def read_edge_list(path: str | Path, directed: bool = False) -> SocialGraph:
 
 def write_edge_list(path: str | Path, graph: SocialGraph) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in graph.edges())
 
 
 # --- content records ---------------------------------------------------------
@@ -147,36 +165,39 @@ def write_edge_list(path: str | Path, graph: SocialGraph) -> None:
 def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for cid in sorted(contents):
+            record = contents[cid]
             row = {"cascade_id": cid}
             row.update(
-                {k: v for k, v in asdict(contents[cid]).items() if v is not None}
+                {k: v for k in CONTENT_FIELDS if (v := getattr(record, k)) is not None}
             )
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
+            fh.write(f"{_encode_sorted(row)}\n")
 
 
 def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
     out: dict[str, ContentRecord] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            cid = str(row.pop("cascade_id"))
-            kwargs = {}
-            for name in CONTENT_FIELDS:
-                if name not in row or row[name] is None:
-                    continue
-                v = row[name]
-                if name in _CONTENT_BOOLS:
-                    v = bool(v)
-                elif name in ("category", "cluster_id"):
-                    v = str(v)
-                else:
-                    v = float(v)
-                kwargs[name] = v
-            out[cid] = ContentRecord(**kwargs)
+            try:
+                row = json.loads(line)
+                cid = str(row.pop("cascade_id"))
+                kwargs = {}
+                for name in CONTENT_FIELDS:
+                    if name not in row or row[name] is None:
+                        continue
+                    v = row[name]
+                    if name in _CONTENT_BOOLS:
+                        v = bool(v)
+                    elif name in ("category", "cluster_id"):
+                        v = str(v)
+                    else:
+                        v = float(v)
+                    kwargs[name] = v
+                out[cid] = ContentRecord(**kwargs)
+            except _RECORD_ERRORS as exc:
+                raise _bad_record(path, lineno, exc) from None
     return out
 
 
@@ -393,8 +414,14 @@ def read_model(path: str | Path) -> Model:
 
 # --- configs & manifests -----------------------------------------------------------
 
-def read_config(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments ignored."""
+def read_config(
+    path: str | Path, types: Mapping[str, Callable[[str], object]] | None = None
+) -> dict[str, str]:
+    """Flat key=value file; blank lines and # comments ignored.
+
+    With ``types``, each key must be one of its keys and each value must
+    parse with that key's type; the values are returned unparsed.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigInvalidError(f"config file not found: {path}")
@@ -407,7 +434,15 @@ def read_config(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigInvalidError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            if types is not None:
+                if key not in types:
+                    raise ConfigInvalidError(f"{path}:{lineno}: unknown key {key!r}")
+                try:
+                    types[key](value)
+                except ValueError as exc:
+                    raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
+            out[key] = value
     return out
 
 

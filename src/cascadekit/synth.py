@@ -14,7 +14,8 @@ change the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -61,22 +62,23 @@ class SynthParams:
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, str]) -> "SynthParams":
-        kwargs = {}
-        for f, caster in (
-            ("n_nodes", int),
-            ("attachment_m", int),
-            ("page_fraction", float),
-            ("page_degree_boost", float),
-            ("reshare_prob", float),
-            ("rate_boost", float),
-            ("target_alpha", float),
-            ("x_min", float),
-            ("n_cascades", int),
-            ("seed", int),
-        ):
-            if f in cfg:
-                kwargs[f] = caster(cfg[f])
-        return cls(**kwargs)
+        """Params from a config mapping; keys that are not fields are ignored."""
+        return cls(**{k: PARAM_TYPES[k](v) for k, v in cfg.items() if k in PARAM_TYPES})
+
+
+def finite_float(text: str) -> float:
+    """A float config value; nan and inf are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"could not convert string to a finite float: {text!r}")
+    return value
+
+
+# How each field's config value parses, by the type of its default.
+PARAM_TYPES = {
+    f.name: finite_float if isinstance(f.default, float) else int
+    for f in fields(SynthParams)
+}
 
 
 def powerlaw_inverse_cdf(u: float, alpha: float, x_min: float) -> float:
@@ -103,10 +105,10 @@ def sample_powerlaw_sizes(
     return x_min * u ** (-1.0 / (alpha - 1.0))
 
 
-def _page_mask(params: SynthParams, seed: int) -> np.ndarray:
+def _page_mask(params: SynthParams, seed: int) -> list[bool]:
     """Which node indices are pages; shared by graph and cascade generation."""
     rng = np.random.default_rng([seed, 1])
-    return rng.random(params.n_nodes) < params.page_fraction
+    return (rng.random(params.n_nodes) < params.page_fraction).tolist()
 
 
 def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
@@ -150,16 +152,19 @@ def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
     return graph
 
 
-def _node_profiles(params: SynthParams, seed: int) -> dict[str, np.ndarray]:
-    """Stable per-node demographics so a node looks the same in every cascade."""
+def _node_profiles(params: SynthParams, seed: int) -> dict[str, list]:
+    """Stable per-node demographics so a node looks the same in every cascade.
+
+    Columns are plain lists of Python floats, bools and ints, indexed by node.
+    """
     rng = np.random.default_rng([seed, 3])
     n = params.n_nodes
     return {
-        "age": rng.integers(13, 80, size=n).astype(np.float64),
-        "fb_age": rng.integers(30, 4000, size=n).astype(np.float64),
-        "activity": rng.integers(0, 31, size=n).astype(np.float64),
-        "female": rng.random(n) < 0.5,
-        "subscribers": rng.poisson(5, size=n).astype(np.int64),
+        "age": rng.integers(13, 80, size=n).astype(np.float64).tolist(),
+        "fb_age": rng.integers(30, 4000, size=n).astype(np.float64).tolist(),
+        "activity": rng.integers(0, 31, size=n).astype(np.float64).tolist(),
+        "female": (rng.random(n) < 0.5).tolist(),
+        "subscribers": rng.poisson(5, size=n).tolist(),
     }
 
 
@@ -178,6 +183,13 @@ def simulate_cascades(
 
     View counters follow the stated simplification: the original post is
     seen by the root's neighbors, reshares by the resharers' neighbors.
+
+    Exposure is breadth-first over the members in join order: each member
+    exposes its sorted neighbors in turn, and a neighbor that is already a
+    member when its turn comes is skipped. Members only grow, so walking
+    the members' neighbor lists lazily offers the candidates in the same
+    order as queueing every (neighbor, member) pair up front, and
+    ``rng.random()`` is drawn for exactly the same candidates.
     """
     pages = _page_mask(params, seed)
     profiles = _node_profiles(params, seed)
@@ -186,6 +198,7 @@ def simulate_cascades(
     user_nodes = [nid for nid in node_ids if not pages[int(nid)]]
     neighbor_lists = {nid: sorted(graph.adjacency[nid]) for nid in node_ids}
     degree = {nid: len(graph.adjacency[nid]) for nid in node_ids}
+    reshare_prob = params.reshare_prob
 
     width = len(str(params.n_cascades - 1))
     all_events: list[list[ReshareEvent]] = []
@@ -209,21 +222,23 @@ def simulate_cascades(
         epoch = float(idx)
         events = [_event(cascade_id, root, None, epoch, pages, profiles, degree, None, None)]
         members = {root}
-        order: list[str] = []
-        queue: list[tuple[str, str]] = [(nbr, root) for nbr in neighbor_lists[root]]
-        head = 0
+        joined = [root]  # members in join order, the exposers
+        at = 0  # joined[at] is exposing its neighbors through ``exposure``
+        exposure = iter(neighbor_lists[root])
         t = 0.0
         reshare_views = 0
-        while len(order) < target:
+        while len(joined) <= target:
             parent = None
-            while head < len(queue):
-                cand, par = queue[head]
-                head += 1
-                if cand in members:
-                    continue
-                if rng.random() < params.reshare_prob:
-                    node, parent = cand, par
-                    break
+            while parent is None:
+                for cand in exposure:
+                    if cand not in members and rng.random() < reshare_prob:
+                        node, parent = cand, joined[at]
+                        break
+                else:
+                    if at + 1 == len(joined):
+                        break
+                    at += 1
+                    exposure = iter(neighbor_lists[joined[at]])
             if parent is None:
                 # Exposure died out; attach an outside node to keep the
                 # realized size on target.
@@ -249,11 +264,8 @@ def simulate_cascades(
                 )
             )
             members.add(node)
-            order.append(node)
+            joined.append(node)
             reshare_views += degree[node]
-            for nbr in neighbor_lists[node]:
-                if nbr not in members:
-                    queue.append((nbr, node))
 
         all_events.append(events)
         contents[cascade_id] = ContentRecord(
@@ -273,16 +285,15 @@ def _event(
     node: str,
     parent: str | None,
     timestamp: float,
-    pages: np.ndarray,
-    profiles: dict[str, np.ndarray],
+    pages: list[bool],
+    profiles: dict[str, list],
     degree: dict[str, int],
     views_orig: int | None,
     views_reshares: int | None,
 ) -> ReshareEvent:
     i = int(node)
-    is_page = bool(pages[i])
     deg = degree[node]
-    if is_page:
+    if pages[i]:
         return ReshareEvent(
             cascade_id=cascade_id,
             node_id=node,
@@ -294,18 +305,19 @@ def _event(
             views_orig_cum=views_orig,
             views_reshares_cum=views_reshares,
         )
+    subscribers = profiles["subscribers"][i]
     return ReshareEvent(
         cascade_id=cascade_id,
         node_id=node,
         parent_id=parent,
         timestamp=timestamp,
         node_type="user",
-        outdeg=deg + int(profiles["subscribers"][i]),
+        outdeg=deg + subscribers,
         friend_count=deg,
-        subscriber_count=int(profiles["subscribers"][i]),
-        age_years=float(profiles["age"][i]),
-        fb_age_days=float(profiles["fb_age"][i]),
-        activity_days=float(profiles["activity"][i]),
+        subscriber_count=subscribers,
+        age_years=profiles["age"][i],
+        fb_age_days=profiles["fb_age"][i],
+        activity_days=profiles["activity"][i],
         gender="female" if profiles["female"][i] else "male",
         views_orig_cum=views_orig,
         views_reshares_cum=views_reshares,

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cascadekit.cascade import (
     SocialGraph,
@@ -209,3 +210,23 @@ class TestInducedSubgraph:
         g = SocialGraph()
         with pytest.raises(KTooLargeError):
             induced_subgraph(star_tree(2), g, 3)
+
+
+NODE_IDS = st.text(alphabet="ab01", max_size=3)
+
+
+@given(
+    directed=st.booleans(),
+    pairs=st.lists(st.tuples(NODE_IDS, NODE_IDS)),
+)
+def test_edges_match_set_reference(directed, pairs):
+    g = SocialGraph(directed=directed)
+    for u, v in pairs:
+        g.add_edge(u, v)
+    reference = {
+        (u, v) if directed else (min(u, v), max(u, v))
+        for u, nbrs in g.adjacency.items()
+        for v in nbrs
+    }
+    assert g.edges() == sorted(reference)
+    assert len(g.edges()) == g.edge_count()

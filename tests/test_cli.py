@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cascadekit import io
-from cascadekit.cascade import SocialGraph, build_cascade
+from cascadekit.cascade import NODE_TYPES, ReshareEvent, SocialGraph, build_cascade
 from cascadekit.cli import build_parser, main
 from cascadekit.features import ContentRecord
 from cascadekit.learner import Model, train
@@ -265,6 +266,12 @@ def test_rank_features_cli(workspace, tmp_path, capsys):
 
 CLUSTER_HEADER = "cluster_id,cascade_id,final_size,is_winner,x,x_missing\n"
 LABELED_HEADER = "x,x_missing,label,final_size,cascade_id\n"
+EVENTS_CSV_HEADER = "cascade_id,node_id,timestamp,parent_id,node_type\n"
+ROOT_EVENT = '{"cascade_id": "c", "node_id": "r", "timestamp": 0.0}\n'
+RESHARE = (
+    '{"cascade_id": "c", "node_id": "a", "parent_id": "r", "timestamp": 1.0, '
+    '"node_type": "user"}\n'
+)
 
 
 @pytest.mark.parametrize(
@@ -280,11 +287,34 @@ LABELED_HEADER = "x,x_missing,label,final_size,cascade_id\n"
         ("model", "lambda\n", 1),
         ("labeled", LABELED_HEADER + "1.0,0,1,5\n", 2),
         ("cluster", "cluster_id,cascade_id,final_size,is_winner,x\n", 1),
+        ("events", ROOT_EVENT + '{"cascade_id": "c", "node_id": "a", "ti\n', 2),
+        ("events", ROOT_EVENT + RESHARE.replace('"user"', '"bot"'), 2),
+        ("events", ROOT_EVENT + RESHARE.replace("1.0", "NaN"), 2),
+        ("events", ROOT_EVENT + RESHARE.replace('"cascade_id": "c", ', ""), 2),
+        ("events", "\n" + ROOT_EVENT + "[1, 2]\n", 3),
+        ("events.csv", EVENTS_CSV_HEADER + "c,r,0.0,,user\n,a,1.0,r,user\n", 3),
+        ("events.csv", EVENTS_CSV_HEADER + "c,r,0.0,,user\nc,a,1.0,r,bot\n", 3),
+        ("events.csv", EVENTS_CSV_HEADER + "c,r,0.0,,user\nc,a,soon,r,user\n", 3),
+        ("content", '{"cascade_id": "c", "score_food": 0.5\n', 1),
+        ("content", '{"cascade_id": "c"}\n{"score_food": 0.5}\n', 2),
+        ("content", '{"cascade_id": "c", "score_food": 7}\n', 1),
+        ("params", "n_nodes = 2000\nn_cascades = ten\n", 2),
+        ("params", "n_cascade = 10\n", 1),
+        ("config", "k = 5\nn_cascade = 10\n", 2),
+        ("config", "folds = many\n", 1),
+        ("params", "n_nodes = 2000\nx_min = inf\n", 2),
+        ("config", "lambda = nan\n", 1),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
         "nonfinite-labeled", "nonfinite-cluster", "one-token-dropped",
         "one-token-scalar", "short-row", "cluster-header-without-indicator",
+        "truncated-event-line", "bot-node-type", "nan-timestamp",
+        "missing-cascade-id", "event-line-not-an-object", "csv-missing-cascade-id",
+        "csv-bot-node-type", "csv-non-numeric-timestamp", "truncated-content-line",
+        "content-missing-cascade-id", "content-score-out-of-range",
+        "non-integer-param", "misspelled-param", "misspelled-pipeline-key",
+        "non-integer-pipeline-key", "non-finite-param", "non-finite-pipeline-key",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -293,18 +323,60 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
                                 ("x_missing",), 0.01, 0, 1, 0.0, True))
     clusters = tmp_path / "clusters.csv"
     clusters.write_text(CLUSTER_HEADER + "g0,a,5,1,1.0,0\n")
-    bad = tmp_path / f"{kind}.txt"
+    events = tmp_path / "good.jsonl"
+    events.write_text(ROOT_EVENT)
+    bad = tmp_path / (kind if kind.endswith(".csv") else f"{kind}.txt")
     bad.write_text(text)
-    if kind == "labeled":
-        argv = ["train", "--in", str(bad), "--model-out", str(model)]
-    elif kind == "cluster":
-        argv = ["evaluate", "--cluster", str(bad), "--model", str(model)]
-    else:
-        argv = ["evaluate", "--cluster", str(clusters), "--model", str(bad)]
+    argv = {
+        "labeled": ["train", "--in", str(bad), "--model-out", str(model)],
+        "cluster": ["evaluate", "--cluster", str(bad), "--model", str(model)],
+        "model": ["evaluate", "--cluster", str(clusters), "--model", str(bad)],
+        "events": ["wiener", str(bad)],
+        "events.csv": ["wiener", str(bad)],
+        "content": ["featurize", "--k", "0", "--in", str(events), "--content",
+                    str(bad), "--out", str(tmp_path / "features.csv")],
+        "params": ["generate", "--params", str(bad), "--out-dir", str(tmp_path)],
+        "config": ["pipeline", "--config", str(bad), "--out-dir", str(tmp_path)],
+    }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}:{where}: ")
+
+
+IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+FLOATS = st.floats(allow_nan=False)
+COUNTS = st.integers(min_value=0, max_value=2**64)
+EVENTS = st.builds(
+    ReshareEvent,
+    cascade_id=st.sampled_from(["c0", "c1", "c 2"]) | IDS,
+    node_id=IDS,
+    timestamp=st.floats(allow_nan=False, allow_infinity=False),
+    parent_id=st.none() | IDS,
+    node_type=st.sampled_from(NODE_TYPES),
+    outdeg=COUNTS,
+    friend_count=st.none() | COUNTS,
+    fan_count=st.none() | COUNTS,
+    subscriber_count=st.none() | COUNTS,
+    age_years=st.none() | FLOATS,
+    fb_age_days=st.none() | FLOATS,
+    activity_days=st.none() | FLOATS,
+    gender=st.none() | IDS,
+    views_orig_cum=st.none() | COUNTS,
+    views_reshares_cum=st.none() | COUNTS,
+)
+
+
+@given(events=st.lists(EVENTS, max_size=8))
+def test_events_jsonl_csv_roundtrip(tmp_path_factory, events):
+    expected: dict[str, list[ReshareEvent]] = {}
+    for e in events:
+        expected.setdefault(e.cascade_id, []).append(e)
+    root = tmp_path_factory.mktemp("events")
+    io.write_events_jsonl(root / "events.jsonl", [events])
+    io.write_events_csv(root / "events.csv", [events])
+    assert io.read_events(root / "events.jsonl") == expected
+    assert io.read_events(root / "events.csv") == expected
 
 
 class TestIoRoundTrips:

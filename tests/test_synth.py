@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cascadekit.cascade import build_cascade
+from cascadekit.cli import main
 from cascadekit.errors import AlphaOutOfRangeError, BadParamsError
 from cascadekit.features import extract_features
 from cascadekit.stats import fit_powerlaw_alpha, pearson
@@ -195,3 +197,27 @@ class TestSimulate:
 
         metrics = cross_validate(X, y, folds=10, seed=1, feature_names=cols)
         assert 0.47 <= metrics.accuracy <= 0.55
+
+
+# sha256 of `generate` on GOLDEN_CFG: any change to the RNG draw order, the
+# simulation or the write format changes them.
+GOLDEN_CFG = "n_nodes = 2000\nn_cascades = 200\nx_min = 5.0\nseed = 3\n"
+GOLDEN_DIGESTS = {
+    "events.jsonl": "9cb053627d2012ddf60145400f78ed2a0954e18f2970327972f33a597dfb3e7a",
+    "graph.edges": "02dfe81197f8a889c56f91f695621b743bf7b3b2ba85f936869eaca145a592b1",
+    "content.jsonl": "b98941d5381d15c8d631453e1fbc8bbf01e243b5961e6bff1d8f15f1d40d396b",
+}
+
+
+def test_generate_golden_digests(tmp_path, capsys):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CFG)
+    assert main(["generate", "--params", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "generated 200 cascades, 5892 events, 3997 graph edges\n"
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS
