@@ -44,7 +44,6 @@ from .synth import (
 from .tasks import (
     CascadeRecord,
     ClusterInstance,
-    LabeledExample,
     TaskDataset,
     build_cluster_task,
     group_summaries,
@@ -63,7 +62,6 @@ __all__ = [
     "ClusterInstance",
     "ContentRecord",
     "FeatureVector",
-    "LabeledExample",
     "Metrics",
     "Model",
     "PowerLawSpec",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
     CycleDetectedError,
@@ -131,8 +131,9 @@ class SocialGraph:
         if not self.directed:
             self.adjacency.setdefault(v, set()).add(u)
 
-    def neighbors(self, u: str) -> frozenset[str]:
-        return frozenset(self.adjacency.get(u, ()))
+    def neighbors(self, u: str) -> AbstractSet[str]:
+        """The stored neighbor set, read-only by contract (no copy)."""
+        return self.adjacency.get(u, frozenset())
 
     def has_edge(self, u: str, v: str) -> bool:
         return v in self.adjacency.get(u, ())

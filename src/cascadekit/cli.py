@@ -10,7 +10,6 @@ run can be reproduced and verified byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -93,14 +92,8 @@ def _print_metrics(metrics: Metrics, stream=None) -> None:
     print(f"baseline  {metrics.majority_baseline:.6f}  -", file=stream)
 
 
-def _write_rows(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
 def _write_metrics_csv(path: Path, metrics: Metrics) -> None:
-    _write_rows(path, [
-        ["metric", "mean", "sd"],
+    io.write_csv(path, ["metric", "mean", "sd"], [
         ["accuracy", io.fmt(metrics.accuracy), io.fmt(metrics.accuracy_sd)],
         ["f1", io.fmt(metrics.f1), io.fmt(metrics.f1_sd)],
         ["auc", io.fmt(metrics.auc), io.fmt(metrics.auc_sd)],
@@ -112,7 +105,7 @@ def _write_per_fold_csv(path: Path, metrics: Metrics) -> None:
     folds = zip(
         metrics.fold_sizes, metrics.fold_accuracy, metrics.fold_f1, metrics.fold_auc
     )
-    _write_rows(path, [["fold", "size", "accuracy", "f1", "auc"]] + [
+    io.write_csv(path, ["fold", "size", "accuracy", "f1", "auc"], [
         [str(i), str(size), io.fmt(acc), io.fmt(f1v), io.fmt(aucv)]
         for i, (size, acc, f1v, aucv) in enumerate(folds)
     ])
@@ -149,15 +142,12 @@ def cmd_featurize(args) -> int:
     usable = [(r.tree, r.content) for r in records if r.tree.size >= args.k]
     if not usable:
         raise ConfigInvalidError(f"no cascades with >= {args.k} reshares")
-    extracted = extract_features_batch(
+    ids, X, columns = extract_features_batch(
         usable, args.k, graph=graph,
         centered_slopes=args.centered_slopes, threads=args.threads,
     )
-    io.write_features_csv(
-        _resolve(args.out_dir, args.out),
-        [(tree.cascade_id, fv) for tree, fv in extracted],
-    )
-    print(f"featurized {len(extracted)} cascades at k={args.k}")
+    io.write_features_csv(_resolve(args.out_dir, args.out), ids, X, columns)
+    print(f"featurized {len(ids)} cascades at k={args.k}")
     return 0
 
 
@@ -188,7 +178,7 @@ def cmd_label(args) -> int:
             dataset = label_growth(records, args.k, quartiles=args.quartiles, **common)
         else:
             dataset = label_structure(records, args.k, **common)
-        io.write_labeled_csv(out_path, dataset.examples)
+        io.write_labeled_csv(out_path, dataset)
         meta = dict(dataset.metadata)
         meta["seed"] = args.seed
         if graph is None:
@@ -251,7 +241,7 @@ def cmd_rank_features(args) -> int:
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
     ))
     if args.out:
-        _write_rows(_resolve(args.out_dir, args.out), lines)
+        io.write_csv(_resolve(args.out_dir, args.out), lines[0], lines[1:])
     for feature, acc, r in lines[1 : args.top + 1]:
         print(f"{feature}\t{acc}\t{r}")
     return 0
@@ -297,10 +287,9 @@ def cmd_report(args) -> int:
         ]
     elif args.kind == "rank-features":
         dataset = label_growth(records, args.k, graph=graph, threads=args.threads)
-        X, y, columns = dataset.design_matrix()
-        sizes = [ex.final_size for ex in dataset.examples]
         lines = _ranking_table(rank_single_feature_predictors(
-            X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
+            dataset.X, dataset.y, dataset.final_sizes, dataset.columns,
+            folds=args.folds, seed=args.seed, lam=args.lam,
         ))
     else:
         ks = [int(s) for s in args.ks.split(",")]
@@ -326,10 +315,9 @@ def cmd_report(args) -> int:
                 )
             else:
                 dataset = label_growth(records, k, graph=graph, threads=args.threads)
-            X, y, columns = dataset.design_matrix()
             metrics = cross_validate(
-                X, y, folds=args.folds, lam=args.lam, seed=args.seed,
-                feature_names=columns,
+                dataset.X, dataset.y, folds=args.folds, lam=args.lam, seed=args.seed,
+                feature_names=dataset.columns,
             )
             lines.append(
                 (
@@ -347,21 +335,34 @@ def cmd_report(args) -> int:
                 )
             )
     if out_path:
-        _write_rows(out_path, lines)
+        io.write_csv(out_path, lines[0], lines[1:])
     for line in lines:
         print("\t".join(line))
     return 0
 
 
+def _task(value: str) -> str:
+    if value not in ("growth", "structure"):
+        raise ValueError(f"expected growth or structure, got {value!r}")
+    return value
+
+
+def _flag(value: str) -> bool:
+    """``true`` or ``false``, in any case."""
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value.lower() == "true"
+
+
 # The pipeline's own config keys, next to the SynthParams fields.
 PIPELINE_KEYS = {
     "k": int,
-    "task": str,
-    "quartiles": str,
+    "task": _task,
+    "quartiles": _flag,
     "lambda": finite_float,
     "folds": int,
-    "use_graph": str,
-    "centered_slopes": str,
+    "use_graph": _flag,
+    "centered_slopes": _flag,
 }
 
 PIPELINE_OUTPUTS = (
@@ -382,13 +383,11 @@ def cmd_pipeline(args) -> int:
     params = SynthParams.from_config(cfg)
     k = int(cfg.get("k", "5"))
     task = cfg.get("task", "growth")
-    if task not in ("growth", "structure"):
-        raise ConfigInvalidError(f"task must be growth or structure, got {task!r}")
-    quartiles = cfg.get("quartiles", "false").lower() == "true"
+    quartiles = _flag(cfg.get("quartiles", "false"))
     lam = float(cfg.get("lambda", str(DEFAULT_LAMBDA)))
     folds = int(cfg.get("folds", "10"))
-    use_graph = cfg.get("use_graph", "true").lower() == "true"
-    centered = cfg.get("centered_slopes", "false").lower() == "true"
+    use_graph = _flag(cfg.get("use_graph", "true"))
+    centered = _flag(cfg.get("centered_slopes", "false"))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,7 +410,7 @@ def cmd_pipeline(args) -> int:
         dataset = label_growth(records, k, quartiles=quartiles, **common)
     else:
         dataset = label_structure(records, k, **common)
-    io.write_labeled_csv(paths["labeled.csv"], dataset.examples)
+    io.write_labeled_csv(paths["labeled.csv"], dataset)
     meta = dict(dataset.metadata)
     meta["seed"] = params.seed
     io.write_manifest(paths["task_meta.json"], meta)

@@ -12,9 +12,10 @@ Any feature whose inputs are unknown is carried as missing (value 0 plus a
 missing flag), never fabricated. Per-index features are emitted for the
 configured k only; vectors for different k must not be mixed in a dataset.
 
-``feature_layout`` is the one column layout of a vector, shared by the CSV
-files and the design matrix: each value column followed by its
-``<name>_missing`` indicator.
+``layout_columns`` is the one column layout, shared by the CSV files and
+the design matrix: each value column followed by its ``<name>_missing``
+indicator. ``extract_features_batch`` returns a batch as one matrix in that
+layout.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .cascade import CascadeTree, SocialGraph, induced_subgraph, prefix
 from .errors import EmptyInputError, KTooLargeError, TimeNotNormalizedError
@@ -114,14 +117,19 @@ class FeatureVector:
     def is_missing(self, name: str) -> bool:
         return name in self.missing
 
-    def get(self, name: str) -> tuple[float, bool]:
-        return self.values[name], name in self.missing
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
+def layout_columns(names: Iterable[str]) -> list[str]:
+    """Each feature name followed by its ``<name>_missing`` indicator."""
+    return [column for name in names for column in (name, name + MISSING_SUFFIX)]
 
-    def __len__(self) -> int:
-        return len(self.names)
+
+def _layout_row(fv: FeatureVector) -> list[float]:
+    values, missing = fv.values, fv.missing
+    row: list[float] = []
+    for name in fv.names:
+        row.append(values[name])
+        row.append(1.0 if name in missing else 0.0)
+    return row
 
 
 def feature_layout(fv: FeatureVector) -> tuple[list[str], list[float]]:
@@ -130,15 +138,7 @@ def feature_layout(fv: FeatureVector) -> tuple[list[str], list[float]]:
     Each value column is followed by its ``<name>_missing`` indicator, 1.0
     when the value is missing (the value column then holds 0.0).
     """
-    values, missing = fv.values, fv.missing
-    columns: list[str] = []
-    row: list[float] = []
-    for name in fv.names:
-        columns.append(name)
-        columns.append(name + MISSING_SUFFIX)
-        row.append(values[name])
-        row.append(1.0 if name in missing else 0.0)
-    return columns, row
+    return layout_columns(fv.names), _layout_row(fv)
 
 
 def feature_names(k: int) -> list[str]:
@@ -406,24 +406,29 @@ def extract_features_batch(
     *,
     centered_slopes: bool = False,
     threads: int = 1,
-) -> list[tuple[CascadeTree, FeatureVector]]:
-    """Extract vectors for many cascades, returned sorted by cascade_id.
+) -> tuple[list[str], np.ndarray, list[str]]:
+    """Features of many cascades as ``(cascade_ids, X, columns)``.
 
-    Extraction is pure per cascade, so the thread pool changes throughput
-    only; the sorted output order keeps results independent of scheduling.
+    Rows of ``X`` are in cascade_id order and its columns are
+    ``layout_columns(feature_names(k))``, so an empty batch still has its
+    columns. Extraction is pure per cascade and ``pool.map`` keeps input
+    order, so the thread pool changes throughput only.
     """
-    pairs = list(items)
+    pairs = sorted(items, key=lambda pair: pair[0].cascade_id)
+    columns = layout_columns(feature_names(k))
 
-    def one(pair: tuple[CascadeTree, ContentRecord | None]):
+    def row(pair: tuple[CascadeTree, ContentRecord | None]) -> list[float]:
         tree, content = pair
-        return tree, extract_features(
-            tree, k, graph=graph, content=content, centered_slopes=centered_slopes
+        return _layout_row(
+            extract_features(
+                tree, k, graph=graph, content=content, centered_slopes=centered_slopes
+            )
         )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, pairs))
+            rows = list(pool.map(row, pairs))
     else:
-        results = [one(pair) for pair in pairs]
-    results.sort(key=lambda tv: tv[0].cascade_id)
-    return results
+        rows = [row(pair) for pair in pairs]
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    return [tree.cascade_id for tree, _ in pairs], X, columns

@@ -3,8 +3,9 @@ model files, and flat key=value configs.
 
 Everything is plain text (JSONL, CSV, whitespace edge lists) with floats
 written via repr, so outputs are diffable and byte-stable across runs.
-Feature and cluster CSVs use ``features.feature_layout`` for their feature
-columns. A malformed input file raises ``ConfigInvalidError`` naming
+Feature, labeled and cluster CSVs hold design-matrix rows in the
+``features.layout_columns`` layout: value cells via ``fmt``, indicator cells
+as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
 ``path:line``.
 """
 
@@ -12,19 +13,20 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .cascade import ReshareEvent, SocialGraph
 from .errors import ConfigInvalidError
-from .features import ContentRecord, FeatureVector, feature_layout
+from .features import ContentRecord, layout_columns
 from .learner import Model
-from .tasks import ClusterInstance, ClusterMember, LabeledExample
+from .tasks import ClusterInstance, TaskDataset
 
 EVENT_FIELDS = tuple(f.name for f in fields(ReshareEvent))
 CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
@@ -54,6 +56,22 @@ def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidE
 def fmt(value: float) -> str:
     """Shortest round-trip decimal form of a float."""
     return repr(float(value))
+
+
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]
+) -> None:
+    """A header and rows of string cells as CSV with ``\n`` line ends.
+
+    csv.writer quotes only the characters of its line terminator, but csv
+    readers end a record at a bare ``\r`` too: a row holding one is quoted
+    whole.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in itertools.chain([header], rows):
+            (quoted if "\r" in "".join(row) else writer).writerow(row)
 
 
 # --- events -----------------------------------------------------------------
@@ -117,24 +135,16 @@ def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
 
 
 def write_events_csv(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        # csv.writer quotes only the characters of its line terminator, but
-        # csv readers end a record at a bare "\r" too: quote such a row whole.
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(EVENT_FIELDS)
-        for events in cascades:
-            for e in events:
-                row = []
-                for name in EVENT_FIELDS:
-                    v = getattr(e, name)
-                    if v is None:
-                        row.append("")
-                    elif name in _EVENT_FLOATS:
-                        row.append(fmt(v))
-                    else:
-                        row.append(str(v))
-                (quoted if any("\r" in c for c in row) else writer).writerow(row)
+    def cell(e: ReshareEvent, name: str) -> str:
+        v = getattr(e, name)
+        if v is None:
+            return ""
+        return fmt(v) if name in _EVENT_FLOATS else str(v)
+
+    rows = (
+        [cell(e, name) for name in EVENT_FIELDS] for events in cascades for e in events
+    )
+    write_csv(path, EVENT_FIELDS, rows)
 
 
 # --- social graph ----------------------------------------------------------
@@ -203,13 +213,13 @@ def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
 
 # --- feature / labeled CSVs ---------------------------------------------------
 
-def _layout_cells(fv: FeatureVector) -> list[str]:
-    """The ``feature_layout`` row of ``fv`` as CSV cells."""
-    _, row = feature_layout(fv)
-    cells = row[:]
-    cells[0::2] = map(fmt, row[0::2])
-    cells[1::2] = ["1" if flag else "0" for flag in row[1::2]]
-    return cells
+def _layout_cells(X: np.ndarray) -> Iterator[list[str]]:
+    """The rows of a ``layout_columns`` matrix as CSV cells."""
+    for row in X.tolist():
+        cells = row[:]
+        cells[0::2] = map(fmt, row[0::2])
+        cells[1::2] = ["1" if flag else "0" for flag in row[1::2]]
+        yield cells
 
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -242,31 +252,26 @@ def _numbers(path: str | Path, lineno: int, cells: Sequence[str]) -> list[float]
 
 
 def write_features_csv(
-    path: str | Path, rows: Sequence[tuple[str, FeatureVector]]
+    path: str | Path, ids: Sequence[str], X: np.ndarray, columns: Sequence[str]
 ) -> None:
-    """Feature vectors keyed by cascade_id, one row each, sorted by id."""
-    if not rows:
+    """Feature rows keyed by cascade_id, in the given (cascade_id) order."""
+    if not ids:
         raise ConfigInvalidError("no feature rows to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cascade_id"] + feature_layout(rows[0][1])[0])
-        for cid, fv in sorted(rows, key=lambda r: r[0]):
-            writer.writerow([cid] + _layout_cells(fv))
+    rows = ([cid] + cells for cid, cells in zip(ids, _layout_cells(X)))
+    write_csv(path, ["cascade_id", *columns], rows)
 
 
-def write_labeled_csv(path: str | Path, examples: Sequence[LabeledExample]) -> None:
+def write_labeled_csv(path: str | Path, dataset: TaskDataset) -> None:
     """Task dataset rows: features..., label, final_size, cascade_id."""
-    if not examples:
+    if not dataset.examples:
         raise ConfigInvalidError("no labeled examples to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        columns, _ = feature_layout(examples[0].features)
-        writer.writerow(columns + ["label", "final_size", "cascade_id"])
-        for ex in sorted(examples, key=lambda e: e.cascade_id):
-            writer.writerow(
-                _layout_cells(ex.features)
-                + [str(ex.label), str(ex.final_size), ex.cascade_id]
-            )
+    rows = (
+        cells + [str(int(label)), str(size), cid]
+        for cells, label, size, cid in zip(
+            _layout_cells(dataset.X), dataset.y, dataset.final_sizes, dataset.examples
+        )
+    )
+    write_csv(path, [*dataset.columns, "label", "final_size", "cascade_id"], rows)
 
 
 def read_labeled_csv(
@@ -290,34 +295,22 @@ def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) ->
     """One row per sampled cluster member, winner flagged."""
     if not instances:
         raise ConfigInvalidError("no cluster instances to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        columns, _ = feature_layout(instances[0].members[0].features)
-        writer.writerow(list(_CLUSTER_KEYS) + columns)
-        for inst in instances:
-            for idx, member in enumerate(inst.members):
-                writer.writerow(
-                    [
-                        inst.cluster_id,
-                        member.cascade_id,
-                        str(member.final_size),
-                        "1" if idx == inst.winner_index else "0",
-                    ]
-                    + _layout_cells(member.features)
-                )
+    rows = (
+        [inst.cluster_id, cid, str(size), "1" if idx == inst.winner_index else "0"]
+        + cells
+        for inst in instances
+        for idx, (cid, size, cells) in enumerate(
+            zip(inst.members, inst.final_sizes, _layout_cells(inst.X))
+        )
+    )
+    write_csv(path, [*_CLUSTER_KEYS, *instances[0].columns], rows)
 
 
 def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
-    """The instances ``write_cluster_csv`` wrote, in file order.
-
-    The file does not record upload times, so every member's epoch is 0.0.
-    """
+    """The instances ``write_cluster_csv`` wrote, in file order."""
     header, rows = _read_rows(path)
-    names = header[4::2]
-    if (
-        tuple(header[:4]) != _CLUSTER_KEYS
-        or feature_layout(FeatureVector(names, {}))[0] != header[4:]
-    ):
+    columns = header[4:]
+    if tuple(header[:4]) != _CLUSTER_KEYS or layout_columns(columns[0::2]) != columns:
         raise ConfigInvalidError(
             f"{path}:1: expected {','.join(_CLUSTER_KEYS)} then each feature "
             "column followed by its missing indicator"
@@ -327,22 +320,25 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
         groups.setdefault(row[0], []).append((lineno, row))
     instances = []
     for cluster_id, group in groups.items():
-        members = []
-        winners = []
-        for idx, (lineno, row) in enumerate(group):
-            cells = _numbers(path, lineno, row[2:])
-            values, flags = cells[2::2], cells[3::2]
-            raw = {n: None if m == 1.0 else v for n, v, m in zip(names, values, flags)}
-            fv = FeatureVector(names, raw)
-            members.append(ClusterMember(row[1], fv, int(cells[0]), epoch=0.0))
-            if cells[1] == 1.0:
-                winners.append(idx)
+        table = np.array(
+            [_numbers(path, lineno, row[2:]) for lineno, row in group], dtype=np.float64
+        )
+        winners = np.flatnonzero(table[:, 1] == 1.0)
         if len(winners) != 1:
             raise ConfigInvalidError(
                 f"{path}:{group[0][0]}: cluster {cluster_id!r} has "
                 f"{len(winners)} winner rows, expected 1"
             )
-        instances.append(ClusterInstance(cluster_id, tuple(members), winners[0]))
+        instances.append(
+            ClusterInstance(
+                cluster_id,
+                members=tuple(row[1] for _, row in group),
+                final_sizes=tuple(int(size) for size in table[:, 0]),
+                X=np.ascontiguousarray(table[:, 2:]),
+                columns=columns,
+                winner_index=int(winners[0]),
+            )
+        )
     return instances
 
 

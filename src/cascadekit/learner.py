@@ -373,21 +373,20 @@ def mrr(ranks_of_truth: Sequence[int]) -> float:
 def evaluate_cluster(model: Model, instances: Sequence) -> tuple[float, float]:
     """Score same-content ranking instances: (top-1 accuracy, MRR).
 
-    Members are ranked by predicted probability descending, ties broken by
+    Each instance is a ``tasks.ClusterInstance``: member cascade ids, their
+    feature matrix ``X`` with its ``columns``, and ``winner_index``. Members
+    are ranked by predicted probability descending, ties broken by
     cascade_id ascending; the rank of the true winner feeds both metrics.
     """
     if len(instances) == 0:
         raise EmptyInputError("no cluster instances")
-    from .tasks import design_matrix  # tasks imports this module
-
     hits = 0
     ranks: list[int] = []
     for inst in instances:
-        X, columns = design_matrix([member.features for member in inst.members])
-        scores = _scores_from_matrix(model, X, columns)
+        scores = _scores_from_matrix(model, inst.X, inst.columns)
         scored = [
-            (-float(score), member.cascade_id, idx)
-            for idx, (score, member) in enumerate(zip(scores, inst.members))
+            (-float(score), cascade_id, idx)
+            for idx, (score, cascade_id) in enumerate(zip(scores, inst.members))
         ]
         scored.sort()
         rank = next(

@@ -1,8 +1,8 @@
 """Heavy-tail and correlation statistics.
 
 Covers the analytic median of a power law, the fixed-cutoff Hill estimator
-for its tail exponent, the Gini coefficient, sample Pearson correlation,
-and the Fisher z test for comparing two correlations.
+for its tail exponent, the sample median, the Gini coefficient, sample
+Pearson correlation, and the Fisher z test for comparing two correlations.
 """
 
 from __future__ import annotations
@@ -64,6 +64,18 @@ def fit_powerlaw_alpha(samples: Sequence[float], x_min: float) -> float:
     if log_sum <= 0.0:
         raise DegenerateSamplesError("all retained samples equal x_min")
     return 1.0 + len(retained) / log_sum
+
+
+def median(values: Sequence[float]) -> float:
+    """Median with the midpoint convention for even counts."""
+    if not values:
+        raise EmptyInputError("median of empty sequence")
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n // 2
+    if n % 2 == 1:
+        return float(ordered[mid])
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def gini(values: Sequence[float]) -> float:

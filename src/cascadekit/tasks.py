@@ -25,15 +25,9 @@ from .errors import (
     UnknownFieldError,
     ZeroVarianceError,
 )
-from .features import (
-    MISSING_SUFFIX,
-    ContentRecord,
-    FeatureVector,
-    extract_features_batch,
-    feature_layout,
-)
+from .features import MISSING_SUFFIX, ContentRecord, extract_features_batch
 from .learner import DEFAULT_LAMBDA, cross_validate
-from .stats import pearson
+from .stats import median, pearson
 from .virality import wiener_index_exact
 
 
@@ -53,112 +47,81 @@ class CascadeRecord:
         return self.tree.size
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    cascade_id: str
-    features: FeatureVector
-    label: int
-    final_size: int
-    k: int
-
-
-@dataclass(frozen=True)
-class ClusterMember:
-    cascade_id: str
-    features: FeatureVector
-    final_size: int
-    epoch: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterInstance:
+    """One same-content ranking instance: its members' cascade ids, final
+    sizes and feature rows (``X`` in the ``columns`` layout), and which
+    member ended up the largest."""
+
     cluster_id: str
-    members: tuple[ClusterMember, ...]
+    members: tuple[str, ...]
+    final_sizes: tuple[int, ...]
+    X: np.ndarray
+    columns: list[str]
     winner_index: int
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskDataset:
-    """Labeled examples plus the provenance needed to reproduce them."""
+    """A labeled design matrix plus the provenance needed to reproduce it.
 
-    examples: list[LabeledExample]
+    Row i of ``X`` and ``y`` belongs to cascade ``examples[i]`` with final
+    size ``final_sizes[i]``; rows are in cascade_id order.
+    """
+
+    examples: tuple[str, ...]
+    final_sizes: tuple[int, ...]
+    X: np.ndarray
+    y: np.ndarray
+    columns: list[str]
     k: int
     threshold: float
     metadata: dict = field(default_factory=dict)
 
-    def design_matrix(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Dense (X, y, column names): values then missing indicators."""
-        X, names = design_matrix([ex.features for ex in self.examples])
-        y = np.array([ex.label for ex in self.examples], dtype=np.float64)
-        return X, y, names
 
-
-def design_matrix(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, list[str]]:
-    """Stack feature vectors into a dense matrix in the ``feature_layout``
-    column order: each feature followed by its ``<name>_missing`` indicator.
-    """
-    if not vectors:
-        raise EmptyDatasetError("no feature vectors")
-    names = vectors[0].names
-    for v in vectors[1:]:
-        if v.names != names:
-            raise ValueError("feature vectors disagree on names (mixed k?)")
-    columns, _ = feature_layout(vectors[0])
-    X = np.array([feature_layout(v)[1] for v in vectors], dtype=np.float64)
-    return X, columns
-
-
-def median_final_size(sizes: Sequence[float]) -> float:
-    """Median with the midpoint convention for even counts."""
-    if not sizes:
-        raise EmptyDatasetError("median of no sizes")
-    ordered = sorted(sizes)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2 == 1:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _labeled(
+def _dataset(
     records: Sequence[CascadeRecord],
-    values: Sequence[float],
-    threshold: float,
+    labels: Sequence[int],
     k: int,
+    threshold: float,
+    metadata: dict,
+    *,
     graph: SocialGraph | None,
     centered_slopes: bool,
     threads: int,
-) -> list[LabeledExample]:
-    by_id = {r.cascade_id: (r, v) for r, v in zip(records, values)}
-    extracted = extract_features_batch(
+) -> TaskDataset:
+    """Features of ``records`` on their k-prefix with the given labels.
+
+    Unless the labels are balanced by construction (quartile labeling), warn
+    when they are all equal and record the positive fraction in ``metadata``.
+    """
+    by_id = {r.cascade_id: (label, r.final_size) for r, label in zip(records, labels)}
+    ids, X, columns = extract_features_batch(
         [(r.tree, r.content) for r in records],
         k,
         graph=graph,
         centered_slopes=centered_slopes,
         threads=threads,
     )
-    examples = []
-    for tree, fv in extracted:
-        record, value = by_id[tree.cascade_id]
-        examples.append(
-            LabeledExample(
-                cascade_id=record.cascade_id,
-                features=fv,
-                label=int(value >= threshold),
-                final_size=record.final_size,
-                k=k,
+    y = [by_id[cid][0] for cid in ids]
+    if not metadata.get("quartiles"):
+        if len(set(y)) < 2:
+            warnings.warn(
+                f"label_{metadata['task']}: all labels identical ({y[0]}); "
+                "dataset is degenerate",
+                stacklevel=3,
             )
-        )
-    return examples
-
-
-def _warn_if_degenerate(examples: Sequence[LabeledExample], task: str) -> None:
-    labels = {ex.label for ex in examples}
-    if len(labels) < 2:
-        warnings.warn(
-            f"{task}: all labels identical ({labels.pop()}); dataset is degenerate",
-            stacklevel=3,
-        )
+        metadata["positive_fraction"] = sum(y) / len(y)
+    return TaskDataset(
+        examples=tuple(ids),
+        final_sizes=tuple(by_id[cid][1] for cid in ids),
+        X=X,
+        y=np.array(y, dtype=np.float64),
+        columns=columns,
+        k=k,
+        threshold=threshold,
+        metadata=metadata,
+    )
 
 
 def label_growth(
@@ -181,8 +144,7 @@ def label_growth(
     retained = [r for r in records if r.final_size >= k]
     if not retained:
         raise EmptyDatasetError(f"no cascades with >= {k} reshares")
-    sizes = [r.final_size for r in retained]
-    f_k = median_final_size(sizes)
+    f_k = median([r.final_size for r in retained])
     metadata = {
         "task": "growth",
         "k": k,
@@ -190,25 +152,19 @@ def label_growth(
         "n_retained": len(retained),
         "n_input": len(records),
     }
+    common = dict(graph=graph, centered_slopes=centered_slopes, threads=threads)
     if quartiles:
         q = len(retained) // 4
         if q == 0:
             raise EmptyDatasetError("too few cascades for quartile labeling")
         ordered = sorted(retained, key=lambda r: (r.final_size, r.cascade_id))
-        bottom, top = ordered[:q], ordered[-q:]
-        examples = _labeled(
-            bottom, [0.0] * q, 0.5, k, graph, centered_slopes, threads
-        ) + _labeled(top, [1.0] * q, 0.5, k, graph, centered_slopes, threads)
-        examples.sort(key=lambda ex: ex.cascade_id)
         metadata["quartiles"] = True
         metadata["n_per_class"] = q
-        return TaskDataset(examples, k, f_k, metadata)
-    examples = _labeled(
-        retained, sizes, f_k, k, graph, centered_slopes, threads
-    )
-    _warn_if_degenerate(examples, "label_growth")
-    metadata["positive_fraction"] = sum(ex.label for ex in examples) / len(examples)
-    return TaskDataset(examples, k, f_k, metadata)
+        return _dataset(
+            ordered[:q] + ordered[-q:], [0] * q + [1] * q, k, f_k, metadata, **common
+        )
+    labels = [int(r.final_size >= f_k) for r in retained]
+    return _dataset(retained, labels, k, f_k, metadata, **common)
 
 
 def label_growth_fixed_R(
@@ -231,10 +187,7 @@ def label_growth_fixed_R(
     retained = [r for r in records if r.final_size >= R]
     if not retained:
         raise EmptyDatasetError(f"no cascades with >= {R} reshares")
-    sizes = [r.final_size for r in retained]
-    f_k = median_final_size(sizes)
-    examples = _labeled(retained, sizes, f_k, k, graph, centered_slopes, threads)
-    _warn_if_degenerate(examples, "label_growth_fixed_R")
+    f_k = median([r.final_size for r in retained])
     metadata = {
         "task": "growth_fixed_R",
         "k": k,
@@ -242,9 +195,12 @@ def label_growth_fixed_R(
         "f_k": f_k,
         "n_retained": len(retained),
         "n_input": len(records),
-        "positive_fraction": sum(ex.label for ex in examples) / len(examples),
     }
-    return TaskDataset(examples, k, f_k, metadata)
+    labels = [int(r.final_size >= f_k) for r in retained]
+    return _dataset(
+        retained, labels, k, f_k, metadata,
+        graph=graph, centered_slopes=centered_slopes, threads=threads,
+    )
 
 
 def label_structure(
@@ -260,18 +216,19 @@ def label_structure(
     if not retained:
         raise EmptyDatasetError(f"no cascades with >= {k} reshares")
     wieners = [wiener_index_exact(r.tree) for r in retained]
-    threshold = median_final_size(wieners)
-    examples = _labeled(retained, wieners, threshold, k, graph, centered_slopes, threads)
-    _warn_if_degenerate(examples, "label_structure")
+    threshold = median(wieners)
     metadata = {
         "task": "structure",
         "k": k,
         "median_wiener": threshold,
         "n_retained": len(retained),
         "n_input": len(records),
-        "positive_fraction": sum(ex.label for ex in examples) / len(examples),
     }
-    return TaskDataset(examples, k, threshold, metadata)
+    labels = [int(w >= threshold) for w in wieners]
+    return _dataset(
+        retained, labels, k, threshold, metadata,
+        graph=graph, centered_slopes=centered_slopes, threads=threads,
+    )
 
 
 def build_cluster_task(
@@ -310,28 +267,22 @@ def build_cluster_task(
         members_all = sorted(qualifying[cid], key=lambda r: r.cascade_id)
         chosen_idx = rng.choice(len(members_all), size=m, replace=False)
         chosen = [members_all[i] for i in sorted(chosen_idx)]
-        extracted = extract_features_batch(
+        ids, X, columns = extract_features_batch(
             [(r.tree, r.content) for r in chosen],
             k,
             graph=graph,
             centered_slopes=centered_slopes,
             threads=threads,
         )
-        fv_by_id = {tree.cascade_id: fv for tree, fv in extracted}
-        members = tuple(
-            ClusterMember(
-                cascade_id=r.cascade_id,
-                features=fv_by_id[r.cascade_id],
-                final_size=r.final_size,
-                epoch=r.tree.epoch,
-            )
-            for r in chosen
-        )
+        # ``chosen`` is in cascade_id order, as the rows of X are.
         winner_index = min(
             range(m),
-            key=lambda i: (-members[i].final_size, members[i].epoch, members[i].cascade_id),
+            key=lambda i: (-chosen[i].final_size, chosen[i].tree.epoch, ids[i]),
         )
-        instances.append(ClusterInstance(cid, members, winner_index))
+        sizes = tuple(r.final_size for r in chosen)
+        instances.append(
+            ClusterInstance(cid, tuple(ids), sizes, X, columns, winner_index)
+        )
     return instances
 
 

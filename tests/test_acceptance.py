@@ -25,7 +25,6 @@ from cascadekit.learner import (
     predict_proba,
     train,
 )
-from cascadekit.features import FeatureVector
 from cascadekit.stats import (
     PowerLawSpec,
     fisher_z_compare,
@@ -43,7 +42,6 @@ from cascadekit.synth import (
 from cascadekit.tasks import (
     CascadeRecord,
     ClusterInstance,
-    ClusterMember,
     build_cluster_task,
     label_growth,
 )
@@ -67,7 +65,7 @@ def _build_run(params: SynthParams, k: int = 5):
         for ev in cascades
     ]
     dataset = label_growth(records, k, graph=graph)
-    X, y, columns = dataset.design_matrix()
+    X, y, columns = dataset.X, dataset.y, dataset.columns
     metrics = cross_validate(X, y, folds=10, lam=0.01, seed=1, feature_names=columns)
     elapsed = time.perf_counter() - start
     return {
@@ -182,7 +180,7 @@ def test_criterion_06_observation_window_trend():
     )
     acc_k5 = run["metrics"].accuracy
     dataset = label_growth(run["records"], 25, graph=run["graph"])
-    X, y, columns = dataset.design_matrix()
+    X, y, columns = dataset.X, dataset.y, dataset.columns
     acc_k25 = cross_validate(
         X, y, folds=10, lam=0.01, seed=1, feature_names=columns
     ).accuracy
@@ -203,11 +201,11 @@ def test_criterion_07_label_balance():
             CascadeRecord(tree=star_tree(int(s), cascade_id=f"c{i:05d}"))
             for i, s in enumerate(sizes)
         ]
-        positive = np.mean([ex.label for ex in label_growth(records, 5).examples])
+        positive = np.mean(label_growth(records, 5).y)
         ok = ok and 0.5 <= positive <= 0.5 + 1.0 / n
         details.append(f"n={n}: {positive:.4f}")
-        quartile = label_growth(records, 5, quartiles=True).examples
-        q_positive = np.mean([ex.label for ex in quartile])
+        quartile = label_growth(records, 5, quartiles=True).y
+        q_positive = np.mean(quartile)
         ok = ok and q_positive == 0.5 and len(quartile) == 2 * (n // 4)
     report(
         "criterion-7 label-balance",
@@ -280,11 +278,10 @@ def test_criterion_08_metric_identities():
 
     # evaluate_cluster examples
     def instance(values, winner):
-        members = tuple(
-            ClusterMember(f"m{i}", FeatureVector(["x"], {"x": v}), 5, 0.0)
-            for i, v in enumerate(values)
-        )
-        return ClusterInstance("c", members, winner)
+        members = tuple(f"m{i}" for i in range(len(values)))
+        X = np.array([[v, 0.0] for v in values])
+        return ClusterInstance("c", members, (5,) * len(values), X,
+                               ["x", "x_missing"], winner)
 
     picker = Model(("x",), {"x": 1.0}, 0.0, {"x": 0.0}, {"x": 1.0},
                    ("x_missing",), 0.01, 0, 1, 0.0, True)
@@ -349,7 +346,7 @@ def test_criterion_10_cluster_task(boosted_run):
     eval_records = records[6000:]
 
     dataset = label_growth(train_records, 5, graph=graph)
-    X, y, columns = dataset.design_matrix()
+    X, y, columns = dataset.X, dataset.y, dataset.columns
     model = train(X, y, lam=0.01, feature_names=columns)
 
     # Clusters of one boosted (>= 2 * x_min, hence rate-boosted) cascade and

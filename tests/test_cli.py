@@ -10,7 +10,13 @@ from cascadekit.cli import build_parser, main
 from cascadekit.features import ContentRecord
 from cascadekit.learner import Model, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
-from cascadekit.tasks import CascadeRecord, build_cluster_task, label_growth
+from cascadekit.tasks import (
+    CascadeRecord,
+    ClusterInstance,
+    TaskDataset,
+    build_cluster_task,
+    label_growth,
+)
 
 from conftest import event, star_tree
 
@@ -304,6 +310,10 @@ RESHARE = (
         ("config", "folds = many\n", 1),
         ("params", "n_nodes = 2000\nx_min = inf\n", 2),
         ("config", "lambda = nan\n", 1),
+        ("config", "task = foo\n", 1),
+        ("config", "k = 5\nuse_graph = yes\n", 2),
+        ("config", "quartiles = 1\n", 1),
+        ("config", "centered_slopes = on\n", 1),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -315,6 +325,8 @@ RESHARE = (
         "content-missing-cascade-id", "content-score-out-of-range",
         "non-integer-param", "misspelled-param", "misspelled-pipeline-key",
         "non-integer-pipeline-key", "non-finite-param", "non-finite-pipeline-key",
+        "unknown-task", "non-boolean-use-graph", "non-boolean-quartiles",
+        "non-boolean-centered-slopes",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -379,6 +391,85 @@ def test_events_jsonl_csv_roundtrip(tmp_path_factory, events):
     assert io.read_events(root / "events.csv") == expected
 
 
+# Two features in the layout: each value column, then its missing indicator.
+LAYOUT = ["a", "a_missing", "b", "b_missing"]
+SIZES = st.integers(min_value=0, max_value=10**6)
+CSV_IDS = IDS | st.sampled_from(["c,1", 'c"2"', "c03\r", "\rc", "c\r\n4"])
+
+
+@st.composite
+def layout_rows(draw, n):
+    """``n`` rows in LAYOUT: a missing value is 0.0 with its flag 1.0."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(len(LAYOUT) // 2):
+            missing = draw(st.booleans())
+            value = 0.0 if missing else draw(
+                st.floats(allow_nan=False, allow_infinity=False)
+            )
+            row += [value, float(missing)]
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(n, len(LAYOUT))
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    return TaskDataset(
+        examples=tuple(draw(st.lists(CSV_IDS, min_size=n, max_size=n))),
+        final_sizes=tuple(draw(st.lists(SIZES, min_size=n, max_size=n))),
+        X=draw(layout_rows(n)),
+        y=np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))),
+        columns=LAYOUT,
+        k=1,
+        threshold=0.5,
+    )
+
+
+@st.composite
+def cluster_instances(draw):
+    cluster_ids = draw(st.lists(CSV_IDS, min_size=1, max_size=3, unique=True))
+    instances = []
+    for cluster_id in cluster_ids:
+        m = draw(st.integers(min_value=1, max_value=4))
+        instances.append(ClusterInstance(
+            cluster_id,
+            members=tuple(draw(st.lists(CSV_IDS, min_size=m, max_size=m))),
+            final_sizes=tuple(draw(st.lists(SIZES, min_size=m, max_size=m))),
+            X=draw(layout_rows(m)),
+            columns=LAYOUT,
+            winner_index=draw(st.integers(min_value=0, max_value=m - 1)),
+        ))
+    return instances
+
+
+@given(ds=datasets())
+def test_labeled_csv_roundtrip_property(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("labeled") / "labeled.csv"
+    io.write_labeled_csv(path, ds)
+    X, y, sizes, ids, columns = io.read_labeled_csv(path)
+    assert ids == list(ds.examples)
+    assert sizes.tolist() == list(ds.final_sizes)
+    assert y.tolist() == ds.y.tolist()
+    assert columns == LAYOUT
+    assert X.tolist() == ds.X.tolist()
+
+
+@given(instances=cluster_instances())
+def test_cluster_csv_roundtrip_property(tmp_path_factory, instances):
+    path = tmp_path_factory.mktemp("clusters") / "clusters.csv"
+    io.write_cluster_csv(path, instances)
+    back = io.read_cluster_csv(path)
+    assert [
+        (b.cluster_id, b.members, b.final_sizes, b.winner_index, b.columns, b.X.tolist())
+        for b in back
+    ] == [
+        (i.cluster_id, i.members, i.final_sizes, i.winner_index, i.columns, i.X.tolist())
+        for i in instances
+    ]
+
+
 class TestIoRoundTrips:
     def test_labeled_csv_roundtrip(self, tmp_path):
         records = [
@@ -390,15 +481,14 @@ class TestIoRoundTrips:
         ]
         ds = label_growth(records, 5)
         path = tmp_path / "labeled.csv"
-        io.write_labeled_csv(path, ds.examples)
+        io.write_labeled_csv(path, ds)
         X, y, sizes, ids, columns = io.read_labeled_csv(path)
-        X_ds, y_ds, columns_ds = ds.design_matrix()
-        assert columns == columns_ds
+        assert columns == ds.columns
         assert set(X[:, columns.index("score_food_missing")]) == {0.0, 1.0}
-        assert np.array_equal(X, X_ds)
-        assert np.array_equal(y, y_ds)
-        assert sizes.tolist() == [ex.final_size for ex in ds.examples]
-        assert ids == [ex.cascade_id for ex in ds.examples]
+        assert np.array_equal(X, ds.X)
+        assert np.array_equal(y, ds.y)
+        assert sizes.tolist() == list(ds.final_sizes)
+        assert ids == list(ds.examples)
 
     def test_cluster_csv_roundtrip(self, tmp_path):
         records = [
@@ -415,11 +505,8 @@ class TestIoRoundTrips:
 
         def summary(insts):
             return [
-                (inst.cluster_id, inst.winner_index, [
-                    (m.cascade_id, m.final_size, m.features.names,
-                     m.features.values, m.features.missing)
-                    for m in inst.members
-                ])
+                (inst.cluster_id, inst.winner_index, inst.members,
+                 inst.final_sizes, inst.columns, inst.X.tolist())
                 for inst in insts
             ]
 

@@ -258,12 +258,12 @@ class TestFeatureProperties:
         trees = [random_tree(rng, int(rng.integers(5, 25)), cascade_id=f"c{i:02d}")
                  for i in range(12)]
         items = [(t, None) for t in reversed(trees)]
-        seq = extract_features_batch(items, 3, threads=1)
-        par = extract_features_batch(items, 3, threads=4)
-        assert [t.cascade_id for t, _ in seq] == sorted(t.cascade_id for t in trees)
-        for (t1, f1), (t2, f2) in zip(seq, par):
-            assert t1.cascade_id == t2.cascade_id
-            assert f1.values == f2.values
+        seq_ids, seq_X, seq_columns = extract_features_batch(items, 3, threads=1)
+        par_ids, par_X, par_columns = extract_features_batch(items, 3, threads=4)
+        assert seq_ids == sorted(t.cascade_id for t in trees)
+        assert par_ids == seq_ids
+        assert par_columns == seq_columns
+        assert np.array_equal(par_X, seq_X)
 
 
 class TestContentRecord:

@@ -20,7 +20,7 @@ from cascadekit.learner import (
     stratified_folds,
     train,
 )
-from cascadekit.tasks import ClusterInstance, ClusterMember
+from cascadekit.tasks import ClusterInstance
 from cascadekit.features import FeatureVector, feature_layout
 
 
@@ -288,16 +288,15 @@ class TestMrr:
 
 
 def _instance(cluster_id, member_values, winner_index):
-    members = tuple(
-        ClusterMember(
-            cascade_id=f"{cluster_id}m{i}",
-            features=FeatureVector(["x"], {"x": v}),
-            final_size=10 if i == winner_index else 5,
-            epoch=0.0,
-        )
-        for i, v in enumerate(member_values)
+    n = len(member_values)
+    return ClusterInstance(
+        cluster_id,
+        members=tuple(f"{cluster_id}m{i}" for i in range(n)),
+        final_sizes=tuple(10 if i == winner_index else 5 for i in range(n)),
+        X=np.array([[v, 0.0] for v in member_values]),
+        columns=["x", "x_missing"],
+        winner_index=winner_index,
     )
-    return ClusterInstance(cluster_id, members, winner_index)
 
 
 def _model_weight_on_x(weight):

@@ -192,7 +192,7 @@ class TestSimulate:
             for c in cascades
         ]
         dataset = label_growth(records, 5, graph=graph)
-        X, y, cols = dataset.design_matrix()
+        X, y, cols = dataset.X, dataset.y, dataset.columns
         from cascadekit.learner import cross_validate
 
         metrics = cross_validate(X, y, folds=10, seed=1, feature_names=cols)

@@ -11,6 +11,7 @@ from cascadekit.errors import (
     UnknownFieldError,
 )
 from cascadekit.features import ContentRecord
+from cascadekit.stats import median
 from cascadekit.synth import sample_powerlaw_sizes
 from cascadekit.tasks import (
     CascadeRecord,
@@ -19,7 +20,6 @@ from cascadekit.tasks import (
     label_growth,
     label_growth_fixed_R,
     label_structure,
-    median_final_size,
     rank_single_feature_predictors,
 )
 from cascadekit.virality import wiener_index_exact
@@ -38,16 +38,16 @@ def records_with_sizes(sizes, content=None, prefix_id="c"):
 
 class TestMedian:
     def test_odd(self):
-        assert median_final_size([6, 8, 10, 14, 30]) == 10
+        assert median([6, 8, 10, 14, 30]) == 10
 
     def test_even_midpoint(self):
-        assert median_final_size([6, 7, 12, 20]) == 9.5
+        assert median([6, 7, 12, 20]) == 9.5
 
     def test_doubling_on_heavy_tail_sizes(self):
         draws = sample_powerlaw_sizes(2.0, 1.0, 100_000, seed=5)
         sizes = np.maximum(1, draws.astype(np.int64))
         for k in (5, 10, 25):
-            f_k = median_final_size(sizes[sizes >= k].tolist())
+            f_k = median(sizes[sizes >= k].tolist())
             assert abs(f_k - 2 * k) / (2 * k) <= 0.1
 
 
@@ -55,25 +55,25 @@ class TestLabelGrowth:
     def test_median_and_labels(self):
         ds = label_growth(records_with_sizes([6, 8, 10, 14, 30]), k=5)
         assert ds.threshold == 10
-        by_size = {ex.final_size: ex.label for ex in ds.examples}
+        by_size = dict(zip(ds.final_sizes, ds.y))
         assert by_size == {6: 0, 8: 0, 10: 1, 14: 1, 30: 1}
 
     def test_even_count_exactly_balanced(self):
         ds = label_growth(records_with_sizes([6, 7, 12, 20]), k=5)
         assert ds.threshold == 9.5
-        labels = sorted(ex.label for ex in ds.examples)
+        labels = sorted(ds.y)
         assert labels == [0, 0, 1, 1]
 
     def test_all_equal_sizes_warns_all_positive(self):
         with pytest.warns(UserWarning, match="degenerate"):
             ds = label_growth(records_with_sizes([7, 7, 7, 7]), k=5)
-        assert all(ex.label == 1 for ex in ds.examples)
+        assert all(ds.y == 1)
 
     def test_balance_on_distinct_sizes(self, rng):
         for n in (11, 50, 101, 200):
             sizes = rng.choice(np.arange(5, 600), size=n, replace=False)
             ds = label_growth(records_with_sizes(sizes), k=5)
-            positive = sum(ex.label for ex in ds.examples) / n
+            positive = sum(ds.y) / n
             assert 0.5 <= positive <= 0.5 + 1.0 / n
 
     def test_filters_below_k(self):
@@ -83,10 +83,10 @@ class TestLabelGrowth:
 
     def test_features_at_prefix_k(self):
         ds = label_growth(records_with_sizes([5, 9, 30]), k=5)
-        for ex in ds.examples:
-            assert ex.k == 5
-            assert "time_to_5" in ex.features.values
-            assert "time_to_6" not in ex.features.values
+        assert ds.k == 5
+        assert ds.X.shape == (len(ds.examples), len(ds.columns))
+        assert "time_to_5" in ds.columns
+        assert "time_to_6" not in ds.columns
 
     def test_empty(self):
         with pytest.raises(EmptyDatasetError):
@@ -95,12 +95,12 @@ class TestLabelGrowth:
     def test_quartiles_exactly_balanced(self, rng):
         sizes = rng.choice(np.arange(5, 900), size=103, replace=False)
         ds = label_growth(records_with_sizes(sizes), k=5, quartiles=True)
-        labels = [ex.label for ex in ds.examples]
+        labels = list(ds.y)
         assert len(labels) == 2 * (103 // 4)
         assert sum(labels) == len(labels) // 2
         # top-quartile examples are all larger than bottom-quartile ones
-        top = {ex.final_size for ex in ds.examples if ex.label == 1}
-        bottom = {ex.final_size for ex in ds.examples if ex.label == 0}
+        top = {s for s, label in zip(ds.final_sizes, ds.y) if label == 1}
+        bottom = {s for s, label in zip(ds.final_sizes, ds.y) if label == 0}
         assert min(top) > max(bottom)
 
 
@@ -116,7 +116,7 @@ class TestLabelGrowthFixedR:
         )
         assert ds.metadata["n_retained"] == 4
         assert ds.threshold == 19.0
-        assert sorted(ex.label for ex in ds.examples) == [0, 0, 1, 1]
+        assert sorted(ds.y) == [0, 0, 1, 1]
 
     def test_k_equal_R_matches_plain_growth_on_subset(self):
         sizes = [7, 9, 11, 13, 15, 17]
@@ -124,9 +124,7 @@ class TestLabelGrowthFixedR:
         fixed = label_growth_fixed_R(records_with_sizes(sizes), k=7, R=7)
         plain = label_growth(records_with_sizes(subset), k=7)
         assert fixed.threshold == plain.threshold
-        assert [ex.label for ex in fixed.examples] == [
-            ex.label for ex in plain.examples
-        ]
+        assert list(fixed.y) == list(plain.y)
 
 
 class TestLabelStructure:
@@ -135,13 +133,13 @@ class TestLabelStructure:
         path = CascadeRecord(tree=path_tree(3, cascade_id="b"))
         assert wiener_index_exact(star.tree) == 1.5
         ds = label_structure([star, path], k=3)
-        by_id = {ex.cascade_id: ex.label for ex in ds.examples}
+        by_id = dict(zip(ds.examples, ds.y))
         assert by_id == {"a": 0, "b": 1}
 
     def test_single_cascade_labeled_positive_with_warning(self):
         with pytest.warns(UserWarning):
             ds = label_structure([CascadeRecord(tree=star_tree(4))], k=3)
-        assert ds.examples[0].label == 1
+        assert ds.y[0] == 1
 
     def test_identical_trees_all_positive(self):
         records = [
@@ -149,7 +147,7 @@ class TestLabelStructure:
         ]
         with pytest.warns(UserWarning):
             ds = label_structure(records, k=4)
-        assert all(ex.label == 1 for ex in ds.examples)
+        assert all(ds.y == 1)
 
 
 def clustered_records(rng, n_clusters=3, members=12, k=4):
@@ -169,7 +167,7 @@ class TestClusterTask:
         for seed in (0, 1, 99):
             instances = build_cluster_task(records, k=4, m=10, seed=seed)
             assert len(instances) == 1
-            assert {m.cascade_id for m in instances[0].members} == {
+            assert set(instances[0].members) == {
                 r.cascade_id for r in records
             }
 
@@ -191,15 +189,13 @@ class TestClusterTask:
         records = clustered_records(rng, n_clusters=4, members=15)
         a = build_cluster_task(records, k=4, m=10, seed=7)
         b = build_cluster_task(records, k=4, m=10, seed=7)
-        assert [[m.cascade_id for m in inst.members] for inst in a] == [
-            [m.cascade_id for m in inst.members] for inst in b
-        ]
+        assert [inst.members for inst in a] == [inst.members for inst in b]
         assert [inst.winner_index for inst in a] == [inst.winner_index for inst in b]
 
     def test_winner_is_largest(self, rng):
         records = clustered_records(rng, n_clusters=2, members=11)
         for inst in build_cluster_task(records, k=4, m=10, seed=3):
-            sizes = [m.final_size for m in inst.members]
+            sizes = inst.final_sizes
             assert sizes[inst.winner_index] == max(sizes)
 
     def test_tiebreak_earlier_epoch_then_id(self):
@@ -214,7 +210,7 @@ class TestClusterTask:
             )
         instances = build_cluster_task(records, k=4, m=3, seed=0)
         winner = instances[0].members[instances[0].winner_index]
-        assert winner.cascade_id == "early"
+        assert winner == "early"
 
     def test_no_qualifying(self, rng):
         records = clustered_records(rng, n_clusters=1, members=5)
@@ -261,8 +257,7 @@ class TestRankSingleFeatures:
     def _dataset(self, rng, n=80):
         sizes = rng.choice(np.arange(5, 500), size=n, replace=False)
         ds = label_growth(records_with_sizes(sizes), k=5)
-        X, y, columns = ds.design_matrix()
-        return X, y, np.array([ex.final_size for ex in ds.examples]), columns
+        return ds.X, ds.y, np.array(ds.final_sizes), ds.columns
 
     def test_label_leak_feature_tops_ranking(self, rng):
         X, y, sizes, columns = self._dataset(rng)
