@@ -12,22 +12,35 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
     CycleDetectedError,
     DanglingParentError,
+    DuplicateNodeError,
     KTooLargeError,
+    MixedCascadeIdError,
     MultipleRootsError,
     NegativeTimestampError,
     NoRootError,
+    TimestampOverflowError,
 )
 
 NODE_TYPES = ("user", "page")
 
 
-@dataclass(frozen=True)
+def _check_event(node_type: str, timestamp: float, outdeg: int) -> None:
+    if node_type not in NODE_TYPES:
+        raise ValueError(f"node_type must be one of {NODE_TYPES}, got {node_type!r}")
+    if not math.isfinite(timestamp):
+        raise ValueError(f"timestamp must be finite, got {timestamp!r}")
+    if outdeg < 0:
+        raise ValueError(f"outdeg must be >= 0, got {outdeg}")
+
+
+@dataclass(frozen=True, slots=True)
 class ReshareEvent:
     """One node of a cascade: who reshared, when, and from whom.
 
@@ -39,6 +52,9 @@ class ReshareEvent:
     silently zeroed. ``views_orig_cum`` / ``views_reshares_cum`` are cumulative
     impression counts of the original post / of the earlier reshares at this
     event's time.
+
+    Events are immutable and use slots, so ``vars(event)`` does not work;
+    read fields with ``getattr`` or ``dataclasses.fields``.
     """
 
     cascade_id: str
@@ -58,12 +74,7 @@ class ReshareEvent:
     views_reshares_cum: int | None = None
 
     def __post_init__(self) -> None:
-        if self.node_type not in NODE_TYPES:
-            raise ValueError(f"node_type must be one of {NODE_TYPES}, got {self.node_type!r}")
-        if not math.isfinite(self.timestamp):
-            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
-        if self.outdeg < 0:
-            raise ValueError(f"outdeg must be >= 0, got {self.outdeg}")
+        _check_event(self.node_type, self.timestamp, self.outdeg)
 
     @property
     def is_root(self) -> bool:
@@ -72,6 +83,34 @@ class ReshareEvent:
     @property
     def is_page(self) -> bool:
         return self.node_type == "page"
+
+
+EVENT_FIELDS = tuple(f.name for f in fields(ReshareEvent))
+_TIMESTAMP = EVENT_FIELDS.index("timestamp")
+_NODE_TYPE = EVENT_FIELDS.index("node_type")
+_OUTDEG = EVENT_FIELDS.index("outdeg")
+_event_values = operator.attrgetter(*EVENT_FIELDS)
+_slot_setters = tuple(ReshareEvent.__dict__[name].__set__ for name in EVENT_FIELDS)
+
+
+def _event(values: Sequence) -> ReshareEvent:
+    """The event with these field values (in ``EVENT_FIELDS`` order).
+
+    Runs the checks of ``__post_init__`` and then fills the slots through
+    their member descriptors, skipping ``__init__``'s argument binding and
+    frozen ``__setattr__`` calls. The read path's constructor: ``io`` parses
+    rows with it and build_cascade re-bases with it.
+    """
+    _check_event(values[_NODE_TYPE], values[_TIMESTAMP], values[_OUTDEG])
+    e = object.__new__(ReshareEvent)
+    for set_slot, value in zip(_slot_setters, values):
+        set_slot(e, value)
+    return e
+
+
+def _position(events: Sequence[ReshareEvent], event: ReshareEvent) -> int:
+    """Index of ``event`` itself, not of an equal event, in ``events``."""
+    return next(i for i, e in enumerate(events) if e is event)
 
 
 @dataclass(frozen=True)
@@ -176,29 +215,38 @@ def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
     the order independent of input permutation. The ordering pass walks parent
     pointers from the root, so a parent always precedes its children even
     under timestamp ties, and any parent cycle surfaces as CycleDetectedError.
-    Timestamps are re-based so the root sits at 0.
+    Timestamps are re-based so the root sits at 0. Every rejection is a
+    ``InvalidCascadeError`` whose ``index`` is the input position of the event
+    it names.
     """
     if not events:
         raise NoRootError("empty event sequence")
     cascade_id = events[0].cascade_id
     for e in events:
         if e.cascade_id != cascade_id:
-            raise ValueError(
-                f"mixed cascade ids: {cascade_id!r} and {e.cascade_id!r}"
+            raise MixedCascadeIdError(
+                f"cascade {cascade_id!r}: mixed cascade ids: "
+                f"{cascade_id!r} and {e.cascade_id!r}",
+                _position(events, e),
             )
 
     by_id: dict[str, ReshareEvent] = {}
     for e in events:
         if e.node_id in by_id:
-            raise ValueError(f"duplicate node_id {e.node_id!r} in cascade {cascade_id!r}")
+            raise DuplicateNodeError(
+                f"cascade {cascade_id!r}: duplicate node_id {e.node_id!r}",
+                _position(events, e),
+            )
         by_id[e.node_id] = e
 
     roots = [e for e in events if e.is_root]
     if not roots:
-        raise NoRootError(f"cascade {cascade_id!r} has no root event")
+        raise NoRootError(f"cascade {cascade_id!r}: no root event")
     if len(roots) > 1:
         ids = sorted(e.node_id for e in roots)
-        raise MultipleRootsError(f"cascade {cascade_id!r} has multiple roots: {ids}")
+        raise MultipleRootsError(
+            f"cascade {cascade_id!r}: multiple roots: {ids}", _position(events, roots[1])
+        )
     root = roots[0]
 
     kids: dict[str, list[str]] = {e.node_id: [] for e in events}
@@ -207,45 +255,64 @@ def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
             continue
         if e.parent_id not in by_id:
             raise DanglingParentError(
-                f"event {e.node_id!r} references missing parent {e.parent_id!r}"
+                f"cascade {cascade_id!r}: event {e.node_id!r} references "
+                f"missing parent {e.parent_id!r}",
+                _position(events, e),
             )
         kids[e.parent_id].append(e.node_id)
 
     # Order reshares by (timestamp, node_id), releasing a node only once its
-    # parent is placed. Unreachable leftovers mean the parent pointers cycle.
+    # parent is placed. Siblings enter the heap together, so they pop in
+    # (timestamp, node_id) order: appended in pop order, each child list is
+    # sorted. Unreachable leftovers mean the parent pointers cycle.
     order: list[ReshareEvent] = []
+    children_in_order: dict[str, list[str]] = {nid: [] for nid in kids}
     ready: list[tuple[float, str]] = [
         (by_id[c].timestamp, c) for c in kids[root.node_id]
     ]
     heapq.heapify(ready)
     while ready:
         _, nid = heapq.heappop(ready)
-        order.append(by_id[nid])
+        e = by_id[nid]
+        order.append(e)
+        children_in_order[e.parent_id].append(nid)
         for c in kids[nid]:
             heapq.heappush(ready, (by_id[c].timestamp, c))
     if len(order) != len(events) - 1:
         placed = {e.node_id for e in order} | {root.node_id}
         stuck = sorted(set(by_id) - placed)
         raise CycleDetectedError(
-            f"cascade {cascade_id!r}: events unreachable from root (cycle): {stuck}"
+            f"cascade {cascade_id!r}: events unreachable from root (cycle): {stuck}",
+            next(i for i, e in enumerate(events) if e.node_id not in placed),
         )
 
     epoch = root.timestamp
-    rebased: list[ReshareEvent] = [replace(root, timestamp=0.0)]
+    values = list(_event_values(root))
+    values[_TIMESTAMP] = 0.0
+    rebased: list[ReshareEvent] = [_event(values)]
     for e in order:
         t = e.timestamp - epoch
         if t < 0:
             raise NegativeTimestampError(
-                f"event {e.node_id!r} at {e.timestamp} precedes root at {epoch}"
+                f"cascade {cascade_id!r}: event {e.node_id!r} at {e.timestamp} "
+                f"precedes root at {epoch}",
+                _position(events, e),
             )
-        rebased.append(replace(e, timestamp=t))
+        values = list(_event_values(e))
+        values[_TIMESTAMP] = t
+        try:
+            rebased.append(_event(values))
+        except ValueError as exc:
+            raise TimestampOverflowError(
+                f"cascade {cascade_id!r}: event {e.node_id!r}: {exc}",
+                _position(events, e),
+            ) from None
 
     parent = {e.node_id: e.parent_id for e in rebased[1:]}
     depth: dict[str, int] = {root.node_id: 0}
     for e in rebased[1:]:
         depth[e.node_id] = depth[e.parent_id] + 1
-    children = {nid: tuple(sorted(cs, key=lambda c: (by_id[c].timestamp, c)))
-                for nid, cs in kids.items()}
+    children = {nid: tuple(cs) for nid, cs in children_in_order.items()}
 
     return CascadeTree(
         cascade_id=cascade_id,

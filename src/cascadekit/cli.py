@@ -12,10 +12,17 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator, Mapping
 
 from . import __version__, io
-from .cascade import build_cascade
-from .errors import CascadeKitError, ConfigInvalidError
+from .cascade import CascadeTree, ReshareEvent, build_cascade
+from .errors import (
+    BadParamsError,
+    CascadeKitError,
+    ConfigInvalidError,
+    InvalidCascadeError,
+    MissingFeatureError,
+)
 from .features import extract_features_batch
 from .learner import (
     DEFAULT_LAMBDA,
@@ -65,16 +72,40 @@ def _require(path: str | Path) -> Path:
     return p
 
 
+def _trees(
+    path: Path, grouped: Mapping[str, list[ReshareEvent]]
+) -> Iterator[tuple[str, CascadeTree]]:
+    """(cascade_id, tree) for each cascade read_events read from ``path``, in
+    cascade_id order; a rejected cascade names the line of its faulty event."""
+    for cid in sorted(grouped):
+        try:
+            tree = build_cascade(grouped[cid])
+        except InvalidCascadeError as exc:
+            line = io.event_line(path, cid, exc.index)
+            raise ConfigInvalidError(f"{path}:{line}: {exc}") from None
+        yield cid, tree
+
+
 def _load_records(
     events_path: str, content_path: str | None
 ) -> list[CascadeRecord]:
-    grouped = io.read_events(_require(events_path))
+    path = _require(events_path)
+    grouped = io.read_events(path)
     contents = io.read_content_jsonl(_require(content_path)) if content_path else {}
-    records = []
-    for cid in sorted(grouped):
-        tree = build_cascade(grouped[cid])
-        records.append(CascadeRecord(tree=tree, content=contents.get(cid)))
-    return records
+    return [
+        CascadeRecord(tree=tree, content=contents.get(cid))
+        for cid, tree in _trees(path, grouped)
+    ]
+
+
+def _synth_params(path: Path, cfg: Mapping[str, str]) -> SynthParams:
+    """The generator parameters of a config read from ``path``; a value out
+    of range names its line."""
+    try:
+        return SynthParams.from_config(cfg)
+    except BadParamsError as exc:
+        line = io.config_line(path, exc.fields)
+        raise ConfigInvalidError(f"{path}:{line}: {exc}") from None
 
 
 def _load_graph(args):
@@ -121,8 +152,8 @@ def _ranking_table(rankings: list[FeatureRanking]) -> list[tuple[str, ...]]:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    cfg = io.read_config(_require(args.params), PARAM_TYPES)
-    params = SynthParams.from_config(cfg)
+    path = _require(args.params)
+    params = _synth_params(path, io.read_config(path, PARAM_TYPES))
     seed = params.seed
     graph = generate_social_graph(params, seed)
     cascades, contents = simulate_cascades(graph, params, seed)
@@ -215,8 +246,15 @@ def cmd_evaluate(args) -> int:
         if not args.model:
             raise ConfigInvalidError("--cluster evaluation requires --model")
         model = io.read_model(_require(args.model))
-        instances = io.read_cluster_csv(_require(args.cluster))
-        top1, mean_rr = evaluate_cluster(model, instances)
+        path = _require(args.cluster)
+        instances = io.read_cluster_csv(path)
+        try:
+            top1, mean_rr = evaluate_cluster(model, instances)
+        except MissingFeatureError as exc:
+            raise ConfigInvalidError(
+                f"{path}:1: feature columns do not match the model's ({exc}); "
+                "label the clusters at the model's k and feature options"
+            ) from None
         print(f"clusters   {len(instances)}")
         print(f"top1_accuracy {top1:.6f}")
         print(f"mrr           {mean_rr:.6f}")
@@ -248,9 +286,8 @@ def cmd_rank_features(args) -> int:
 
 
 def cmd_wiener(args) -> int:
-    grouped = io.read_events(_require(args.file))
-    for cid in sorted(grouped):
-        tree = build_cascade(grouped[cid])
+    path = _require(args.file)
+    for cid, tree in _trees(path, io.read_events(path)):
         print(f"{cid}\t{io.fmt(wiener_index_exact(tree))}")
     return 0
 
@@ -258,10 +295,13 @@ def cmd_wiener(args) -> int:
 def _read_numbers(path: Path) -> list[float]:
     values = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                values.append(float(line))
+                try:
+                    values.append(float(line))
+                except ValueError as exc:
+                    raise ConfigInvalidError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -354,13 +394,25 @@ def _flag(value: str) -> bool:
     return value.lower() == "true"
 
 
+def _at_least(low: int):
+    """Parser of an integer that must be >= ``low``."""
+
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise ValueError(f"expected an integer >= {low}, got {number}")
+        return number
+
+    return parse
+
+
 # The pipeline's own config keys, next to the SynthParams fields.
 PIPELINE_KEYS = {
-    "k": int,
+    "k": _at_least(1),
     "task": _task,
     "quartiles": _flag,
     "lambda": finite_float,
-    "folds": int,
+    "folds": _at_least(2),
     "use_graph": _flag,
     "centered_slopes": _flag,
 }
@@ -379,8 +431,9 @@ PIPELINE_OUTPUTS = (
 
 def cmd_pipeline(args) -> int:
     """generate -> label (featurize inside) -> train -> evaluate -> manifest."""
-    cfg = io.read_config(_require(args.config), {**PARAM_TYPES, **PIPELINE_KEYS})
-    params = SynthParams.from_config(cfg)
+    path = _require(args.config)
+    cfg = io.read_config(path, {**PARAM_TYPES, **PIPELINE_KEYS})
+    params = _synth_params(path, cfg)
     k = int(cfg.get("k", "5"))
     task = cfg.get("task", "growth")
     quartiles = _flag(cfg.get("quartiles", "false"))

@@ -11,24 +11,49 @@ class CascadeKitError(ValueError):
 
 # --- cascade construction -------------------------------------------------
 
-class NoRootError(CascadeKitError):
+class InvalidCascadeError(CascadeKitError):
+    """build_cascade rejected an event log.
+
+    ``index`` is the position, in the input sequence, of the event the
+    message names (0 when it names none), so a caller that knows where each
+    input event came from can point at it.
+    """
+
+    def __init__(self, message: str, index: int = 0) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+class NoRootError(InvalidCascadeError):
     """No event without a parent_id was found."""
 
 
-class MultipleRootsError(CascadeKitError):
+class MultipleRootsError(InvalidCascadeError):
     """More than one event without a parent_id was found."""
 
 
-class DanglingParentError(CascadeKitError):
+class MixedCascadeIdError(InvalidCascadeError):
+    """The events do not all carry the same cascade_id."""
+
+
+class DuplicateNodeError(InvalidCascadeError):
+    """Two events carry the same node_id."""
+
+
+class DanglingParentError(InvalidCascadeError):
     """A parent_id does not reference any event in the cascade."""
 
 
-class CycleDetectedError(CascadeKitError):
+class CycleDetectedError(InvalidCascadeError):
     """Parent pointers form a cycle (or disconnect nodes from the root)."""
 
 
-class NegativeTimestampError(CascadeKitError):
+class NegativeTimestampError(InvalidCascadeError):
     """An event would have a negative timestamp after re-basing to the root."""
+
+
+class TimestampOverflowError(InvalidCascadeError):
+    """An event's timestamp minus the root's overflows to infinity."""
 
 
 class KTooLargeError(CascadeKitError):
@@ -124,7 +149,14 @@ class TooFewExamplesError(CascadeKitError):
 # --- synth / cli ------------------------------------------------------------
 
 class BadParamsError(CascadeKitError):
-    """Generator parameters out of range."""
+    """Generator parameters out of range.
+
+    ``fields`` names the parameters at fault, the one to blame first.
+    """
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields
 
 
 class ConfigInvalidError(CascadeKitError):

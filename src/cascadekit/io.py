@@ -16,19 +16,18 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cascade import ReshareEvent, SocialGraph
+from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, _event
 from .errors import ConfigInvalidError
 from .features import ContentRecord, layout_columns
 from .learner import Model
 from .tasks import ClusterInstance, TaskDataset
 
-EVENT_FIELDS = tuple(f.name for f in fields(ReshareEvent))
 CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
 _EVENT_INTS = {
     "outdeg",
@@ -39,14 +38,23 @@ _EVENT_INTS = {
     "views_reshares_cum",
 }
 _EVENT_FLOATS = {"timestamp", "age_years", "fb_age_days", "activity_days"}
+# Event field name -> (position in EVENT_FIELDS, type its values parse to).
+_EVENT_SLOTS = {
+    name: (i, int if name in _EVENT_INTS else float if name in _EVENT_FLOATS else str)
+    for i, name in enumerate(EVENT_FIELDS)
+}
+# The field values of a row that sets no field; MISSING marks a required one.
+_EVENT_DEFAULTS = [f.default for f in fields(ReshareEvent)]
+_EVENT_REQUIRED = [i for i, default in enumerate(_EVENT_DEFAULTS) if default is MISSING]
 _CONTENT_BOOLS = {"is_en", "has_caption"}
 _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
 # The encoder json.dumps(obj, sort_keys=True) would build on every call.
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 # What turning one malformed JSONL line or CSV row into a record raises: bad
-# JSON or a bad value (ValueError), a missing required field (TypeError,
-# KeyError), or a line that is not a JSON object (AttributeError).
-_RECORD_ERRORS = (ValueError, TypeError, KeyError, AttributeError)
+# JSON or a bad value (ValueError), an infinite count (OverflowError), a
+# missing required field (TypeError, KeyError), or a line that is not a JSON
+# object (AttributeError).
+_RECORD_ERRORS = (ValueError, OverflowError, TypeError, KeyError, AttributeError)
 
 
 def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidError:
@@ -82,19 +90,23 @@ def event_to_dict(event: ReshareEvent) -> dict:
 
 
 def _event_from_dict(row: Mapping) -> ReshareEvent:
-    kwargs = {}
-    for name in EVENT_FIELDS:
-        v = row.get(name)
-        if v is None or v == "":
+    """The event one JSONL object or CSV row describes.
+
+    Unknown keys are ignored and ``None`` or ``""`` means absent. A value
+    whose type is not its field's is converted with ``int``, ``float`` or
+    ``str``; one that already has it is taken as is.
+    """
+    values = _EVENT_DEFAULTS.copy()
+    for name, v in row.items():
+        slot = _EVENT_SLOTS.get(name)
+        if slot is None or v is None or v == "":
             continue
-        if name in _EVENT_INTS:
-            v = int(v)
-        elif name in _EVENT_FLOATS:
-            v = float(v)
-        else:
-            v = str(v)
-        kwargs[name] = v
-    return ReshareEvent(**kwargs)
+        i, kind = slot
+        values[i] = v if type(v) is kind else kind(v)
+    for i in _EVENT_REQUIRED:
+        if values[i] is MISSING:
+            raise TypeError(f"missing required field {EVENT_FIELDS[i]!r}")
+    return _event(values)
 
 
 def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
@@ -103,14 +115,10 @@ def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEven
             fh.writelines(f"{_encode_sorted(event_to_dict(e))}\n" for e in events)
 
 
-def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
-    """Events grouped by cascade_id, input order preserved within a cascade.
-
-    JSONL by default; a ``.csv`` suffix switches to CSV with the documented
-    header (the ReshareEvent field names; empty cells mean absent).
-    """
+def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
+    """(line number, event) for every event of an event file, in file order;
+    the format is read_events'."""
     path = Path(path)
-    grouped: dict[str, list[ReshareEvent]] = {}
     if path.suffix.lower() == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -119,8 +127,8 @@ def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
                     e = _event_from_dict(row)
                 except _RECORD_ERRORS as exc:
                     raise _bad_record(path, reader.line_num, exc) from None
-                grouped.setdefault(e.cascade_id, []).append(e)
-        return grouped
+                yield reader.line_num, e
+        return
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -130,8 +138,29 @@ def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
                 e = _event_from_dict(json.loads(line))
             except _RECORD_ERRORS as exc:
                 raise _bad_record(path, lineno, exc) from None
-            grouped.setdefault(e.cascade_id, []).append(e)
+            yield lineno, e
+
+
+def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
+    """Events grouped by cascade_id, input order preserved within a cascade.
+
+    JSONL by default; a ``.csv`` suffix switches to CSV with the documented
+    header (the ReshareEvent field names; empty cells mean absent).
+    """
+    grouped: dict[str, list[ReshareEvent]] = {}
+    for _, e in _numbered_events(path):
+        grouped.setdefault(e.cascade_id, []).append(e)
     return grouped
+
+
+def event_line(path: str | Path, cascade_id: str, index: int) -> int:
+    """Line number of event ``index`` of ``grouped[cascade_id]``, where
+    ``grouped`` is what read_events returns for this file.
+
+    It reads the file again, so callers look lines up on error paths only.
+    """
+    lines = (n for n, e in _numbered_events(path) if e.cascade_id == cascade_id)
+    return next(itertools.islice(lines, index, None))
 
 
 def write_events_csv(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
@@ -410,6 +439,20 @@ def read_model(path: str | Path) -> Model:
 
 # --- configs & manifests -----------------------------------------------------------
 
+def _config_entries(path: Path) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of every line of a key=value file; blank
+    lines and # comments skipped."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigInvalidError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            yield lineno, key.strip(), value.strip()
+
+
 def read_config(
     path: str | Path, types: Mapping[str, Callable[[str], object]] | None = None
 ) -> dict[str, str]:
@@ -422,24 +465,23 @@ def read_config(
     if not path.exists():
         raise ConfigInvalidError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigInvalidError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if types is not None:
-                if key not in types:
-                    raise ConfigInvalidError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    types[key](value)
-                except ValueError as exc:
-                    raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
-            out[key] = value
+    for lineno, key, value in _config_entries(path):
+        if types is not None:
+            if key not in types:
+                raise ConfigInvalidError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                types[key](value)
+            except ValueError as exc:
+                raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
+        out[key] = value
     return out
+
+
+def config_line(path: str | Path, keys: Sequence[str]) -> int | None:
+    """Line of the value read_config keeps for the first of ``keys`` the
+    file sets, or None if it sets none of them."""
+    lines = {key: lineno for lineno, key, _ in _config_entries(Path(path))}
+    return next((lines[key] for key in keys if key in lines), None)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -43,22 +43,32 @@ class SynthParams:
     def __post_init__(self) -> None:
         if self.n_nodes <= self.attachment_m or self.attachment_m < 1:
             raise BadParamsError(
-                f"need n_nodes > attachment_m >= 1, got {self.n_nodes}, {self.attachment_m}"
+                f"need n_nodes > attachment_m >= 1, got {self.n_nodes}, {self.attachment_m}",
+                *(("attachment_m", "n_nodes") if self.attachment_m < 1
+                  else ("n_nodes", "attachment_m")),
             )
         if not 0.0 <= self.page_fraction <= 1.0:
-            raise BadParamsError(f"page_fraction in [0,1], got {self.page_fraction}")
+            raise BadParamsError(
+                f"page_fraction in [0,1], got {self.page_fraction}", "page_fraction"
+            )
         if self.page_degree_boost < 1.0:
-            raise BadParamsError(f"page_degree_boost >= 1, got {self.page_degree_boost}")
+            raise BadParamsError(
+                f"page_degree_boost >= 1, got {self.page_degree_boost}", "page_degree_boost"
+            )
         if not 0.0 < self.reshare_prob < 1.0:
-            raise BadParamsError(f"reshare_prob in (0,1), got {self.reshare_prob}")
+            raise BadParamsError(
+                f"reshare_prob in (0,1), got {self.reshare_prob}", "reshare_prob"
+            )
         if self.rate_boost < 1.0:
-            raise BadParamsError(f"rate_boost >= 1, got {self.rate_boost}")
+            raise BadParamsError(f"rate_boost >= 1, got {self.rate_boost}", "rate_boost")
         if self.target_alpha <= 1.0:
-            raise BadParamsError(f"target_alpha > 1, got {self.target_alpha}")
+            raise BadParamsError(
+                f"target_alpha > 1, got {self.target_alpha}", "target_alpha"
+            )
         if self.x_min <= 0.0:
-            raise BadParamsError(f"x_min > 0, got {self.x_min}")
+            raise BadParamsError(f"x_min > 0, got {self.x_min}", "x_min")
         if self.n_cascades < 1:
-            raise BadParamsError(f"n_cascades >= 1, got {self.n_cascades}")
+            raise BadParamsError(f"n_cascades >= 1, got {self.n_cascades}", "n_cascades")
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, str]) -> "SynthParams":

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ def event(cid, nid, t, parent=None, **kwargs):
     return ReshareEvent(
         cascade_id=cid, node_id=nid, timestamp=t, parent_id=parent, **kwargs
     )
+
+
+def typed_fields(e):
+    """Every field of an event as (type, repr): an equal value of another
+    type, or -0.0 for 0.0, counts as a difference."""
+    return [(type(v), repr(v)) for v in (getattr(e, f.name) for f in fields(e))]
 
 
 def tree_from_parents(parents, times=None, cascade_id="t", **event_kwargs):

@@ -1,9 +1,13 @@
 import itertools
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cascadekit.cascade import (
+    NODE_TYPES,
+    ReshareEvent,
     SocialGraph,
     build_cascade,
     induced_subgraph,
@@ -18,7 +22,7 @@ from cascadekit.errors import (
     NoRootError,
 )
 
-from conftest import event, random_tree, star_tree, path_tree
+from conftest import event, random_tree, star_tree, path_tree, typed_fields
 
 
 class TestBuildCascade:
@@ -230,3 +234,63 @@ def test_edges_match_set_reference(directed, pairs):
     }
     assert g.edges() == sorted(reference)
     assert len(g.edges()) == g.edge_count()
+
+
+TIMES = st.integers(-3, 3) | st.floats(-1e6, 1e6)
+OFFSETS = st.sampled_from([0, 1, 2]) | st.floats(0, 10)
+
+
+@st.composite
+def event_logs(draw):
+    """A valid event log in input order: event i > 0 reshares from an event
+    before it, at or after the root's time; ties and int times are common."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(NODE_IDS.filter(bool), min_size=n, max_size=n, unique=True))
+    start = draw(TIMES)
+    log = []
+    for i, nid in enumerate(ids):
+        log.append(ReshareEvent(
+            "c", nid, start + (draw(OFFSETS) if i else 0),
+            parent_id=ids[draw(st.integers(0, i - 1))] if i else None,
+            node_type=draw(st.sampled_from(NODE_TYPES)),
+            outdeg=draw(st.integers(0, 5)),
+            gender=draw(st.none() | st.just("female")),
+        ))
+    return log
+
+
+@given(log=event_logs(), data=st.data())
+def test_build_is_input_permutation_invariant(log, data):
+    tree = build_cascade(log)
+    rebuilt = build_cascade(data.draw(st.permutations(log)))
+    assert rebuilt == tree
+    assert [typed_fields(e) for e in rebuilt.events] == [
+        typed_fields(e) for e in tree.events
+    ]
+    assert type(rebuilt.epoch) is type(tree.epoch)
+
+
+@given(log=event_logs())
+def test_rebased_events_equal_replace(log):
+    tree = build_cascade(log)
+    root = next(e for e in log if e.parent_id is None)
+    by_id = {e.node_id: e for e in log}
+    expected = [replace(root, timestamp=0.0)] + [
+        replace(by_id[e.node_id], timestamp=by_id[e.node_id].timestamp - root.timestamp)
+        for e in tree.reshares
+    ]
+    assert [typed_fields(e) for e in tree.events] == [typed_fields(e) for e in expected]
+    assert tree.epoch == root.timestamp
+    for e in tree.events:
+        with pytest.raises(FrozenInstanceError):
+            e.timestamp = 1.0
+
+
+def test_rebased_timestamp_overflow_is_rejected():
+    """A reshare time minus the root's can overflow to inf; the rebased
+    event fails the same finiteness check ``replace`` would run."""
+    log = [event("c", "r", -1e308), event("c", "a", 1e308, "r")]
+    with pytest.raises(ValueError, match="timestamp must be finite") as info:
+        replace(log[1], timestamp=log[1].timestamp - log[0].timestamp)
+    with pytest.raises(ValueError, match=re.escape(str(info.value))):
+        build_cascade(log)

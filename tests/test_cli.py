@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from cascadekit import io
 from cascadekit.cascade import NODE_TYPES, ReshareEvent, SocialGraph, build_cascade
 from cascadekit.cli import build_parser, main
+from cascadekit.errors import ConfigInvalidError
 from cascadekit.features import ContentRecord
 from cascadekit.learner import Model, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
@@ -18,7 +20,7 @@ from cascadekit.tasks import (
     label_growth,
 )
 
-from conftest import event, star_tree
+from conftest import event, star_tree, typed_fields
 
 
 PIPELINE_CFG = """\
@@ -153,7 +155,10 @@ def test_evaluate_prints_baseline(workspace, capsys):
     assert "accuracy" in printed and "baseline" in printed
 
 
-def test_cluster_label_and_evaluate(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def clustered(tmp_path_factory):
+    """Events and clustered content on disk, and a model trained at k=5."""
+    tmp_path = tmp_path_factory.mktemp("clustered")
     params = SynthParams(
         n_nodes=2500, attachment_m=2, n_cascades=400, x_min=5.0,
         rate_boost=3.0, seed=31,
@@ -175,14 +180,6 @@ def test_cluster_label_and_evaluate(tmp_path, capsys):
     content_path = tmp_path / "content.jsonl"
     io.write_events_jsonl(events_path, cascades)
     io.write_content_jsonl(content_path, with_clusters)
-
-    cluster_csv = tmp_path / "clusters.csv"
-    assert main([
-        "label", "cluster", "--k", "5", "--m", "10", "--seed", "5",
-        "--in", str(events_path), "--content", str(content_path),
-        "--out", str(cluster_csv),
-    ]) == 0
-
     labeled = tmp_path / "labeled.csv"
     assert main([
         "label", "growth", "--k", "5", "--in", str(events_path),
@@ -193,6 +190,21 @@ def test_cluster_label_and_evaluate(tmp_path, capsys):
         "train", "--in", str(labeled), "--model-out", str(model_path),
         "--folds", "0",
     ]) == 0
+    return events_path, content_path, model_path
+
+
+def _label_clusters(clustered, k, out):
+    events_path, content_path, _ = clustered
+    assert main([
+        "label", "cluster", "--k", str(k), "--m", "10", "--seed", "5",
+        "--in", str(events_path), "--content", str(content_path), "--out", str(out),
+    ]) == 0
+
+
+def test_cluster_label_and_evaluate(clustered, tmp_path, capsys):
+    model_path = clustered[2]
+    cluster_csv = tmp_path / "clusters.csv"
+    _label_clusters(clustered, 5, cluster_csv)
     capsys.readouterr()
     assert main([
         "evaluate", "--cluster", str(cluster_csv), "--model", str(model_path),
@@ -202,6 +214,19 @@ def test_cluster_label_and_evaluate(tmp_path, capsys):
     mean_rr = float(printed.split("mrr")[1].split()[0])
     assert 0.0 <= top1 <= 1.0
     assert 0.0 < mean_rr <= 1.0
+
+
+def test_cluster_csv_at_another_k_than_the_model(clustered, tmp_path, capsys):
+    cluster_csv = tmp_path / "clusters_k2.csv"
+    _label_clusters(clustered, 2, cluster_csv)
+    capsys.readouterr()
+    assert main([
+        "evaluate", "--cluster", str(cluster_csv), "--model", str(clustered[2]),
+    ]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(
+        f"error: {cluster_csv}:1: feature columns do not match the model's "
+    )
 
 
 def test_report_accuracy_vs_k(workspace, tmp_path, capsys):
@@ -278,6 +303,10 @@ RESHARE = (
     '{"cascade_id": "c", "node_id": "a", "parent_id": "r", "timestamp": 1.0, '
     '"node_type": "user"}\n'
 )
+CYCLE = (
+    '{"cascade_id": "c", "node_id": "a", "parent_id": "b", "timestamp": 1.0}\n'
+    '{"cascade_id": "c", "node_id": "b", "parent_id": "a", "timestamp": 2.0}\n'
+)
 
 
 @pytest.mark.parametrize(
@@ -314,6 +343,27 @@ RESHARE = (
         ("config", "k = 5\nuse_graph = yes\n", 2),
         ("config", "quartiles = 1\n", 1),
         ("config", "centered_slopes = on\n", 1),
+        ("events", ROOT_EVENT + RESHARE.replace('"r"', '"zz"'), 2),
+        ("events", ROOT_EVENT + RESHARE + RESHARE, 3),
+        ("events", ROOT_EVENT + RESHARE.replace("1.0", "-1.0"), 2),
+        ("events", ROOT_EVENT + CYCLE, 2),
+        ("events", ROOT_EVENT.replace('"c"', '"d"') + RESHARE, 2),
+        ("events", ROOT_EVENT + ROOT_EVENT.replace('"r"', '"s"'), 2),
+        ("events", ROOT_EVENT + ROOT_EVENT.replace('"c"', '"d"')
+         + RESHARE.replace('"r"', '"zz"'), 3),
+        ("events", ROOT_EVENT.replace("0.0}", '0.0, "outdeg": Infinity}'), 1),
+        ("events.csv", EVENTS_CSV_HEADER + "c,r,0.0,,user\nc,a,1.0,zz,user\n", 3),
+        ("events", ROOT_EVENT.replace("0.0", "-1e308")
+         + RESHARE.replace("1.0", "1e308"), 2),
+        ("gini", "1\n\n2\nmany\n", 4),
+        ("fit-alpha", "3\n2.5e\n", 2),
+        ("params", "n_nodes = 2000\nreshare_prob = 2\n", 2),
+        ("params", "attachment_m = 0\nn_nodes = 2000\n", 1),
+        ("params", "n_nodes = 2\n# attachment_m defaults to 2\n", 1),
+        ("config", "k = 5\nreshare_prob = 2\n", 2),
+        ("config", "k = 0\n", 1),
+        ("config", "k = 5\nfolds = 1\n", 2),
+        ("cluster", CLUSTER_HEADER.replace(",x", ",y") + "g0,a,5,1,1.0,0\n", 1),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -326,7 +376,15 @@ RESHARE = (
         "non-integer-param", "misspelled-param", "misspelled-pipeline-key",
         "non-integer-pipeline-key", "non-finite-param", "non-finite-pipeline-key",
         "unknown-task", "non-boolean-use-graph", "non-boolean-quartiles",
-        "non-boolean-centered-slopes",
+        "non-boolean-centered-slopes", "dangling-parent", "duplicate-node-id",
+        "reshare-before-root", "parent-cycle", "no-root", "two-roots",
+        "tree-error-after-other-cascade", "infinite-count", "csv-dangling-parent",
+        "rebased-timestamp-overflows",
+        "non-numeric-gini-value", "non-numeric-alpha-value",
+        "reshare-prob-out-of-range", "attachment-m-out-of-range",
+        "n-nodes-below-default-attachment-m", "pipeline-reshare-prob-out-of-range", "pipeline-k-below-1",
+        "pipeline-folds-below-2",
+        "cluster-columns-not-the-models",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -349,11 +407,30 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
                     str(bad), "--out", str(tmp_path / "features.csv")],
         "params": ["generate", "--params", str(bad), "--out-dir", str(tmp_path)],
         "config": ["pipeline", "--config", str(bad), "--out-dir", str(tmp_path)],
+        "gini": ["stats", "gini", str(bad)],
+        "fit-alpha": ["stats", "fit-alpha", "--xmin", "1", str(bad)],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}:{where}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["wiener"],
+    ["featurize", "--k", "1", "--out", "features.csv", "--in"],
+    ["label", "growth", "--k", "1", "--out", "labeled.csv", "--in"],
+    ["report", "groups", "--out", "groups.csv", "--in"],
+])
+def test_tree_error_names_its_line_in_every_command(tmp_path, capsys, command):
+    bad = tmp_path / "events.jsonl"
+    bad.write_text(
+        ROOT_EVENT + ROOT_EVENT.replace('"c"', '"d"') + RESHARE.replace('"r"', '"zz"')
+    )
+    assert main([*command, str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:3: cascade 'c': event 'a' references missing parent 'zz'"
+    ]
 
 
 IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
@@ -390,6 +467,72 @@ def test_events_jsonl_csv_roundtrip(tmp_path_factory, events):
     assert io.read_events(root / "events.jsonl") == expected
     assert io.read_events(root / "events.csv") == expected
 
+
+# How the readers convert each event field, as ReshareEvent(**kw) takes it.
+CONVERT = {
+    "cascade_id": str, "node_id": str, "timestamp": float, "parent_id": str,
+    "node_type": str, "outdeg": int, "friend_count": int, "fan_count": int,
+    "subscriber_count": int, "age_years": float, "fb_age_days": float,
+    "activity_days": float, "gender": str, "views_orig_cum": int,
+    "views_reshares_cum": int,
+}
+TEXT = st.text(alphabet='ab1 ,"', min_size=1, max_size=4)
+RAW = {
+    str: TEXT | st.integers(-5, 5),
+    int: st.integers(-3, 2**70) | st.integers(-3, 99).map(str)
+    | st.floats(-1e3, 1e3) | st.booleans(),
+    float: st.floats() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False).map(repr) | st.booleans(),
+}
+REQUIRED = ("cascade_id", "node_id", "timestamp")
+RAW_ROWS = st.fixed_dictionaries(
+    {"extra": st.integers(), **{name: RAW[CONVERT[name]] for name in REQUIRED}},
+    optional={
+        **{name: st.none() | st.just("") | RAW[kind] for name, kind in CONVERT.items()
+           if name not in REQUIRED},
+        "node_type": st.sampled_from(["user", "page", "bot", ""]),
+    },
+)
+
+
+@given(row=RAW_ROWS)
+def test_read_events_matches_constructor(tmp_path_factory, row):
+    """Each reader's event equals ``ReshareEvent(**kw)`` over the row's
+    converted non-empty fields, field for field and type for type; a row the
+    constructor rejects fails with the constructor's own error; events are
+    frozen."""
+    root = tmp_path_factory.mktemp("rows")
+    jsonl, csv_file = root / "events.jsonl", root / "events.csv"
+    jsonl.write_text(json.dumps(row) + "\n")
+    cells = {k: "" if v is None else repr(v) if type(v) is float else str(v)
+             for k, v in row.items()}
+    io.write_csv(csv_file, list(cells), [list(cells.values())])
+    for path, source in ((jsonl, row), (csv_file, cells)):
+        try:
+            kw = {
+                name: CONVERT[name](v)
+                for name, v in source.items()
+                if name in CONVERT and v is not None and v != ""
+            }
+        except ValueError:
+            with pytest.raises(ConfigInvalidError, match=": ValueError: "):
+                io.read_events(path)
+            continue
+        try:
+            expected = ReshareEvent(**kw)
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(ConfigInvalidError) as info:
+                io.read_events(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}:")
+            assert f": {type(exc).__name__}: " in message
+            if type(exc) is ValueError:
+                assert message.endswith(f": ValueError: {exc}")
+            continue
+        (events,) = io.read_events(path).values()
+        assert typed_fields(events[0]) == typed_fields(expected)
+        with pytest.raises(FrozenInstanceError):
+            events[0].node_id = "x"
 
 # Two features in the layout: each value column, then its missing indicator.
 LAYOUT = ["a", "a_missing", "b", "b_missing"]
