@@ -32,13 +32,7 @@ from .learner import (
     train,
 )
 from .stats import fit_powerlaw_alpha, gini
-from .synth import (
-    PARAM_TYPES,
-    SynthParams,
-    finite_float,
-    generate_social_graph,
-    simulate_cascades,
-)
+from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
 from .tasks import (
     CascadeRecord,
     FeatureRanking,
@@ -65,15 +59,8 @@ def _resolve(out_dir: str, path: str | None) -> Path | None:
     return p if p.is_absolute() else Path(out_dir) / p
 
 
-def _require(path: str | Path) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigInvalidError(f"missing input file: {p}")
-    return p
-
-
 def _trees(
-    path: Path, grouped: Mapping[str, list[ReshareEvent]]
+    path: str, grouped: Mapping[str, list[ReshareEvent]]
 ) -> Iterator[tuple[str, CascadeTree]]:
     """(cascade_id, tree) for each cascade read_events read from ``path``, in
     cascade_id order; a rejected cascade names the line of its faulty event."""
@@ -89,16 +76,15 @@ def _trees(
 def _load_records(
     events_path: str, content_path: str | None
 ) -> list[CascadeRecord]:
-    path = _require(events_path)
-    grouped = io.read_events(path)
-    contents = io.read_content_jsonl(_require(content_path)) if content_path else {}
+    grouped = io.read_events(events_path)
+    contents = io.read_content_jsonl(content_path) if content_path else {}
     return [
         CascadeRecord(tree=tree, content=contents.get(cid))
-        for cid, tree in _trees(path, grouped)
+        for cid, tree in _trees(events_path, grouped)
     ]
 
 
-def _synth_params(path: Path, cfg: Mapping[str, str]) -> SynthParams:
+def _synth_params(path: str, cfg: Mapping[str, str]) -> SynthParams:
     """The generator parameters of a config read from ``path``; a value out
     of range names its line."""
     try:
@@ -111,7 +97,7 @@ def _synth_params(path: Path, cfg: Mapping[str, str]) -> SynthParams:
 def _load_graph(args):
     if getattr(args, "graph", None) is None:
         return None
-    return io.read_edge_list(_require(args.graph), directed=args.directed)
+    return io.read_edge_list(args.graph, directed=args.directed)
 
 
 def _print_metrics(metrics: Metrics, stream=None) -> None:
@@ -152,8 +138,7 @@ def _ranking_table(rankings: list[FeatureRanking]) -> list[tuple[str, ...]]:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    path = _require(args.params)
-    params = _synth_params(path, io.read_config(path, PARAM_TYPES))
+    params = _synth_params(args.params, io.read_config(args.params, PARAM_TYPES))
     seed = params.seed
     graph = generate_social_graph(params, seed)
     cascades, contents = simulate_cascades(graph, params, seed)
@@ -224,7 +209,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    X, y, _, _, columns = io.read_labeled_csv(_require(args.input))
+    X, y, _, _, columns = io.read_labeled_csv(args.input)
     model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
     io.write_model(_resolve(args.out_dir, args.model_out), model)
     status = "converged" if model.converged else "hit iteration cap"
@@ -245,14 +230,13 @@ def cmd_evaluate(args) -> int:
     if args.cluster:
         if not args.model:
             raise ConfigInvalidError("--cluster evaluation requires --model")
-        model = io.read_model(_require(args.model))
-        path = _require(args.cluster)
-        instances = io.read_cluster_csv(path)
+        model = io.read_model(args.model)
+        instances = io.read_cluster_csv(args.cluster)
         try:
             top1, mean_rr = evaluate_cluster(model, instances)
         except MissingFeatureError as exc:
             raise ConfigInvalidError(
-                f"{path}:1: feature columns do not match the model's ({exc}); "
+                f"{args.cluster}:1: feature columns do not match the model's ({exc}); "
                 "label the clusters at the model's k and feature options"
             ) from None
         print(f"clusters   {len(instances)}")
@@ -261,7 +245,7 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
-    X, y, _, _, columns = io.read_labeled_csv(_require(args.input))
+    X, y, _, _, columns = io.read_labeled_csv(args.input)
     metrics = cross_validate(
         X, y, folds=args.folds, lam=args.lam, seed=args.seed, feature_names=columns
     )
@@ -274,7 +258,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_rank_features(args) -> int:
-    X, y, sizes, _, columns = io.read_labeled_csv(_require(args.input))
+    X, y, sizes, _, columns = io.read_labeled_csv(args.input)
     lines = _ranking_table(rank_single_feature_predictors(
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
     ))
@@ -286,27 +270,15 @@ def cmd_rank_features(args) -> int:
 
 
 def cmd_wiener(args) -> int:
-    path = _require(args.file)
-    for cid, tree in _trees(path, io.read_events(path)):
-        print(f"{cid}\t{io.fmt(wiener_index_exact(tree))}")
+    for cid, tree in _trees(args.file, io.read_events(args.file)):
+        # A root-only cascade has no pair of nodes to measure.
+        w = wiener_index_exact(tree) if tree.n_nodes >= 2 else float("nan")
+        print(f"{cid}\t{io.fmt(w)}")
     return 0
 
 
-def _read_numbers(path: Path) -> list[float]:
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    values.append(float(line))
-                except ValueError as exc:
-                    raise ConfigInvalidError(f"{path}:{lineno}: {exc}") from None
-    return values
-
-
 def cmd_stats(args) -> int:
-    values = _read_numbers(_require(args.file))
+    values = io.read_numbers(args.file)
     if args.stat == "fit-alpha":
         print(io.fmt(fit_powerlaw_alpha(values, args.xmin)))
     else:
@@ -411,7 +383,7 @@ PIPELINE_KEYS = {
     "k": _at_least(1),
     "task": _task,
     "quartiles": _flag,
-    "lambda": finite_float,
+    "lambda": io.finite_float,
     "folds": _at_least(2),
     "use_graph": _flag,
     "centered_slopes": _flag,
@@ -431,9 +403,8 @@ PIPELINE_OUTPUTS = (
 
 def cmd_pipeline(args) -> int:
     """generate -> label (featurize inside) -> train -> evaluate -> manifest."""
-    path = _require(args.config)
-    cfg = io.read_config(path, {**PARAM_TYPES, **PIPELINE_KEYS})
-    params = _synth_params(path, cfg)
+    cfg = io.read_config(args.config, {**PARAM_TYPES, **PIPELINE_KEYS})
+    params = _synth_params(args.config, cfg)
     k = int(cfg.get("k", "5"))
     task = cfg.get("task", "growth")
     quartiles = _flag(cfg.get("quartiles", "false"))

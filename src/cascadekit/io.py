@@ -6,7 +6,7 @@ written via repr, so outputs are diffable and byte-stable across runs.
 Feature, labeled and cluster CSVs hold design-matrix rows in the
 ``features.layout_columns`` layout: value cells via ``fmt``, indicator cells
 as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
-``path:line``.
+``path:line``; a missing one raises ``FileNotFoundError``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import json
 import math
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
+)
 
 import numpy as np
 
@@ -29,24 +31,23 @@ from .learner import Model
 from .tasks import ClusterInstance, TaskDataset
 
 CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
-_EVENT_INTS = {
-    "outdeg",
-    "friend_count",
-    "fan_count",
-    "subscriber_count",
-    "views_orig_cum",
-    "views_reshares_cum",
-}
-_EVENT_FLOATS = {"timestamp", "age_years", "fb_age_days", "activity_days"}
+
+
+def _field_types(cls: type) -> dict[str, type]:
+    """Field name -> the type a dataclass declares for it (``T | None`` is T)."""
+    return {
+        name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+        for name, hint in get_type_hints(cls).items()
+    }
+
+
+_EVENT_TYPES = _field_types(ReshareEvent)
+_CONTENT_TYPES = _field_types(ContentRecord)
 # Event field name -> (position in EVENT_FIELDS, type its values parse to).
-_EVENT_SLOTS = {
-    name: (i, int if name in _EVENT_INTS else float if name in _EVENT_FLOATS else str)
-    for i, name in enumerate(EVENT_FIELDS)
-}
+_EVENT_SLOTS = {name: (i, _EVENT_TYPES[name]) for i, name in enumerate(EVENT_FIELDS)}
 # The field values of a row that sets no field; MISSING marks a required one.
 _EVENT_DEFAULTS = [f.default for f in fields(ReshareEvent)]
 _EVENT_REQUIRED = [i for i, default in enumerate(_EVENT_DEFAULTS) if default is MISSING]
-_CONTENT_BOOLS = {"is_en", "has_caption"}
 _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
 # The encoder json.dumps(obj, sort_keys=True) would build on every call.
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
@@ -59,6 +60,24 @@ _RECORD_ERRORS = (ValueError, OverflowError, TypeError, KeyError, AttributeError
 
 def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidError:
     return ConfigInvalidError(f"{path}:{lineno}: {type(exc).__name__}: {exc}")
+
+
+def _lines(path: str | Path, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of every non-blank line of a text file;
+    with ``comments``, lines starting with ``#`` are skipped too."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not (comments and line.startswith("#")):
+                yield lineno, line
+
+
+def finite_float(text: str) -> float:
+    """A float parsed from text; nan and inf are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"could not convert string to a finite float: {text!r}")
+    return value
 
 
 def fmt(value: float) -> str:
@@ -118,8 +137,7 @@ def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEven
 def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
     """(line number, event) for every event of an event file, in file order;
     the format is read_events'."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
+    if Path(path).suffix.lower() == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
@@ -129,16 +147,12 @@ def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
                     raise _bad_record(path, reader.line_num, exc) from None
                 yield reader.line_num, e
         return
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                e = _event_from_dict(json.loads(line))
-            except _RECORD_ERRORS as exc:
-                raise _bad_record(path, lineno, exc) from None
-            yield lineno, e
+    for lineno, line in _lines(path):
+        try:
+            e = _event_from_dict(json.loads(line))
+        except _RECORD_ERRORS as exc:
+            raise _bad_record(path, lineno, exc) from None
+        yield lineno, e
 
 
 def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
@@ -168,7 +182,7 @@ def write_events_csv(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]
         v = getattr(e, name)
         if v is None:
             return ""
-        return fmt(v) if name in _EVENT_FLOATS else str(v)
+        return fmt(v) if _EVENT_TYPES[name] is float else str(v)
 
     rows = (
         [cell(e, name) for name in EVENT_FIELDS] for events in cascades for e in events
@@ -180,17 +194,11 @@ def write_events_csv(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]
 
 def read_edge_list(path: str | Path, directed: bool = False) -> SocialGraph:
     graph = SocialGraph(directed=directed)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigInvalidError(
-                    f"{path}:{lineno}: expected two ids, got {line!r}"
-                )
-            graph.add_edge(parts[0], parts[1])
+    for lineno, line in _lines(path, comments=True):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigInvalidError(f"{path}:{lineno}: expected two ids, got {line!r}")
+        graph.add_edge(parts[0], parts[1])
     return graph
 
 
@@ -214,29 +222,17 @@ def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord])
 
 def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
     out: dict[str, ContentRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                cid = str(row.pop("cascade_id"))
-                kwargs = {}
-                for name in CONTENT_FIELDS:
-                    if name not in row or row[name] is None:
-                        continue
-                    v = row[name]
-                    if name in _CONTENT_BOOLS:
-                        v = bool(v)
-                    elif name in ("category", "cluster_id"):
-                        v = str(v)
-                    else:
-                        v = float(v)
-                    kwargs[name] = v
-                out[cid] = ContentRecord(**kwargs)
-            except _RECORD_ERRORS as exc:
-                raise _bad_record(path, lineno, exc) from None
+    for lineno, line in _lines(path):
+        try:
+            row = json.loads(line)
+            cid = str(row.pop("cascade_id"))
+            out[cid] = ContentRecord(**{
+                name: kind(v)
+                for name, kind in _CONTENT_TYPES.items()
+                if (v := row.get(name)) is not None
+            })
+        except _RECORD_ERRORS as exc:
+            raise _bad_record(path, lineno, exc) from None
     return out
 
 
@@ -266,18 +262,26 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
                     f"header has {len(header)}"
                 )
             rows.append((reader.line_num, row))
+    if not rows:
+        raise ConfigInvalidError(f"{path}:1: header row without data rows")
     return header, rows
 
 
 def _numbers(path: str | Path, lineno: int, cells: Sequence[str]) -> list[float]:
     """Cells parsed as finite floats."""
     try:
-        values = [float(c) for c in cells]
+        return [finite_float(c) for c in cells]
     except ValueError as exc:
         raise ConfigInvalidError(f"{path}:{lineno}: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        raise ConfigInvalidError(f"{path}:{lineno}: non-finite value")
-    return values
+
+
+def read_numbers(path: str | Path) -> list[float]:
+    """The finite float on each non-blank line of a text file."""
+    return [
+        value
+        for lineno, line in _lines(path)
+        for value in _numbers(path, lineno, [line])
+    ]
 
 
 def write_features_csv(
@@ -398,27 +402,24 @@ def read_model(path: str | Path) -> Model:
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
     dropped: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            key = parts[0]
-            width = 5 if key == "feature" else 2
-            if len(parts) != width:
-                raise ConfigInvalidError(
-                    f"{path}:{lineno}: expected {width} fields in a {key!r} line, "
-                    f"got {len(parts)}"
-                )
-            if key == "feature":
-                name = parts[1]
-                names.append(name)
-                weight, mean, std = _numbers(path, lineno, parts[2:])
-                weights[name], means[name], stds[name] = weight, mean, std
-            elif key == "dropped":
-                dropped.append(parts[1])
-            else:
-                scalars[key] = parts[1]
+    for lineno, line in _lines(path):
+        parts = line.split()
+        key = parts[0]
+        width = 5 if key == "feature" else 2
+        if len(parts) != width:
+            raise ConfigInvalidError(
+                f"{path}:{lineno}: expected {width} fields in a {key!r} line, "
+                f"got {len(parts)}"
+            )
+        if key == "feature":
+            name = parts[1]
+            names.append(name)
+            weight, mean, std = _numbers(path, lineno, parts[2:])
+            weights[name], means[name], stds[name] = weight, mean, std
+        elif key == "dropped":
+            dropped.append(parts[1])
+        else:
+            scalars[key] = parts[1]
     try:
         return Model(
             feature_names=tuple(names),
@@ -439,18 +440,14 @@ def read_model(path: str | Path) -> Model:
 
 # --- configs & manifests -----------------------------------------------------------
 
-def _config_entries(path: Path) -> Iterator[tuple[int, str, str]]:
+def _config_entries(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) of every line of a key=value file; blank
     lines and # comments skipped."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigInvalidError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            yield lineno, key.strip(), value.strip()
+    for lineno, line in _lines(path, comments=True):
+        if "=" not in line:
+            raise ConfigInvalidError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
 
 
 def read_config(
@@ -461,9 +458,6 @@ def read_config(
     With ``types``, each key must be one of its keys and each value must
     parse with that key's type; the values are returned unparsed.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigInvalidError(f"config file not found: {path}")
     out: dict[str, str] = {}
     for lineno, key, value in _config_entries(path):
         if types is not None:
@@ -480,7 +474,7 @@ def read_config(
 def config_line(path: str | Path, keys: Sequence[str]) -> int | None:
     """Line of the value read_config keeps for the first of ``keys`` the
     file sets, or None if it sets none of them."""
-    lines = {key: lineno for lineno, key, _ in _config_entries(Path(path))}
+    lines = {key: lineno for lineno, key, _ in _config_entries(path)}
     return next((lines[key] for key in keys if key in lines), None)
 
 

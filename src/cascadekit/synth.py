@@ -14,7 +14,6 @@ change the output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -23,6 +22,7 @@ import numpy as np
 from .cascade import ReshareEvent, SocialGraph
 from .errors import AlphaOutOfRangeError, BadParamsError
 from .features import CONTENT_SCORE_NAMES, ContentRecord
+from .io import finite_float
 
 CATEGORY_LABELS = ("animals", "food", "music", "news", "sports")
 
@@ -74,14 +74,6 @@ class SynthParams:
     def from_config(cls, cfg: Mapping[str, str]) -> "SynthParams":
         """Params from a config mapping; keys that are not fields are ignored."""
         return cls(**{k: PARAM_TYPES[k](v) for k, v in cfg.items() if k in PARAM_TYPES})
-
-
-def finite_float(text: str) -> float:
-    """A float config value; nan and inf are rejected."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"could not convert string to a finite float: {text!r}")
-    return value
 
 
 # How each field's config value parses, by the type of its default.

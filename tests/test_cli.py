@@ -1,15 +1,18 @@
+import ast
 import json
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cascadekit
 from cascadekit import io
 from cascadekit.cascade import NODE_TYPES, ReshareEvent, SocialGraph, build_cascade
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
-from cascadekit.features import ContentRecord
+from cascadekit.features import CONTENT_SCORE_NAMES, ContentRecord
 from cascadekit.learner import Model, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
 from cascadekit.tasks import (
@@ -73,10 +76,51 @@ def test_wiener_two_node_cascade(tmp_path, capsys):
     assert capsys.readouterr().out == "c1\t1.0\n"
 
 
+def test_wiener_root_only_cascade_is_nan(tmp_path, capsys):
+    path = tmp_path / "events.jsonl"
+    io.write_events_jsonl(
+        path, [[event("c0", "r", 0)], [event("c1", "r", 0), event("c1", "a", 5, "r")]]
+    )
+    assert main(["wiener", str(path)]) == 0
+    assert capsys.readouterr().out == "c0\tnan\nc1\t1.0\n"
+
+
 def test_missing_input_names_path(capsys):
     code = main(["wiener", "/nowhere/missing.jsonl"])
     assert code == 2
     assert "/nowhere/missing.jsonl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    "events", "content", "graph", "params", "config", "labeled", "model",
+    "cluster", "numbers",
+])
+def test_every_missing_input_is_one_error(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing.txt")
+    events = tmp_path / "events.jsonl"
+    events.write_text(ROOT_EVENT)
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text(CLUSTER_HEADER + "g0,a,5,1,1.0,0\n")
+    model = tmp_path / "model.txt"
+    io.write_model(model, Model(("x",), {"x": 1.0}, 0.0, {"x": 0.0}, {"x": 1.0},
+                                ("x_missing",), 0.01, 0, 1, 0.0, True))
+    argv = {
+        "events": ["wiener", missing],
+        "content": ["featurize", "--k", "0", "--in", str(events), "--content",
+                    missing, "--out", "features.csv"],
+        "graph": ["featurize", "--k", "0", "--in", str(events), "--graph", missing,
+                  "--out", "features.csv"],
+        "params": ["generate", "--params", missing],
+        "config": ["pipeline", "--config", missing],
+        "labeled": ["train", "--in", missing, "--model-out", "model.txt"],
+        "model": ["evaluate", "--cluster", str(clusters), "--model", missing],
+        "cluster": ["evaluate", "--cluster", missing, "--model", str(model)],
+        "numbers": ["stats", "gini", missing],
+    }[flag]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: missing input file: {missing}"
+    ]
 
 
 def test_pipeline_outputs_exist_with_manifest(workspace):
@@ -364,6 +408,11 @@ CYCLE = (
         ("config", "k = 0\n", 1),
         ("config", "k = 5\nfolds = 1\n", 2),
         ("cluster", CLUSTER_HEADER.replace(",x", ",y") + "g0,a,5,1,1.0,0\n", 1),
+        ("cluster", CLUSTER_HEADER, 1),
+        ("labeled", LABELED_HEADER, 1),
+        ("gini", "1\nnan\n3\n", 2),
+        ("fit-alpha", "3\n\ninf\n", 3),
+        ("graph", "1 2\n# comment\n\n2 3 4\n", 4),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -384,7 +433,9 @@ CYCLE = (
         "reshare-prob-out-of-range", "attachment-m-out-of-range",
         "n-nodes-below-default-attachment-m", "pipeline-reshare-prob-out-of-range", "pipeline-k-below-1",
         "pipeline-folds-below-2",
-        "cluster-columns-not-the-models",
+        "cluster-columns-not-the-models", "header-only-cluster",
+        "header-only-labeled", "nan-gini-value", "inf-alpha-value",
+        "three-token-edge-line",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -405,6 +456,8 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
         "events.csv": ["wiener", str(bad)],
         "content": ["featurize", "--k", "0", "--in", str(events), "--content",
                     str(bad), "--out", str(tmp_path / "features.csv")],
+        "graph": ["featurize", "--k", "0", "--in", str(events), "--graph",
+                  str(bad), "--out", str(tmp_path / "features.csv")],
         "params": ["generate", "--params", str(bad), "--out-dir", str(tmp_path)],
         "config": ["pipeline", "--config", str(bad), "--out-dir", str(tmp_path)],
         "gini": ["stats", "gini", str(bad)],
@@ -611,6 +664,99 @@ def test_cluster_csv_roundtrip_property(tmp_path_factory, instances):
         (i.cluster_id, i.members, i.final_sizes, i.winner_index, i.columns, i.X.tolist())
         for i in instances
     ]
+
+
+# How the content reader converts each field, as ContentRecord(**kw) takes it.
+CONTENT_CONVERT = {
+    **dict.fromkeys(CONTENT_SCORE_NAMES + ("liwc_pos", "liwc_neg", "liwc_soc"), float),
+    "is_en": bool, "has_caption": bool, "category": str, "cluster_id": str,
+}
+CONTENT_RAW = {
+    float: st.floats(0.0, 1.0) | st.integers(0, 1),
+    bool: st.booleans() | st.integers(0, 1),
+    str: TEXT | st.integers(-5, 5),
+}
+CONTENT_ROWS = st.fixed_dictionaries({}, optional={
+    name: st.none() | CONTENT_RAW[kind] for name, kind in CONTENT_CONVERT.items()
+})
+
+
+@given(rows=st.dictionaries(IDS, CONTENT_ROWS, max_size=4))
+def test_content_jsonl_roundtrip_property(tmp_path_factory, rows):
+    """Each content line reads as ``ContentRecord(**kw)`` over its converted
+    non-null fields, type for type; what the writer writes reads back the same."""
+    root = tmp_path_factory.mktemp("content")
+    raw, written = root / "raw.jsonl", root / "written.jsonl"
+    raw.write_text("".join(
+        json.dumps({"cascade_id": cid, **row}) + "\n" for cid, row in rows.items()
+    ))
+    expected = {
+        cid: ContentRecord(**{
+            name: CONTENT_CONVERT[name](v) for name, v in row.items() if v is not None
+        })
+        for cid, row in rows.items()
+    }
+    back = io.read_content_jsonl(raw)
+    io.write_content_jsonl(written, back)
+    again = io.read_content_jsonl(written)
+    for records in (back, again):
+        assert sorted(records) == sorted(expected)
+        assert all(
+            typed_fields(records[cid]) == typed_fields(expected[cid]) for cid in expected
+        )
+
+
+# Feature names are single tokens: no whitespace, no line breaks.
+NAMES = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    names = draw(st.lists(NAMES, unique=True, max_size=4))
+
+    def per_feature():
+        return {name: draw(FINITE) for name in names}
+
+    return Model(
+        feature_names=tuple(names),
+        weights=per_feature(),
+        bias=draw(FINITE),
+        means=per_feature(),
+        stds=per_feature(),
+        dropped=tuple(draw(st.lists(NAMES, max_size=3))),
+        lam=draw(FINITE),
+        seed=draw(st.integers(-(2**70), 2**70)),
+        iterations=draw(st.integers(0, 10**6)),
+        final_loss=draw(FINITE),
+        converged=draw(st.booleans()),
+    )
+
+
+@given(model=models())
+def test_model_roundtrip_property(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    io.write_model(path, model)
+    # repr tells 1 from 1.0 and -0.0 from 0.0, and shows dict order.
+    assert repr(io.read_model(path)) == repr(model)
+
+
+def test_only_io_opens_files():
+    """Every file the package reads or writes goes through io."""
+    openers = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+    calls = []
+    for source in sorted(Path(cascadekit.__file__).parent.glob("*.py")):
+        if source.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in openers:
+                    calls.append(f"{source.name}:{node.lineno}: {name}")
+    assert calls == []
 
 
 class TestIoRoundTrips:
