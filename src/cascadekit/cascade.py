@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
+    BadArgumentError,
     CycleDetectedError,
     DanglingParentError,
     DuplicateNodeError,
@@ -331,7 +332,7 @@ def prefix(tree: CascadeTree, k: int) -> CascadeTree:
     prefix is closed under the parent map by construction.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise BadArgumentError(f"k must be >= 1, got {k}")
     if k > tree.size:
         raise KTooLargeError(f"k={k} exceeds cascade size {tree.size}")
     if k == tree.size:
@@ -357,7 +358,7 @@ def prefix(tree: CascadeTree, k: int) -> CascadeTree:
 def induced_subgraph(tree: CascadeTree, graph: SocialGraph, k: int) -> SocialGraph:
     """Social-graph subgraph restricted to the root and first k resharers."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise BadArgumentError(f"k must be >= 1, got {k}")
     if k > tree.size:
         raise KTooLargeError(f"k={k} exceeds cascade size {tree.size}")
     participants = [e.node_id for e in tree.events[: k + 1]]

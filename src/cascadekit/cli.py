@@ -15,41 +15,20 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from . import __version__, io
-from .cascade import CascadeTree, ReshareEvent, build_cascade
+from .cascade import CascadeTree, ReshareEvent, SocialGraph, build_cascade
 from .errors import (
-    BadParamsError,
-    CascadeKitError,
-    ConfigInvalidError,
-    InvalidCascadeError,
-    MissingFeatureError,
+    BadArgumentError, BadParamsError, CascadeKitError, ConfigInvalidError,
+    InvalidCascadeError, MissingFeatureError,
 )
 from .features import extract_features_batch
-from .learner import (
-    DEFAULT_LAMBDA,
-    Metrics,
-    cross_validate,
-    evaluate_cluster,
-    train,
-)
+from .learner import DEFAULT_LAMBDA, Metrics, cross_validate, evaluate_cluster, train
 from .stats import fit_powerlaw_alpha, gini
 from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
 from .tasks import (
-    CascadeRecord,
-    FeatureRanking,
-    build_cluster_task,
-    group_summaries,
-    label_growth,
-    label_growth_fixed_R,
-    label_structure,
-    rank_single_feature_predictors,
+    CascadeRecord, FeatureRanking, TaskDataset, build_cluster_task, group_summaries,
+    label_growth, label_growth_fixed_R, label_structure, rank_single_feature_predictors,
 )
 from .virality import wiener_index_exact
-
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
-    parser.add_argument("--out-dir", default=".", help="directory for output files")
 
 
 def _resolve(out_dir: str, path: str | None) -> Path | None:
@@ -73,9 +52,7 @@ def _trees(
         yield cid, tree
 
 
-def _load_records(
-    events_path: str, content_path: str | None
-) -> list[CascadeRecord]:
+def _load_records(events_path: str, content_path: str | None) -> list[CascadeRecord]:
     grouped = io.read_events(events_path)
     contents = io.read_content_jsonl(content_path) if content_path else {}
     return [
@@ -95,37 +72,25 @@ def _synth_params(path: str, cfg: Mapping[str, str]) -> SynthParams:
 
 
 def _load_graph(args):
-    if getattr(args, "graph", None) is None:
+    if args.graph is None:
         return None
     return io.read_edge_list(args.graph, directed=args.directed)
 
 
-def _print_metrics(metrics: Metrics, stream=None) -> None:
-    stream = stream or sys.stdout
-    print("metric    mean      sd", file=stream)
-    print(f"accuracy  {metrics.accuracy:.6f}  {metrics.accuracy_sd:.6f}", file=stream)
-    print(f"f1        {metrics.f1:.6f}  {metrics.f1_sd:.6f}", file=stream)
-    print(f"auc       {metrics.auc:.6f}  {metrics.auc_sd:.6f}", file=stream)
-    print(f"baseline  {metrics.majority_baseline:.6f}  -", file=stream)
+def _metric_rows(metrics: Metrics) -> list[tuple[str, float, float | None]]:
+    """(name, mean, sd) of each row of the metrics table; the baseline has no sd."""
+    return [
+        ("accuracy", metrics.accuracy, metrics.accuracy_sd),
+        ("f1", metrics.f1, metrics.f1_sd),
+        ("auc", metrics.auc, metrics.auc_sd),
+        ("baseline", metrics.majority_baseline, None),
+    ]
 
 
-def _write_metrics_csv(path: Path, metrics: Metrics) -> None:
-    io.write_csv(path, ["metric", "mean", "sd"], [
-        ["accuracy", io.fmt(metrics.accuracy), io.fmt(metrics.accuracy_sd)],
-        ["f1", io.fmt(metrics.f1), io.fmt(metrics.f1_sd)],
-        ["auc", io.fmt(metrics.auc), io.fmt(metrics.auc_sd)],
-        ["baseline", io.fmt(metrics.majority_baseline), ""],
-    ])
-
-
-def _write_per_fold_csv(path: Path, metrics: Metrics) -> None:
-    folds = zip(
-        metrics.fold_sizes, metrics.fold_accuracy, metrics.fold_f1, metrics.fold_auc
-    )
-    io.write_csv(path, ["fold", "size", "accuracy", "f1", "auc"], [
-        [str(i), str(size), io.fmt(acc), io.fmt(f1v), io.fmt(aucv)]
-        for i, (size, acc, f1v, aucv) in enumerate(folds)
-    ])
+def _print_metrics(metrics: Metrics) -> None:
+    print("metric    mean      sd")
+    for name, mean, sd in _metric_rows(metrics):
+        print(f"{name:<10}{mean:.6f}  {'-' if sd is None else f'{sd:.6f}'}")
 
 
 def _ranking_table(rankings: list[FeatureRanking]) -> list[tuple[str, ...]]:
@@ -135,20 +100,86 @@ def _ranking_table(rankings: list[FeatureRanking]) -> list[tuple[str, ...]]:
     ]
 
 
+# --- steps -------------------------------------------------------------------
+
+def _generate(
+    params: SynthParams, events: Path, graph: Path, content: Path | None
+) -> str:
+    """Write a synthetic graph and its cascades (and their content records,
+    unless ``content`` is None); returns the one-line summary."""
+    social = generate_social_graph(params, params.seed)
+    cascades, contents = simulate_cascades(social, params, params.seed)
+    io.write_events_jsonl(events, cascades)
+    io.write_edge_list(graph, social)
+    if content:
+        io.write_content_jsonl(content, contents)
+    n_events = sum(len(c) for c in cascades)
+    return (f"generated {len(cascades)} cascades, {n_events} events, "
+            f"{social.edge_count()} graph edges")
+
+
+def _label(
+    records: list[CascadeRecord],
+    task: str,
+    k: int,
+    *,
+    R: int | None = None,
+    quartiles: bool = False,
+    seed: int = 0,
+    graph: SocialGraph | None = None,
+    centered_slopes: bool = False,
+    threads: int = 1,
+) -> tuple[TaskDataset, dict]:
+    """The growth (with ``R``, fixed-R growth) or structure dataset and its
+    task metadata: the dataset's, the seed, and whether ``did_leave`` was
+    approximated for want of a graph."""
+    common = dict(graph=graph, centered_slopes=centered_slopes, threads=threads)
+    if task == "structure":
+        dataset = label_structure(records, k, **common)
+    elif R is not None:
+        dataset = label_growth_fixed_R(records, k, R, **common)
+    else:
+        dataset = label_growth(records, k, quartiles=quartiles, **common)
+    meta = {**dataset.metadata, "seed": seed}
+    if graph is None:
+        meta["did_leave_approximate"] = True
+    return dataset, meta
+
+
+def _cross_validate(
+    args, X, y, columns, metrics_out: Path | None = None, per_fold_out: Path | None = None
+) -> Metrics:
+    """Cross-validate at the folds, lambda and seed of ``args``; write the
+    metrics table and the per-fold table where a path is given."""
+    metrics = cross_validate(
+        X, y, folds=args.folds, lam=args.lam, seed=args.seed, feature_names=columns
+    )
+    if metrics_out:
+        io.write_csv(metrics_out, ["metric", "mean", "sd"], [
+            [name, io.fmt(mean), "" if sd is None else io.fmt(sd)]
+            for name, mean, sd in _metric_rows(metrics)
+        ])
+    if per_fold_out:
+        folds = zip(
+            metrics.fold_sizes, metrics.fold_accuracy, metrics.fold_f1, metrics.fold_auc
+        )
+        io.write_csv(per_fold_out, ["fold", "size", "accuracy", "f1", "auc"], [
+            [str(i), str(size), io.fmt(acc), io.fmt(f1v), io.fmt(aucv)]
+            for i, (size, acc, f1v, aucv) in enumerate(folds)
+        ])
+    return metrics
+
+
 # --- subcommands ------------------------------------------------------------
 
 def cmd_generate(args) -> int:
     params = _synth_params(args.params, io.read_config(args.params, PARAM_TYPES))
-    seed = params.seed
-    graph = generate_social_graph(params, seed)
-    cascades, contents = simulate_cascades(graph, params, seed)
-    io.write_events_jsonl(_resolve(args.out_dir, args.out_events), cascades)
-    io.write_edge_list(_resolve(args.out_dir, args.out_graph), graph)
-    if args.out_content:
-        io.write_content_jsonl(_resolve(args.out_dir, args.out_content), contents)
-    n_events = sum(len(c) for c in cascades)
-    print(f"generated {len(cascades)} cascades, {n_events} events, "
-          f"{graph.edge_count()} graph edges")
+    print(_generate(
+        params,
+        _resolve(args.out_dir, args.out_events),
+        _resolve(args.out_dir, args.out_graph),
+        args.out_content and _resolve(args.out_dir, args.out_content),
+    ))
     return 0
 
 
@@ -179,30 +210,17 @@ def cmd_label(args) -> int:
             records, args.k, m=args.m, seed=args.seed, **common
         )
         io.write_cluster_csv(out_path, instances)
-        meta = {
-            "task": "cluster",
-            "k": args.k,
-            "m": args.m,
-            "seed": args.seed,
-            "n_instances": len(instances),
-        }
+        meta = {"task": "cluster", "k": args.k, "m": args.m, "seed": args.seed,
+                "n_instances": len(instances)}
         print(f"wrote {len(instances)} cluster instances to {out_path}")
     else:
-        if args.task == "growth" and args.R is not None:
-            dataset = label_growth_fixed_R(records, args.k, args.R, **common)
-        elif args.task == "growth":
-            dataset = label_growth(records, args.k, quartiles=args.quartiles, **common)
-        else:
-            dataset = label_structure(records, args.k, **common)
-        io.write_labeled_csv(out_path, dataset)
-        meta = dict(dataset.metadata)
-        meta["seed"] = args.seed
-        if graph is None:
-            meta["did_leave_approximate"] = True
-        print(
-            f"wrote {len(dataset.examples)} examples to {out_path} "
-            f"(threshold {dataset.threshold})"
+        dataset, meta = _label(
+            records, args.task, args.k, R=args.R, quartiles=args.quartiles,
+            seed=args.seed, **common,
         )
+        io.write_labeled_csv(out_path, dataset)
+        print(f"wrote {len(dataset.examples)} examples to {out_path} "
+              f"(threshold {dataset.threshold})")
     if args.meta_out:
         io.write_manifest(_resolve(args.out_dir, args.meta_out), meta)
     return 0
@@ -219,10 +237,7 @@ def cmd_train(args) -> int:
         f"({status}), loss {model.final_loss:.6f}"
     )
     if args.folds > 0:
-        metrics = cross_validate(
-            X, y, folds=args.folds, lam=args.lam, seed=args.seed, feature_names=columns
-        )
-        _print_metrics(metrics)
+        _print_metrics(_cross_validate(args, X, y, columns))
     return 0
 
 
@@ -246,14 +261,11 @@ def cmd_evaluate(args) -> int:
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
     X, y, _, _, columns = io.read_labeled_csv(args.input)
-    metrics = cross_validate(
-        X, y, folds=args.folds, lam=args.lam, seed=args.seed, feature_names=columns
-    )
-    _print_metrics(metrics)
-    if args.metrics_out:
-        _write_metrics_csv(_resolve(args.out_dir, args.metrics_out), metrics)
-    if args.per_fold_out:
-        _write_per_fold_csv(_resolve(args.out_dir, args.per_fold_out), metrics)
+    _print_metrics(_cross_validate(
+        args, X, y, columns,
+        args.metrics_out and _resolve(args.out_dir, args.metrics_out),
+        args.per_fold_out and _resolve(args.out_dir, args.per_fold_out),
+    ))
     return 0
 
 
@@ -289,7 +301,6 @@ def cmd_stats(args) -> int:
 def cmd_report(args) -> int:
     records = _load_records(args.input, args.content)
     graph = _load_graph(args)
-    out_path = _resolve(args.out_dir, args.out) if args.out else None
     if args.kind == "groups":
         rows = group_summaries(records, args.group_by)
         lines = [("group", "count", "mean_final_size", "mean_wiener")]
@@ -298,56 +309,32 @@ def cmd_report(args) -> int:
             for r in rows
         ]
     elif args.kind == "rank-features":
-        dataset = label_growth(records, args.k, graph=graph, threads=args.threads)
+        dataset, _ = _label(records, "growth", args.k, graph=graph, threads=args.threads)
         lines = _ranking_table(rank_single_feature_predictors(
             dataset.X, dataset.y, dataset.final_sizes, dataset.columns,
             folds=args.folds, seed=args.seed, lam=args.lam,
         ))
     else:
-        ks = [int(s) for s in args.ks.split(",")]
-        lines = [
-            (
-                "k",
-                "n",
-                "threshold",
-                "positive_fraction",
-                "baseline",
-                "accuracy",
-                "accuracy_sd",
-                "f1",
-                "f1_sd",
-                "auc",
-                "auc_sd",
-            )
-        ]
+        try:
+            ks = [int(s) for s in args.ks.split(",")]
+        except ValueError as exc:
+            raise BadArgumentError(f"--ks: {exc}") from None
+        lines = [(
+            "k", "n", "threshold", "positive_fraction", "baseline",
+            "accuracy", "accuracy_sd", "f1", "f1_sd", "auc", "auc_sd",
+        )]
         for k in ks:
-            if args.R is not None:
-                dataset = label_growth_fixed_R(
-                    records, k, args.R, graph=graph, threads=args.threads
-                )
-            else:
-                dataset = label_growth(records, k, graph=graph, threads=args.threads)
-            metrics = cross_validate(
-                dataset.X, dataset.y, folds=args.folds, lam=args.lam, seed=args.seed,
-                feature_names=dataset.columns,
+            dataset, _ = _label(
+                records, "growth", k, R=args.R, graph=graph, threads=args.threads
             )
-            lines.append(
-                (
-                    str(k),
-                    str(len(dataset.examples)),
-                    io.fmt(dataset.threshold),
-                    io.fmt(metrics.positive_fraction),
-                    io.fmt(metrics.majority_baseline),
-                    io.fmt(metrics.accuracy),
-                    io.fmt(metrics.accuracy_sd),
-                    io.fmt(metrics.f1),
-                    io.fmt(metrics.f1_sd),
-                    io.fmt(metrics.auc),
-                    io.fmt(metrics.auc_sd),
-                )
-            )
-    if out_path:
-        io.write_csv(out_path, lines[0], lines[1:])
+            metrics = _cross_validate(args, dataset.X, dataset.y, dataset.columns)
+            lines.append((str(k), str(len(dataset.examples)), *map(io.fmt, (
+                dataset.threshold, metrics.positive_fraction, metrics.majority_baseline,
+                metrics.accuracy, metrics.accuracy_sd, metrics.f1, metrics.f1_sd,
+                metrics.auc, metrics.auc_sd,
+            ))))
+    if args.out:
+        io.write_csv(_resolve(args.out_dir, args.out), lines[0], lines[1:])
     for line in lines:
         print("\t".join(line))
     return 0
@@ -366,95 +353,74 @@ def _flag(value: str) -> bool:
     return value.lower() == "true"
 
 
-def _at_least(low: int):
-    """Parser of an integer that must be >= ``low``."""
+def _at_least(low: int, parse=int, kind: str = "an integer"):
+    """Parser of ``kind`` of number, read by ``parse``, that must be >= ``low``."""
 
-    def parse(value: str) -> int:
-        number = int(value)
+    def parse_at_least(value: str):
+        number = parse(value)
         if number < low:
-            raise ValueError(f"expected an integer >= {low}, got {number}")
+            raise ValueError(f"expected {kind} >= {low}, got {number}")
         return number
 
-    return parse
+    return parse_at_least
 
 
-# The pipeline's own config keys, next to the SynthParams fields.
+# The pipeline's own config keys, next to the SynthParams fields: each one's
+# parser, and its value when the config does not set it.
 PIPELINE_KEYS = {
-    "k": _at_least(1),
-    "task": _task,
-    "quartiles": _flag,
-    "lambda": io.finite_float,
-    "folds": _at_least(2),
-    "use_graph": _flag,
-    "centered_slopes": _flag,
+    "k": (_at_least(1), 5),
+    "task": (_task, "growth"),
+    "quartiles": (_flag, False),
+    "lambda": (_at_least(0, io.finite_float, "a finite number"), DEFAULT_LAMBDA),
+    "folds": (_at_least(2), 10),
+    "use_graph": (_flag, True),
+    "centered_slopes": (_flag, False),
 }
 
 PIPELINE_OUTPUTS = (
-    "events.jsonl",
-    "graph.edges",
-    "content.jsonl",
-    "labeled.csv",
-    "task_meta.json",
-    "model.txt",
-    "metrics.csv",
-    "per_fold.csv",
+    "events.jsonl", "graph.edges", "content.jsonl", "labeled.csv", "task_meta.json",
+    "model.txt", "metrics.csv", "per_fold.csv",
 )
 
 
 def cmd_pipeline(args) -> int:
     """generate -> label (featurize inside) -> train -> evaluate -> manifest."""
-    cfg = io.read_config(args.config, {**PARAM_TYPES, **PIPELINE_KEYS})
+    parsers = {key: parse for key, (parse, _) in PIPELINE_KEYS.items()}
+    cfg = io.read_config(args.config, {**PARAM_TYPES, **parsers})
     params = _synth_params(args.config, cfg)
-    k = int(cfg.get("k", "5"))
-    task = cfg.get("task", "growth")
-    quartiles = _flag(cfg.get("quartiles", "false"))
-    lam = float(cfg.get("lambda", str(DEFAULT_LAMBDA)))
-    folds = int(cfg.get("folds", "10"))
-    use_graph = _flag(cfg.get("use_graph", "true"))
-    centered = _flag(cfg.get("centered_slopes", "false"))
-
+    opts = {
+        key: parse(cfg[key]) if key in cfg else default
+        for key, (parse, default) in PIPELINE_KEYS.items()
+    }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / name for name in PIPELINE_OUTPUTS}
 
-    graph = generate_social_graph(params, params.seed)
-    cascades, contents = simulate_cascades(graph, params, params.seed)
-    io.write_events_jsonl(paths["events.jsonl"], cascades)
-    io.write_edge_list(paths["graph.edges"], graph)
-    io.write_content_jsonl(paths["content.jsonl"], contents)
-
+    _generate(params, paths["events.jsonl"], paths["graph.edges"], paths["content.jsonl"])
     # Re-read what was written so the pipeline exercises the same file
     # surfaces external callers use.
     records = _load_records(str(paths["events.jsonl"]), str(paths["content.jsonl"]))
-    feature_graph = (
-        io.read_edge_list(paths["graph.edges"], directed=False) if use_graph else None
+    graph = io.read_edge_list(paths["graph.edges"]) if opts["use_graph"] else None
+    dataset, meta = _label(
+        records, opts["task"], opts["k"], quartiles=opts["quartiles"], seed=params.seed,
+        graph=graph, centered_slopes=opts["centered_slopes"], threads=args.threads,
     )
-    common = dict(graph=feature_graph, centered_slopes=centered, threads=args.threads)
-    if task == "growth":
-        dataset = label_growth(records, k, quartiles=quartiles, **common)
-    else:
-        dataset = label_structure(records, k, **common)
     io.write_labeled_csv(paths["labeled.csv"], dataset)
-    meta = dict(dataset.metadata)
-    meta["seed"] = params.seed
     io.write_manifest(paths["task_meta.json"], meta)
 
     X, y, _, _, columns = io.read_labeled_csv(paths["labeled.csv"])
-    model = train(X, y, lam=lam, seed=params.seed, feature_names=columns)
+    model = train(X, y, lam=opts["lambda"], seed=params.seed, feature_names=columns)
     io.write_model(paths["model.txt"], model)
-    metrics = cross_validate(
-        X, y, folds=folds, lam=lam, seed=params.seed, feature_names=columns
+    fit = argparse.Namespace(folds=opts["folds"], lam=opts["lambda"], seed=params.seed)
+    metrics = _cross_validate(
+        fit, X, y, columns, paths["metrics.csv"], paths["per_fold.csv"]
     )
-    _write_metrics_csv(paths["metrics.csv"], metrics)
-    _write_per_fold_csv(paths["per_fold.csv"], metrics)
 
     manifest = {
         "version": __version__,
         "config": dict(cfg),
         "seed": params.seed,
-        "outputs": {
-            name: io.sha256_file(path) for name, path in sorted(paths.items())
-        },
+        "outputs": {name: io.sha256_file(path) for name, path in sorted(paths.items())},
     }
     io.write_manifest(out_dir / "manifest.json", manifest)
     _print_metrics(metrics)
@@ -472,116 +438,94 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a synthetic graph and cascades")
-    _common_flags(p)
+    # Flags shared by several subcommands, each declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="random seed")
+    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--out-dir", default=".", help="directory for output files")
+    events = argparse.ArgumentParser(add_help=False)
+    events.add_argument("--in", dest="input", required=True, help="events JSONL/CSV")
+    events.add_argument("--content", help="content records JSONL")
+    events.add_argument("--graph", help="social graph edge list")
+    events.add_argument("--directed", action="store_true")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--k", type=int, required=True, help="reshares observed")
+    window.add_argument("--centered-slopes", action="store_true")
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    fit.add_argument("--folds", type=int, default=10,
+                     help="cross-validation folds (train: 0 to skip)")
+
+    def command(parent, name: str, func, help: str, *parents) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(sub, "generate", cmd_generate, "generate a synthetic graph and cascades")
     p.add_argument("--params", required=True, help="key=value config file")
     p.add_argument("--out-events", default="events.jsonl")
     p.add_argument("--out-graph", default="graph.edges")
     p.add_argument("--out-content", default="content.jsonl")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("featurize", help="extract feature vectors at a window k")
-    _common_flags(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="input", required=True, help="events JSONL/CSV")
-    p.add_argument("--content", help="content records JSONL")
-    p.add_argument("--graph", help="social graph edge list")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--centered-slopes", action="store_true")
+    p = command(sub, "featurize", cmd_featurize,
+                "extract feature vectors at a window k", window, events)
     p.add_argument("--out", required=True, help="output feature CSV")
-    p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("label", help="build a labeled task dataset")
-    _common_flags(p)
+    p = command(sub, "label", cmd_label, "build a labeled task dataset", window, events)
     p.add_argument("task", choices=["growth", "structure", "cluster"])
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--R", type=int, help="growth: fixed minimum final size")
     p.add_argument("--m", type=int, default=10, help="cluster: members per instance")
     p.add_argument("--quartiles", action="store_true",
                    help="growth: top vs bottom quartile only")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--content")
-    p.add_argument("--graph")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--centered-slopes", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--meta-out", help="JSON sidecar with threshold/counts/seed")
-    p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("train", help="fit the classifier and save a model file")
-    _common_flags(p)
+    p = command(sub, "train", cmd_train, "fit the classifier and save a model file", fit)
     p.add_argument("--in", dest="input", required=True, help="labeled CSV")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--folds", type=int, default=10,
-                   help="also cross-validate (0 to skip)")
     p.add_argument("--model-out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="cross-validate, or score cluster instances")
-    _common_flags(p)
+    p = command(sub, "evaluate", cmd_evaluate,
+                "cross-validate, or score cluster instances", fit)
     p.add_argument("--in", dest="input", help="labeled CSV")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--metrics-out", help="write the metrics table as CSV")
     p.add_argument("--per-fold-out", help="write per-fold metrics as CSV")
     p.add_argument("--cluster", help="cluster instance CSV (ranking evaluation)")
     p.add_argument("--model", help="model file for --cluster")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("rank-features", help="accuracy of each feature used alone")
-    _common_flags(p)
+    p = command(sub, "rank-features", cmd_rank_features,
+                "accuracy of each feature used alone", fit)
     p.add_argument("--in", dest="input", required=True, help="labeled CSV")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--top", type=int, default=20, help="rows to print")
     p.add_argument("--out", help="output CSV")
-    p.set_defaults(func=cmd_rank_features)
 
-    p = sub.add_parser("wiener", help="Wiener index per cascade")
-    _common_flags(p)
+    p = command(sub, "wiener", cmd_wiener, "Wiener index per cascade")
     p.add_argument("file", help="events JSONL/CSV")
-    p.set_defaults(func=cmd_wiener)
 
-    p = sub.add_parser("stats", help="heavy-tail statistics over a number file")
-    _common_flags(p)
+    p = command(sub, "stats", cmd_stats, "heavy-tail statistics over a number file")
     stats_sub = p.add_subparsers(dest="stat", required=True)
-    pa = stats_sub.add_parser("fit-alpha", help="Hill tail-exponent estimate")
-    _common_flags(pa)
-    pa.add_argument("--xmin", type=float, required=True)
-    pa.add_argument("file")
-    pa.set_defaults(func=cmd_stats)
-    pg = stats_sub.add_parser("gini", help="Gini coefficient")
-    _common_flags(pg)
-    pg.add_argument("file")
-    pg.set_defaults(func=cmd_stats)
+    p = command(stats_sub, "fit-alpha", cmd_stats, "Hill tail-exponent estimate")
+    p.add_argument("--xmin", type=float, required=True)
+    p.add_argument("file")
+    p = command(stats_sub, "gini", cmd_stats, "Gini coefficient")
+    p.add_argument("file")
 
-    p = sub.add_parser("report", help="figure-style tables as CSV")
-    _common_flags(p)
+    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events, fit)
     p.add_argument("kind", choices=["accuracy-vs-k", "rank-features", "groups"])
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--content")
-    p.add_argument("--graph")
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--ks", default="5,10,25", help="comma-separated k values")
     p.add_argument("--k", type=int, default=5, help="window for rank-features")
     p.add_argument("--R", type=int, help="fixed minimum final size variant")
     p.add_argument("--group-by", default="category")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--out", help="output CSV")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("pipeline", help="generate, label, train, evaluate, manifest")
-    _common_flags(p)
+    p = command(sub, "pipeline", cmd_pipeline,
+                "generate, label, train, evaluate, manifest")
     p.add_argument("--config", required=True, help="key=value pipeline config")
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -591,6 +535,10 @@ def main(argv=None) -> int:
         # Downstream consumer (e.g. head) closed the pipe; not an error.
         sys.stderr.close()
         return 0
+    except OSError as exc:
+        # A directory, or a path that cannot be opened, given for a file.
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 2
     except CascadeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,11 @@ class CascadeKitError(ValueError):
     """Base class for all cascadekit errors."""
 
 
+class BadArgumentError(CascadeKitError):
+    """A function argument is outside the values it accepts (k < 1, folds < 2,
+    a negative lambda, ...)."""
+
+
 # --- cascade construction -------------------------------------------------
 
 class InvalidCascadeError(CascadeKitError):

@@ -16,10 +16,11 @@ import hashlib
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import (
-    Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
+    Callable, Iterable, Iterator, Mapping, Sequence, TextIO, get_args, get_type_hints
 )
 
 import numpy as np
@@ -62,10 +63,25 @@ def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidE
     return ConfigInvalidError(f"{path}:{lineno}: {type(exc).__name__}: {exc}")
 
 
+@contextmanager
+def _text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` open for reading as UTF-8; reading a byte that is not UTF-8
+    ends as an error naming the line that holds it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+            # surrogateescape decodes each bad byte to one of these code points.
+            lineno = next((n for n, line in enumerate(fh, start=1)
+                           if any("\udc80" <= c <= "\udcff" for c in line)), None)
+        raise ConfigInvalidError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def _lines(path: str | Path, comments: bool = False) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) of every non-blank line of a text file;
     with ``comments``, lines starting with ``#`` are skipped too."""
-    with open(path, encoding="utf-8") as fh:
+    with _text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line and not (comments and line.startswith("#")):
@@ -138,7 +154,7 @@ def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
     """(line number, event) for every event of an event file, in file order;
     the format is read_events'."""
     if Path(path).suffix.lower() == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
@@ -249,7 +265,7 @@ def _layout_cells(X: np.ndarray) -> Iterator[list[str]]:
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header and (line number, cells) of every data row of a CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -310,7 +326,8 @@ def write_labeled_csv(path: str | Path, dataset: TaskDataset) -> None:
 def read_labeled_csv(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
-    """Returns (X, y, final_sizes, cascade_ids, feature_columns)."""
+    """Returns (X, y, final_sizes, cascade_ids, feature_columns); each label
+    is 0 or 1 and each final size a count >= 0."""
     header, rows = _read_rows(path)
     if header[-3:] != ["label", "final_size", "cascade_id"]:
         raise ConfigInvalidError(
@@ -319,6 +336,13 @@ def read_labeled_csv(
     table = np.array(
         [_numbers(path, lineno, row[:-1]) for lineno, row in rows], dtype=np.float64
     ).reshape(len(rows), len(header) - 1)
+    bad = np.flatnonzero(~np.isin(table[:, -2], (0.0, 1.0)) | (table[:, -1] < 0))
+    if bad.size:
+        lineno, row = rows[bad[0]]
+        raise ConfigInvalidError(
+            f"{path}:{lineno}: label must be 0 or 1 and final_size >= 0, "
+            f"got {row[-3]} and {row[-2]}"
+        )
     ids = [row[-1] for _, row in rows]
     X = np.ascontiguousarray(table[:, :-2])
     return X, table[:, -2].copy(), table[:, -1].copy(), ids, header[:-3]

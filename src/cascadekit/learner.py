@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    BadArgumentError,
     EmptyInputError,
     MissingFeatureError,
     NonFiniteInputError,
@@ -117,19 +118,21 @@ def train(
     ``max_iter`` iterations, whichever comes first; both the iteration count
     and convergence flag are recorded on the model.
     """
+    if not lam >= 0:
+        raise BadArgumentError(f"lambda must be >= 0, got {lam}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+        raise BadArgumentError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise NonFiniteInputError("X or y contains non-finite values")
     classes = np.unique(y)
     if classes.size < 2:
         raise SingleClassError(f"labels contain a single class: {classes.tolist()}")
     if not set(classes.tolist()) <= {0.0, 1.0}:
-        raise ValueError(f"labels must be binary 0/1, got {classes.tolist()}")
+        raise BadArgumentError(f"labels must be binary 0/1, got {classes.tolist()}")
 
     d = X.shape[1]
     if feature_names is None:
@@ -137,7 +140,7 @@ def train(
     else:
         names = tuple(feature_names)
         if len(names) != d:
-            raise ValueError(f"{len(names)} names for {d} columns")
+            raise BadArgumentError(f"{len(names)} names for {d} columns")
 
     means = X.mean(axis=0)
     stds = X.std(axis=0)
@@ -271,7 +274,7 @@ def cross_validate(
         X = X.reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).ravel()
     if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+        raise BadArgumentError(f"folds must be >= 2, got {folds}")
     if X.shape[0] < folds:
         raise TooFewExamplesError(f"{X.shape[0]} examples for {folds} folds")
     if np.unique(y).size < 2:
@@ -366,7 +369,7 @@ def mrr(ranks_of_truth: Sequence[int]) -> float:
         raise EmptyInputError("mrr of empty sequence")
     for r in ranks_of_truth:
         if r < 1:
-            raise ValueError(f"ranks must be >= 1, got {r}")
+            raise BadArgumentError(f"ranks must be >= 1, got {r}")
     return math.fsum(1.0 / r for r in ranks_of_truth) / len(ranks_of_truth)
 
 

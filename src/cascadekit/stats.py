@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .errors import (
     AlphaOutOfRangeError,
+    BadArgumentError,
     DegenerateCorrelationError,
     DegenerateSamplesError,
     EmptyInputError,
@@ -35,7 +36,7 @@ class PowerLawSpec:
         if not self.alpha > 1:
             raise AlphaOutOfRangeError(f"alpha must be > 1, got {self.alpha}")
         if not self.x_min > 0:
-            raise ValueError(f"x_min must be > 0, got {self.x_min}")
+            raise BadArgumentError(f"x_min must be > 0, got {self.x_min}")
 
 
 def powerlaw_median(spec: PowerLawSpec) -> float:
@@ -54,7 +55,7 @@ def fit_powerlaw_alpha(samples: Sequence[float], x_min: float) -> float:
     1 + m / sum(log(x_i / x_min)) over the m retained samples.
     """
     if not x_min > 0:
-        raise ValueError(f"x_min must be > 0, got {x_min}")
+        raise BadArgumentError(f"x_min must be > 0, got {x_min}")
     retained = [x for x in samples if x >= x_min]
     if len(retained) < 2:
         raise InsufficientSamplesError(
@@ -88,7 +89,7 @@ def gini(values: Sequence[float]) -> float:
     if n == 0:
         raise EmptyInputError("gini of empty sequence")
     if any(v < 0 for v in values):
-        raise ValueError("gini requires nonnegative values")
+        raise BadArgumentError("gini requires nonnegative values")
     total = math.fsum(values)
     if total <= 0.0:
         raise ZeroSumError("gini undefined when values sum to zero")
@@ -103,7 +104,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 2:
-        raise ValueError(f"pearson needs >= 2 points, got {n}")
+        raise BadArgumentError(f"pearson needs >= 2 points, got {n}")
     mx = math.fsum(x) / n
     my = math.fsum(y) / n
     sxx = math.fsum((a - mx) ** 2 for a in x)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cascade import CascadeTree, SocialGraph
 from .errors import (
+    BadArgumentError,
     EmptyDatasetError,
     KExceedsRError,
     NoQualifyingClustersError,
@@ -79,32 +80,58 @@ class TaskDataset:
     metadata: dict = field(default_factory=dict)
 
 
+def _retained(records: Sequence[CascadeRecord], size: int) -> list[CascadeRecord]:
+    """The records with at least ``size`` reshares; there must be one."""
+    retained = [r for r in records if r.final_size >= size]
+    if not retained:
+        raise EmptyDatasetError(f"no cascades with >= {size} reshares")
+    return retained
+
+
 def _dataset(
     records: Sequence[CascadeRecord],
-    labels: Sequence[int],
+    retained: Sequence[CascadeRecord],
+    values: Sequence[float],
     k: int,
-    threshold: float,
     metadata: dict,
+    threshold_key: str,
     *,
+    quartiles: bool = False,
     graph: SocialGraph | None,
     centered_slopes: bool,
     threads: int,
 ) -> TaskDataset:
-    """Features of ``records`` on their k-prefix with the given labels.
+    """The median split of ``values`` (one per retained record; ties
+    positive, all-equal labels warned about), with features on the k-prefix.
 
-    Unless the labels are balanced by construction (quartile labeling), warn
-    when they are all equal and record the positive fraction in ``metadata``.
+    The median goes into ``metadata`` under ``threshold_key``. With
+    ``quartiles`` only the bottom and top quarter by final size are kept,
+    labeled 0 and 1.
     """
-    by_id = {r.cascade_id: (label, r.final_size) for r, label in zip(records, labels)}
+    threshold = median(values)
+    metadata.update(
+        {threshold_key: threshold, "n_retained": len(retained), "n_input": len(records)}
+    )
+    if quartiles:
+        q = len(retained) // 4
+        if q == 0:
+            raise EmptyDatasetError("too few cascades for quartile labeling")
+        ordered = sorted(retained, key=lambda r: (r.final_size, r.cascade_id))
+        metadata["quartiles"] = True
+        metadata["n_per_class"] = q
+        chosen, labels = ordered[:q] + ordered[-q:], [0] * q + [1] * q
+    else:
+        chosen, labels = retained, [int(v >= threshold) for v in values]
+    by_id = {r.cascade_id: (label, r.final_size) for r, label in zip(chosen, labels)}
     ids, X, columns = extract_features_batch(
-        [(r.tree, r.content) for r in records],
+        [(r.tree, r.content) for r in chosen],
         k,
         graph=graph,
         centered_slopes=centered_slopes,
         threads=threads,
     )
     y = [by_id[cid][0] for cid in ids]
-    if not metadata.get("quartiles"):
+    if not quartiles:
         if len(set(y)) < 2:
             warnings.warn(
                 f"label_{metadata['task']}: all labels identical ({y[0]}); "
@@ -141,30 +168,12 @@ def label_growth(
     is discarded and only the top versus bottom quartile by final size are
     kept, which balances the classes exactly.
     """
-    retained = [r for r in records if r.final_size >= k]
-    if not retained:
-        raise EmptyDatasetError(f"no cascades with >= {k} reshares")
-    f_k = median([r.final_size for r in retained])
-    metadata = {
-        "task": "growth",
-        "k": k,
-        "f_k": f_k,
-        "n_retained": len(retained),
-        "n_input": len(records),
-    }
-    common = dict(graph=graph, centered_slopes=centered_slopes, threads=threads)
-    if quartiles:
-        q = len(retained) // 4
-        if q == 0:
-            raise EmptyDatasetError("too few cascades for quartile labeling")
-        ordered = sorted(retained, key=lambda r: (r.final_size, r.cascade_id))
-        metadata["quartiles"] = True
-        metadata["n_per_class"] = q
-        return _dataset(
-            ordered[:q] + ordered[-q:], [0] * q + [1] * q, k, f_k, metadata, **common
-        )
-    labels = [int(r.final_size >= f_k) for r in retained]
-    return _dataset(retained, labels, k, f_k, metadata, **common)
+    retained = _retained(records, k)
+    return _dataset(
+        records, retained, [r.final_size for r in retained], k,
+        {"task": "growth", "k": k}, "f_k", quartiles=quartiles,
+        graph=graph, centered_slopes=centered_slopes, threads=threads,
+    )
 
 
 def label_growth_fixed_R(
@@ -184,21 +193,10 @@ def label_growth_fixed_R(
     """
     if k > R:
         raise KExceedsRError(f"k={k} exceeds R={R}")
-    retained = [r for r in records if r.final_size >= R]
-    if not retained:
-        raise EmptyDatasetError(f"no cascades with >= {R} reshares")
-    f_k = median([r.final_size for r in retained])
-    metadata = {
-        "task": "growth_fixed_R",
-        "k": k,
-        "R": R,
-        "f_k": f_k,
-        "n_retained": len(retained),
-        "n_input": len(records),
-    }
-    labels = [int(r.final_size >= f_k) for r in retained]
+    retained = _retained(records, R)
     return _dataset(
-        retained, labels, k, f_k, metadata,
+        records, retained, [r.final_size for r in retained], k,
+        {"task": "growth_fixed_R", "k": k, "R": R}, "f_k",
         graph=graph, centered_slopes=centered_slopes, threads=threads,
     )
 
@@ -212,21 +210,10 @@ def label_structure(
     threads: int = 1,
 ) -> TaskDataset:
     """Structure task: will the final Wiener index reach the median?"""
-    retained = [r for r in records if r.final_size >= k and r.tree.n_nodes >= 2]
-    if not retained:
-        raise EmptyDatasetError(f"no cascades with >= {k} reshares")
-    wieners = [wiener_index_exact(r.tree) for r in retained]
-    threshold = median(wieners)
-    metadata = {
-        "task": "structure",
-        "k": k,
-        "median_wiener": threshold,
-        "n_retained": len(retained),
-        "n_input": len(records),
-    }
-    labels = [int(w >= threshold) for w in wieners]
+    retained = _retained([r for r in records if r.tree.n_nodes >= 2], k)
     return _dataset(
-        retained, labels, k, threshold, metadata,
+        records, retained, [wiener_index_exact(r.tree) for r in retained], k,
+        {"task": "structure", "k": k}, "median_wiener",
         graph=graph, centered_slopes=centered_slopes, threads=threads,
     )
 
@@ -250,6 +237,8 @@ def build_cluster_task(
     The winner is the member with the largest final size; ties go to the
     earlier upload, then the smaller cascade_id.
     """
+    if m < 1:
+        raise BadArgumentError(f"m must be >= 1, got {m}")
     groups: dict[str, list[CascadeRecord]] = {}
     for r in records:
         cid = r.content.cluster_id if r.content is not None else None
@@ -367,6 +356,8 @@ def rank_single_feature_predictors(
     for cls in (0, 1):
         if np.sum(labels == cls) < 2:
             raise SingleClassError(f"need >= 2 examples of class {cls}")
+    if min(final_sizes) < 1:
+        raise BadArgumentError(f"final sizes must be >= 1, got {min(final_sizes)}")
     log_sizes = [math.log(s) for s in final_sizes]
     rows: list[FeatureRanking] = []
     for j, name in enumerate(columns):

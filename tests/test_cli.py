@@ -60,11 +60,15 @@ def test_help_for_every_subcommand(capsys):
     for cmd in (
         "generate", "featurize", "label", "train", "evaluate",
         "rank-features", "wiener", "stats", "report", "pipeline",
+        "stats fit-alpha", "stats gini",
     ):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args([cmd, "--help"])
+            parser.parse_args([*cmd.split(), "--help"])
         assert exc.value.code == 0
-        assert "--help" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--help" in out
+        for flag in ("--seed", "--threads", "--out-dir"):
+            assert flag in out, (cmd, flag)
 
 
 def test_wiener_two_node_cascade(tmp_path, capsys):
@@ -413,6 +417,9 @@ CYCLE = (
         ("gini", "1\nnan\n3\n", 2),
         ("fit-alpha", "3\n\ninf\n", 3),
         ("graph", "1 2\n# comment\n\n2 3 4\n", 4),
+        ("labeled", LABELED_HEADER + "1.0,0,1,5,a\n2.0,0,2,6,b\n", 3),
+        ("labeled", LABELED_HEADER + "1.0,0,1,-1,a\n", 2),
+        ("config", "k = 5\nlambda = -1\n", 2),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -435,7 +442,8 @@ CYCLE = (
         "pipeline-folds-below-2",
         "cluster-columns-not-the-models", "header-only-cluster",
         "header-only-labeled", "nan-gini-value", "inf-alpha-value",
-        "three-token-edge-line",
+        "three-token-edge-line", "non-binary-label", "negative-final-size",
+        "negative-pipeline-lambda",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -467,6 +475,105 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}:{where}: ")
+
+
+BALANCED_LABELED = LABELED_HEADER + "".join(
+    f"{x}.0,0,{x % 2},{5 + x},c{x}\n" for x in range(8)
+)
+
+
+@pytest.mark.parametrize("argv, labeled, message", [
+    (["featurize", "--k", "0", "--out", "f.csv", "--in", "{events}"], None,
+     "k must be >= 1, got 0"),
+    (["label", "growth", "--k", "0", "--out", "l.csv", "--in", "{events}"], None,
+     "k must be >= 1, got 0"),
+    (["report", "accuracy-vs-k", "--ks", "0,5", "--in", "{events}"], None,
+     "k must be >= 1, got 0"),
+    (["report", "accuracy-vs-k", "--ks", "5,x", "--in", "{events}"], None,
+     "--ks: invalid literal for int() with base 10: 'x'"),
+    (["train", "--folds", "1", "--model-out", "m.txt", "--in", "{labeled}"],
+     BALANCED_LABELED, "folds must be >= 2, got 1"),
+    (["evaluate", "--folds", "1", "--in", "{labeled}"], BALANCED_LABELED,
+     "folds must be >= 2, got 1"),
+    (["rank-features", "--folds", "1", "--in", "{labeled}"], BALANCED_LABELED,
+     "folds must be >= 2, got 1"),
+    (["train", "--lambda", "-1", "--model-out", "m.txt", "--in", "{labeled}"],
+     BALANCED_LABELED, "lambda must be >= 0, got -1.0"),
+    (["train", "--lambda", "nan", "--model-out", "m.txt", "--in", "{labeled}"],
+     BALANCED_LABELED, "lambda must be >= 0, got nan"),
+    (["rank-features", "--folds", "2", "--in", "{labeled}"],
+     BALANCED_LABELED.replace(",5,c0", ",0,c0"),
+     "final sizes must be >= 1, got 0.0"),
+    (["stats", "fit-alpha", "--xmin", "0", "{numbers}"], None,
+     "x_min must be > 0, got 0.0"),
+    (["stats", "gini", "{numbers}"], None, "gini requires nonnegative values"),
+    (["label", "cluster", "--k", "1", "--m", "0", "--out", "c.csv", "--in", "{events}"],
+     None, "m must be >= 1, got 0"),
+], ids=[
+    "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
+    "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
+    "negative-lambda", "nan-lambda", "rank-features-final-size-0",
+    "fit-alpha-xmin-0", "gini-negative-value", "cluster-m-0",
+])
+def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
+    paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",
+             "numbers": tmp_path / "numbers.txt"}
+    paths["events"].write_text(ROOT_EVENT + RESHARE)
+    paths["labeled"].write_text(labeled or "")
+    paths["numbers"].write_text("3\n-1\n2\n")
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", [
+    ["wiener"],
+    ["stats", "gini"],
+    ["train", "--model-out", "model.txt", "--in"],
+    ["featurize", "--k", "1", "--out", "features.csv", "--in"],
+])
+def test_non_utf8_input_names_its_line(tmp_path, capsys, command):
+    bad = tmp_path / ("data.csv" if "train" in command else "data.txt")
+    lines = (LABELED_HEADER + "1.0,0,1,5,a\n" if "train" in command
+             else "1\n2\n" if "stats" in command else ROOT_EVENT + RESHARE)
+    bad.write_bytes(lines.encode() + b"\xff\xfe 3\n")
+    assert main([*command, str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}:3: not UTF-8 text"]
+
+
+@pytest.mark.parametrize("command", [
+    ["wiener", "{dir}"],
+    ["train", "--model-out", "model.txt", "--in", "{dir}"],
+    ["label", "growth", "--k", "1", "--in", "{events}", "--out", "{dir}"],
+])
+def test_directory_for_a_file_is_one_error(tmp_path, capsys, command):
+    events = tmp_path / "events.jsonl"
+    other = RESHARE.replace('"c"', '"d"')
+    events.write_text(ROOT_EVENT + RESHARE + ROOT_EVENT.replace('"c"', '"d"') + other
+                      + other.replace('"a"', '"b"'))
+    argv = [arg.format(dir=tmp_path, events=events) for arg in command]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: Is a directory: {tmp_path}"
+    ]
+
+
+def test_label_and_pipeline_without_graph_write_the_same_task_meta(tmp_path, capsys):
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text("n_nodes = 600\nn_cascades = 80\nx_min = 5.0\nseed = 5\n"
+                   "folds = 3\nuse_graph = false\n")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert main([
+        "label", "growth", "--k", "5", "--in", str(out / "events.jsonl"),
+        "--content", str(out / "content.jsonl"), "--seed", "5",
+        "--out", str(tmp_path / "labeled.csv"), "--meta-out", str(tmp_path / "meta.json"),
+    ]) == 0
+    capsys.readouterr()
+    labeled_meta = json.loads((tmp_path / "meta.json").read_text())
+    assert labeled_meta["did_leave_approximate"] is True
+    assert json.loads((out / "task_meta.json").read_text()) == labeled_meta
+    assert (tmp_path / "labeled.csv").read_bytes() == (out / "labeled.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cascadekit.errors import (
     EmptyInputError,
@@ -255,6 +256,22 @@ class TestAuc:
     def test_single_class(self):
         with pytest.raises(SingleClassError):
             auc([0.3, 0.4], [1, 1])
+
+
+# Small integer scores tie often; the floats cover distinct scores.
+SCORED = st.tuples(st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6), st.booleans())
+
+
+@given(st.lists(SCORED, min_size=2).filter(lambda rows: len({y for _, y in rows}) == 2))
+def test_auc_is_the_pairwise_comparison_rate(rows):
+    """AUC is the share of (positive, negative) pairs the scores order
+    correctly, a tied pair counting one half."""
+    positives = [s for s, y in rows if y]
+    negatives = [s for s, y in rows if not y]
+    wins = sum((p > n) + 0.5 * (p == n) for p in positives for n in negatives)
+    expected = wins / (len(positives) * len(negatives))
+    scores, labels = zip(*rows)
+    assert auc(scores, [float(y) for y in labels]) == pytest.approx(expected, abs=1e-12)
 
 
 class TestF1:
