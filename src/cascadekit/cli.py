@@ -536,8 +536,10 @@ def main(argv=None) -> int:
         sys.stderr.close()
         return 0
     except OSError as exc:
-        # A directory, or a path that cannot be opened, given for a file.
-        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        # A directory, or a path that cannot be opened, given for a file; or
+        # a failed write to a stream that has no path (a full disk on stdout).
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror}{where}", file=sys.stderr)
         return 2
     except CascadeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -343,14 +343,14 @@ def extract_features(
         )
         # border_nodes: distinct people one hop out (the exposure frontier);
         # border_edges: total first-degree connections summed per participant.
-        frontier: set[str] = set()
-        degree_total = 0
-        for nid in participants:
-            nbrs = graph.neighbors(nid)
-            degree_total += len(nbrs)
-            frontier.update(nbrs)
-        raw["border_nodes"] = float(len(frontier - member))
-        raw["border_edges"] = float(degree_total)
+        # The frontier is counted around the largest neighbour set (a hub
+        # can hold thousands) without copying it: set - set walks only its
+        # left operand, so each step costs the small sets or the k+1 members.
+        nbr_sets = sorted(map(graph.neighbors, participants), key=len)
+        hub = nbr_sets.pop()
+        rest = set().union(*nbr_sets)
+        raw["border_nodes"] = float(len(hub) - len(member & hub) + len(rest - hub - member))
+        raw["border_edges"] = float(len(hub) + sum(map(len, nbr_sets)))
         raw["subgraph_edges"] = float(sub.edge_count())
         raw["did_leave"] = float(
             any(not graph.has_edge(root.node_id, e.node_id) for e in reshares)

@@ -6,7 +6,8 @@ written via repr, so outputs are diffable and byte-stable across runs.
 Feature, labeled and cluster CSVs hold design-matrix rows in the
 ``features.layout_columns`` layout: value cells via ``fmt``, indicator cells
 as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
-``path:line``; a missing one raises ``FileNotFoundError``.
+``path:line``; a missing one raises ``FileNotFoundError``, and an output
+path in a directory that does not exist raises ``BadArgumentError``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import (
 import numpy as np
 
 from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, _event
-from .errors import ConfigInvalidError
+from .errors import BadArgumentError, ConfigInvalidError
 from .features import ContentRecord, layout_columns
 from .learner import Model
 from .tasks import ClusterInstance, TaskDataset
@@ -78,6 +79,15 @@ def _text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
         raise ConfigInvalidError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
+def _create(path: str | Path, newline: str = "\n") -> TextIO:
+    """``path`` open for writing as UTF-8; a directory on the path that does
+    not exist ends as an error naming the output."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except FileNotFoundError:
+        raise BadArgumentError(f"no such output directory: {path}") from None
+
+
 def _lines(path: str | Path, comments: bool = False) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) of every non-blank line of a text file;
     with ``comments``, lines starting with ``#`` are skipped too."""
@@ -110,7 +120,7 @@ def write_csv(
     readers end a record at a bare ``\r`` too: a row holding one is quoted
     whole.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         for row in itertools.chain([header], rows):
@@ -145,7 +155,7 @@ def _event_from_dict(row: Mapping) -> ReshareEvent:
 
 
 def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         for events in cascades:
             fh.writelines(f"{_encode_sorted(event_to_dict(e))}\n" for e in events)
 
@@ -219,14 +229,14 @@ def read_edge_list(path: str | Path, directed: bool = False) -> SocialGraph:
 
 
 def write_edge_list(path: str | Path, graph: SocialGraph) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.writelines(f"{u} {v}\n" for u, v in graph.edges())
 
 
 # --- content records ---------------------------------------------------------
 
 def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         for cid in sorted(contents):
             record = contents[cid]
             row = {"cascade_id": cid}
@@ -403,7 +413,7 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
 
 def write_model(path: str | Path, model: Model) -> None:
     """Human-diffable key-value model document."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(f"lambda {fmt(model.lam)}\n")
         fh.write(f"seed {model.seed}\n")
         fh.write(f"bias {fmt(model.bias)}\n")
@@ -419,6 +429,12 @@ def write_model(path: str | Path, model: Model) -> None:
             fh.write(f"dropped {name}\n")
 
 
+# The first word of each line write_model writes.
+_MODEL_KEYS = frozenset(
+    "lambda seed bias iterations final_loss converged feature dropped".split()
+)
+
+
 def read_model(path: str | Path) -> Model:
     scalars: dict[str, str] = {}
     names: list[str] = []
@@ -429,6 +445,10 @@ def read_model(path: str | Path) -> Model:
     for lineno, line in _lines(path):
         parts = line.split()
         key = parts[0]
+        if key not in _MODEL_KEYS:
+            raise ConfigInvalidError(
+                f"{path}:{lineno}: unknown model key {key[:40]!r}"
+            )
         width = 5 if key == "feature" else 2
         if len(parts) != width:
             raise ConfigInvalidError(
@@ -511,6 +531,6 @@ def sha256_file(path: str | Path) -> str:
 
 
 def write_manifest(path: str | Path, manifest: Mapping) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

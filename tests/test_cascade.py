@@ -294,3 +294,20 @@ def test_rebased_timestamp_overflow_is_rejected():
         replace(log[1], timestamp=log[1].timestamp - log[0].timestamp)
     with pytest.raises(ValueError, match=re.escape(str(info.value))):
         build_cascade(log)
+
+
+@given(log=event_logs().filter(lambda log: len(log) >= 2), data=st.data())
+def test_prefix_of_prefix_is_prefix_and_closed(log, data):
+    tree = build_cascade(log)
+    j = data.draw(st.integers(1, tree.size))
+    i = data.draw(st.integers(1, j))
+    p = prefix(tree, i)
+    assert prefix(prefix(tree, j), i) == p
+    assert p.events == tree.events[: i + 1]
+    kept = {e.node_id for e in p.events}
+    assert set(p.parent) == kept - {p.root.node_id}
+    for child, parent in p.parent.items():
+        assert parent in kept and parent == tree.parent[child]
+        assert p.depth[child] == p.depth[parent] + 1
+        assert child in p.children[parent]
+    assert all(set(kids) <= kept for kids in p.children.values())

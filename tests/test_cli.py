@@ -1,5 +1,7 @@
 import ast
+import errno
 import json
+import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -420,6 +422,8 @@ CYCLE = (
         ("labeled", LABELED_HEADER + "1.0,0,1,5,a\n2.0,0,2,6,b\n", 3),
         ("labeled", LABELED_HEADER + "1.0,0,1,-1,a\n", 2),
         ("config", "k = 5\nlambda = -1\n", 2),
+        ("model", "lambda 0.01\nfoo 1\n", 2),
+        ("model", LABELED_HEADER + "1.0,0,1,5,a\n", 1),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -443,7 +447,7 @@ CYCLE = (
         "cluster-columns-not-the-models", "header-only-cluster",
         "header-only-labeled", "nan-gini-value", "inf-alpha-value",
         "three-token-edge-line", "non-binary-label", "negative-final-size",
-        "negative-pipeline-lambda",
+        "negative-pipeline-lambda", "unknown-model-key", "labeled-csv-for-model",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -556,6 +560,58 @@ def test_directory_for_a_file_is_one_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.splitlines() == [
         f"error: Is a directory: {tmp_path}"
     ]
+
+
+def test_unknown_model_key_names_at_most_40_chars(tmp_path, capsys):
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text(CLUSTER_HEADER + "g0,a,5,1,1.0,0\n")
+    header = ",".join(f"column_{i}" for i in range(100))
+    bad = tmp_path / "labeled.csv"
+    bad.write_text(header + "\n")
+    assert main(["evaluate", "--cluster", str(clusters), "--model", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:1: unknown model key {header[:40]!r}"
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["label", "growth", "--k", "5", "--in", "{out}/events.jsonl", "--out", "{x}"],
+    ["label", "growth", "--k", "5", "--in", "{out}/events.jsonl", "--out",
+     "{tmp}/l.csv", "--meta-out", "{x}"],
+    ["featurize", "--k", "5", "--in", "{out}/events.jsonl", "--out", "{x}"],
+    ["train", "--folds", "0", "--in", "{out}/labeled.csv", "--model-out", "{x}"],
+    ["evaluate", "--folds", "2", "--in", "{out}/labeled.csv", "--metrics-out", "{x}"],
+    ["generate", "--params", "{tmp}/params.cfg", "--out-events", "{x}"],
+    ["rank-features", "--folds", "2", "--in", "{out}/labeled.csv", "--out", "{x}"],
+    ["report", "accuracy-vs-k", "--ks", "5", "--folds", "2", "--in",
+     "{out}/events.jsonl", "--out", "{x}"],
+], ids=["label-out", "label-meta-out", "featurize-out", "train-model-out",
+        "evaluate-metrics-out", "generate-out-events", "rank-features-out",
+        "report-out"])
+def test_output_in_missing_directory_is_one_error(workspace, tmp_path, capsys, argv):
+    _, _, out = workspace
+    (tmp_path / "params.cfg").write_text("n_nodes = 300\nn_cascades = 10\n")
+    x = tmp_path / "nodir" / "x.csv"
+    argv = [arg.format(out=out, tmp=tmp_path, x=x) for arg in argv]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: no such output directory: {x}"
+    ]
+
+
+def test_write_error_without_a_path_has_no_path(tmp_path, capsys, monkeypatch):
+    class FullStream:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def flush(self):
+            pass
+
+    events = tmp_path / "events.jsonl"
+    events.write_text(ROOT_EVENT + RESHARE)
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert main(["wiener", str(events)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: No space left on device"]
 
 
 def test_label_and_pipeline_without_graph_write_the_same_task_meta(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cascadekit.cascade import CascadeTree, SocialGraph, build_cascade, prefix
 from cascadekit.errors import EmptyInputError, KTooLargeError, TimeNotNormalizedError
@@ -15,7 +16,7 @@ from cascadekit.features import (
     slope_through_origin,
 )
 
-from conftest import event, random_tree, star_tree
+from conftest import event, random_tree, star_tree, tree_from_parents
 
 
 class TestSlopeThroughOrigin:
@@ -279,3 +280,33 @@ class TestContentRecord:
         assert fv.value("liwc_pos") == 0.1
         assert fv.is_missing("score_water")
         assert fv.is_missing("has_caption")
+
+
+@st.composite
+def hub_graph_cascades(draw):
+    """A cascade, a k, and a graph over its nodes and 30 outsiders in which
+    one or two hubs carry most edges; some participants are not in it."""
+    n = draw(st.integers(1, 8))
+    tree = tree_from_parents([draw(st.integers(0, i)) for i in range(n)])
+    k = draw(st.integers(1, n))
+    ids = [e.node_id for e in tree.events]
+    absent = draw(st.sets(st.sampled_from(ids)))
+    pool = [nid for nid in ids if nid not in absent] + [f"x{i:02d}" for i in range(30)]
+    nodes = st.sampled_from(pool)
+    graph = SocialGraph(directed=draw(st.booleans()))
+    for hub in draw(st.lists(nodes, min_size=1, max_size=2, unique=True)):
+        for v in draw(st.lists(nodes, min_size=5, max_size=40)):
+            graph.add_edge(hub, v)
+    for u, v in draw(st.lists(st.tuples(nodes, nodes), max_size=20)):
+        graph.add_edge(u, v)
+    return tree, k, graph
+
+
+@given(hub_graph_cascades())
+def test_border_features_equal_the_union_reference(case):
+    tree, k, graph = case
+    participants = [e.node_id for e in tree.events[: k + 1]]
+    nbr_sets = [graph.neighbors(nid) for nid in participants]
+    fv = extract_features(tree, k, graph=graph)
+    assert fv.value("border_nodes") == len(set().union(*nbr_sets) - set(participants))
+    assert fv.value("border_edges") == sum(len(nbrs) for nbrs in nbr_sets)

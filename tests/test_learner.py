@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +11,12 @@ from cascadekit.errors import (
     SingleClassError,
     TooFewExamplesError,
 )
+from cascadekit import io
 from cascadekit.learner import (
     Model,
+    _data_loss,
+    _gradient,
+    _sigmoid,
     auc,
     cross_validate,
     evaluate_cluster,
@@ -362,3 +368,98 @@ class TestEvaluateCluster:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             evaluate_cluster(_model_weight_on_x(1.0), [])
+
+
+# The masked and ``np.mean`` forms the fit loop used before it was written
+# without boolean-mask gathers; the new forms must agree bit for bit.
+def _sigmoid_masked(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _data_loss_mean(z, y):
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def _gradient_mean(X, z, y, w, lam):
+    residual = _sigmoid_masked(z) - y
+    return X.T @ residual / X.shape[0] + lam * w, float(np.mean(residual))
+
+
+EDGE_MARGINS = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 1e308, -1e308]
+MARGINS = st.sampled_from(EDGE_MARGINS) | st.floats(-800, 800) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@given(
+    z=st.lists(MARGINS, min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_fit_loop_forms_equal_masked_forms_bit_for_bit(z, data):
+    z = np.array(z)
+    n = z.size
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    d = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    w = rng.normal(size=d)
+    lam = data.draw(st.sampled_from([0.0, 0.01, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(_sigmoid(z)) == _bits(_sigmoid_masked(z))
+        assert _bits(_data_loss(z, y)) == _bits(_data_loss_mean(z, y))
+        (gw, gb), (rw, rb) = _gradient(X, z, y, w, lam), _gradient_mean(X, z, y, w, lam)
+    assert _bits(gw) == _bits(rw)
+    assert _bits(gb) == _bits(rb)
+
+
+def test_fit_loop_forms_on_random_arrays(rng):
+    """Lengths past numpy's 128-element pairwise-sum blocks and SIMD widths."""
+    for n in (1, 7, 64, 1000, 4097):
+        z = rng.normal(scale=30.0, size=n)
+        z[: len(EDGE_MARGINS)] = EDGE_MARGINS[:n]
+        y = (rng.random(n) < 0.5).astype(float)
+        X = rng.normal(size=(n, 5))
+        w = rng.normal(size=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(_sigmoid(z)) == _bits(_sigmoid_masked(z))
+            assert _bits(_data_loss(z, y)) == _bits(_data_loss_mean(z, y))
+            gw, gb = _gradient(X, z, y, w, 0.01)
+            rw, rb = _gradient_mean(X, z, y, w, 0.01)
+        assert _bits(gw) == _bits(rw) and _bits(gb) == _bits(rb)
+
+
+# sha256 of write_model(train(...)) on golden_matrix(), recorded before the
+# fit loop dropped its masked gathers: the fit path must stay byte-identical.
+GOLDEN_MODEL_DIGESTS = {
+    0.01: (22, "9c922e30c65a86b2d9ddfa4c4b43fddb17c8214251b87afa9640cec39fb29f01"),
+    0.001: (126, "eeecc1fd8f39b758dabeb0ed3d52e27a16f6fa5f7c8920c27d05e8fd4476dd20"),
+}
+
+
+def golden_matrix():
+    """400 rows with a constant, a heavy-tailed and a near-duplicate column."""
+    rng = np.random.default_rng(2014)
+    X = rng.normal(size=(400, 10))
+    X[:, 3] = 1.0
+    X[:, 7] = rng.pareto(1.2, size=400)
+    X[:, 8] = X[:, 0] + 0.01 * X[:, 8]
+    y = (3 * X[:, 0] - 2 * X[:, 1] + 0.3 * rng.logistic(size=400) > 0).astype(float)
+    return X, y
+
+
+@pytest.mark.parametrize("lam", sorted(GOLDEN_MODEL_DIGESTS))
+def test_train_golden_model_digest(tmp_path, lam):
+    X, y = golden_matrix()
+    model = train(X, y, lam=lam)
+    io.write_model(tmp_path / "model.txt", model)
+    digest = hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
+    assert (model.iterations, digest) == GOLDEN_MODEL_DIGESTS[lam]

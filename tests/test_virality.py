@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cascadekit.errors import TooSmallError
 from cascadekit.virality import wiener_index_bruteforce, wiener_index_exact
@@ -67,3 +68,17 @@ def test_path_exceeds_star_for_fixed_n():
 
 def test_single_reshare_value_is_one():
     assert wiener_index_exact(star_tree(1)) == 1.0
+
+
+@st.composite
+def parent_lists(draw):
+    """Parent index of each node after the root: any earlier node."""
+    n = draw(st.integers(1, 60))
+    return [draw(st.integers(0, i)) for i in range(n)]
+
+
+@given(parent_lists())
+def test_exact_equals_bruteforce_on_arbitrary_trees(parents):
+    tree = tree_from_parents(parents)
+    # Both divide an integer distance total by the pair count, so they agree exactly.
+    assert wiener_index_exact(tree) == wiener_index_bruteforce(tree)
