@@ -149,9 +149,6 @@ class CascadeTree:
     def n_nodes(self) -> int:
         return len(self.events)
 
-    def node_ids(self) -> list[str]:
-        return [e.node_id for e in self.events]
-
 
 @dataclass
 class SocialGraph:

@@ -32,10 +32,15 @@ from .virality import wiener_index_exact
 
 
 def _resolve(out_dir: str, path: str | None) -> Path | None:
+    """Where an output named ``path`` goes: a relative path lies in
+    ``out_dir``, which is created (with its parents) for it."""
     if path is None:
         return None
     p = Path(path)
-    return p if p.is_absolute() else Path(out_dir) / p
+    if p.is_absolute():
+        return p
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return Path(out_dir) / p
 
 
 def _trees(
@@ -392,9 +397,7 @@ def cmd_pipeline(args) -> int:
         key: parse(cfg[key]) if key in cfg else default
         for key, (parse, default) in PIPELINE_KEYS.items()
     }
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: out_dir / name for name in PIPELINE_OUTPUTS}
+    paths = {name: _resolve(args.out_dir, name) for name in PIPELINE_OUTPUTS}
 
     _generate(params, paths["events.jsonl"], paths["graph.edges"], paths["content.jsonl"])
     # Re-read what was written so the pipeline exercises the same file
@@ -422,9 +425,9 @@ def cmd_pipeline(args) -> int:
         "seed": params.seed,
         "outputs": {name: io.sha256_file(path) for name, path in sorted(paths.items())},
     }
-    io.write_manifest(out_dir / "manifest.json", manifest)
+    io.write_manifest(_resolve(args.out_dir, "manifest.json"), manifest)
     _print_metrics(metrics)
-    print(f"pipeline outputs in {out_dir}")
+    print(f"pipeline outputs in {Path(args.out_dir)}")
     return 0
 
 
@@ -527,6 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise BadArgumentError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)

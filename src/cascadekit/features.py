@@ -14,34 +14,22 @@ configured k only; vectors for different k must not be mixed in a dataset.
 
 ``layout_columns`` is the one column layout, shared by the CSV files and
 the design matrix: each value column followed by its ``<name>_missing``
-indicator. ``extract_features_batch`` returns a batch as one matrix in that
-layout.
+indicator. A ``FeatureVector``'s ``row`` is one row in that layout, and
+``extract_features_batch`` stacks the rows of a batch into one matrix.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .cascade import CascadeTree, SocialGraph, induced_subgraph, prefix
-from .errors import EmptyInputError, KTooLargeError, TimeNotNormalizedError
+from .errors import EmptyInputError, TimeNotNormalizedError
 
-CONTENT_SCORE_NAMES = (
-    "score_closeup",
-    "score_indoor",
-    "score_outdoor",
-    "score_synthetic",
-    "score_food",
-    "score_landmark",
-    "score_person",
-    "score_nature",
-    "score_water",
-    "score_overlaid_text",
-)
 MISSING_SUFFIX = "_missing"
 
 
@@ -73,20 +61,28 @@ class ContentRecord:
     cluster_id: str | None = None
 
     def __post_init__(self) -> None:
-        for name in CONTENT_SCORE_NAMES + ("liwc_pos", "liwc_neg", "liwc_soc"):
+        for name in CONTENT_FEATURES:
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-class FeatureVector:
-    """Ordered map feature name -> (value, missing flag).
+# The content block of every feature vector: the record's fields but its labels.
+CONTENT_FEATURES = tuple(
+    f.name for f in fields(ContentRecord) if f.name not in ("category", "cluster_id")
+)
+CONTENT_SCORE_NAMES = tuple(n for n in CONTENT_FEATURES if n.startswith("score_"))
 
-    Missing entries hold value 0.0 so a dense design matrix can be formed
-    directly; ``feature_layout`` exports the flag alongside the value.
+
+class FeatureVector:
+    """Named features as one row of the design matrix.
+
+    ``row`` is laid out as ``layout_columns(names)``: each feature's value,
+    then its missing flag (1.0 when the feature is missing, its value then
+    0.0). A name ``raw`` lacks or maps to None is missing.
     """
 
-    __slots__ = ("names", "values", "missing", "meta")
+    __slots__ = ("names", "row", "meta")
 
     def __init__(
         self,
@@ -95,27 +91,26 @@ class FeatureVector:
         meta: Mapping[str, object] | None = None,
     ):
         self.names = tuple(names)
-        values: dict[str, float] = {}
-        missing: set[str] = set()
+        row: list[float] = []
         for name in self.names:
             v = raw.get(name)
             if v is None:
-                values[name] = 0.0
-                missing.add(name)
+                row.append(0.0)
+                row.append(1.0)
             else:
                 v = float(v)
                 if not math.isfinite(v):
                     raise ValueError(f"feature {name!r} is not finite: {v}")
-                values[name] = v
-        self.values = values
-        self.missing = frozenset(missing)
+                row.append(v)
+                row.append(0.0)
+        self.row = tuple(row)
         self.meta = dict(meta or {})
 
     def value(self, name: str) -> float:
-        return self.values[name]
+        return self.row[2 * self.names.index(name)]
 
     def is_missing(self, name: str) -> bool:
-        return name in self.missing
+        return self.row[2 * self.names.index(name) + 1] == 1.0
 
 
 def layout_columns(names: Iterable[str]) -> list[str]:
@@ -123,28 +118,14 @@ def layout_columns(names: Iterable[str]) -> list[str]:
     return [column for name in names for column in (name, name + MISSING_SUFFIX)]
 
 
-def _layout_row(fv: FeatureVector) -> list[float]:
-    values, missing = fv.values, fv.missing
-    row: list[float] = []
-    for name in fv.names:
-        row.append(values[name])
-        row.append(1.0 if name in missing else 0.0)
-    return row
-
-
 def feature_layout(fv: FeatureVector) -> tuple[list[str], list[float]]:
-    """Column names and row of ``fv`` in the CSV / design-matrix layout.
-
-    Each value column is followed by its ``<name>_missing`` indicator, 1.0
-    when the value is missing (the value column then holds 0.0).
-    """
-    return layout_columns(fv.names), _layout_row(fv)
+    """Column names and row of ``fv`` in the CSV / design-matrix layout."""
+    return layout_columns(fv.names), list(fv.row)
 
 
 def feature_names(k: int) -> list[str]:
     """Canonical feature order for observation window k."""
-    names = list(CONTENT_SCORE_NAMES)
-    names += ["is_en", "has_caption", "liwc_pos", "liwc_neg", "liwc_soc"]
+    names = list(CONTENT_FEATURES)
     names += [
         "root_views",
         "root_is_page",
@@ -272,26 +253,19 @@ def extract_features(
         raise TimeNotNormalizedError(
             f"root timestamp is {tree.root.timestamp}, expected 0"
         )
-    if k > tree.size:
-        raise KTooLargeError(f"k={k} exceeds cascade size {tree.size}")
     p = prefix(tree, k)
     root = p.root
     reshares = p.reshares
     slope = centered_slope if centered_slopes else slope_through_origin
 
+    # A name left out of raw, or mapped to None, is missing.
     raw: dict[str, float | None] = {}
-    meta: dict[str, object] = {
-        "cascade_id": tree.cascade_id,
-        "k": k,
-        "centered_slopes": centered_slopes,
-    }
+    meta: dict[str, object] = {}
 
     # -- content ---------------------------------------------------------
-    for name in CONTENT_SCORE_NAMES + ("liwc_pos", "liwc_neg", "liwc_soc"):
-        raw[name] = getattr(content, name) if content is not None else None
-    for name in ("is_en", "has_caption"):
-        v = getattr(content, name) if content is not None else None
-        raw[name] = None if v is None else float(v)
+    if content is not None:
+        for name in CONTENT_FEATURES:
+            raw[name] = getattr(content, name)
 
     # -- root --------------------------------------------------------------
     kth = reshares[-1]
@@ -356,12 +330,6 @@ def extract_features(
             any(not graph.has_edge(root.node_id, e.node_id) for e in reshares)
         )
     else:
-        for i in range(k + 1):
-            raw[f"induced_outdeg_{i}"] = None
-        raw["root_connections"] = None
-        raw["border_nodes"] = None
-        raw["border_edges"] = None
-        raw["subgraph_edges"] = None
         raw["did_leave"] = float(any(p.depth[e.node_id] >= 2 for e in reshares))
         meta["did_leave_approximate"] = True
 
@@ -379,22 +347,15 @@ def extract_features(
     # First window covers reshares 1..half, second covers half..k.
     if half >= 2:
         raw["gap_avg_first_half"] = _mean(gaps[: half - 1])
-    else:
-        raw["gap_avg_first_half"] = None
     if k >= 2 and half >= 1:
         raw["gap_avg_second_half"] = _mean(gaps[half - 1 :])
-    else:
-        raw["gap_avg_second_half"] = None
-    raw["gap_slope"] = slope(gaps) if gaps else None
+    if gaps:
+        raw["gap_slope"] = slope(gaps)
     t_k = times[-1]
     if t_k > 0 and kth.views_orig_cum is not None:
         raw["root_views_rate"] = kth.views_orig_cum / t_k
-    else:
-        raw["root_views_rate"] = None
     if t_k > 0 and kth.views_reshares_cum is not None:
         raw["reshare_views_rate"] = kth.views_reshares_cum / t_k
-    else:
-        raw["reshare_views_rate"] = None
 
     return FeatureVector(feature_names(k), raw, meta)
 
@@ -417,13 +378,11 @@ def extract_features_batch(
     pairs = sorted(items, key=lambda pair: pair[0].cascade_id)
     columns = layout_columns(feature_names(k))
 
-    def row(pair: tuple[CascadeTree, ContentRecord | None]) -> list[float]:
+    def row(pair: tuple[CascadeTree, ContentRecord | None]) -> tuple[float, ...]:
         tree, content = pair
-        return _layout_row(
-            extract_features(
-                tree, k, graph=graph, content=content, centered_slopes=centered_slopes
-            )
-        )
+        return extract_features(
+            tree, k, graph=graph, content=content, centered_slopes=centered_slopes
+        ).row
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -280,6 +280,9 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
         header = next(reader, None)
         if header is None:
             raise ConfigInvalidError(f"{path}:1: empty file, expected a header row")
+        if len(set(header)) < len(header):
+            twice = next(name for i, name in enumerate(header) if name in header[:i])
+            raise ConfigInvalidError(f"{path}:1: column {twice!r} appears twice")
         rows = []
         for row in reader:
             if len(row) != len(header):
@@ -429,14 +432,25 @@ def write_model(path: str | Path, model: Model) -> None:
             fh.write(f"dropped {name}\n")
 
 
+def _bit(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+# Each one-value line write_model writes: its key and how its value parses.
+_MODEL_SCALARS = {
+    "lambda": finite_float, "seed": int, "bias": finite_float,
+    "iterations": int, "final_loss": finite_float, "converged": _bit,
+}
 # The first word of each line write_model writes.
-_MODEL_KEYS = frozenset(
-    "lambda seed bias iterations final_loss converged feature dropped".split()
-)
+_MODEL_KEYS = frozenset(_MODEL_SCALARS) | {"feature", "dropped"}
 
 
 def read_model(path: str | Path) -> Model:
-    scalars: dict[str, str] = {}
+    """The model write_model wrote; each value must parse as its key's type,
+    each feature be named once and have a std > 0."""
+    scalars: dict[str, object] = {}
     names: list[str] = []
     weights: dict[str, float] = {}
     means: dict[str, float] = {}
@@ -457,26 +471,35 @@ def read_model(path: str | Path) -> Model:
             )
         if key == "feature":
             name = parts[1]
-            names.append(name)
+            if name in weights:
+                raise ConfigInvalidError(f"{path}:{lineno}: feature {name!r} appears twice")
             weight, mean, std = _numbers(path, lineno, parts[2:])
+            if not std > 0:
+                raise ConfigInvalidError(
+                    f"{path}:{lineno}: feature {name!r} has std {parts[4]}, expected > 0"
+                )
+            names.append(name)
             weights[name], means[name], stds[name] = weight, mean, std
         elif key == "dropped":
             dropped.append(parts[1])
         else:
-            scalars[key] = parts[1]
+            try:
+                scalars[key] = _MODEL_SCALARS[key](parts[1])
+            except ValueError as exc:
+                raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
     try:
         return Model(
             feature_names=tuple(names),
             weights=weights,
-            bias=float(scalars["bias"]),
+            bias=scalars["bias"],
             means=means,
             stds=stds,
             dropped=tuple(dropped),
-            lam=float(scalars["lambda"]),
-            seed=int(scalars["seed"]),
-            iterations=int(scalars["iterations"]),
-            final_loss=float(scalars["final_loss"]),
-            converged=bool(int(scalars.get("converged", "0"))),
+            lam=scalars["lambda"],
+            seed=scalars["seed"],
+            iterations=scalars["iterations"],
+            final_loss=scalars["final_loss"],
+            converged=scalars.get("converged", False),
         )
     except KeyError as exc:
         raise ConfigInvalidError(f"{path}: missing model key {exc}") from exc

@@ -108,29 +108,42 @@ def loss_and_gradient(
     return loss, grad_w, grad_b
 
 
-def train(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float = DEFAULT_LAMBDA,
-    seed: int = 0,
-    feature_names: Sequence[str] | None = None,
-    tol: float = GRAD_TOL,
-    max_iter: int = MAX_ITER,
-) -> Model:
-    """Fit the classifier; deterministic for fixed inputs regardless of seed.
-
-    Stops when the gradient max-norm falls below ``tol`` or after
-    ``max_iter`` iterations, whichever comes first; both the iteration count
-    and convergence flag are recorded on the model.
-    """
-    if not lam >= 0:
-        raise BadArgumentError(f"lambda must be >= 0, got {lam}")
+def _problem(
+    X: np.ndarray, y: np.ndarray, feature_names: Sequence[str] | None
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """X as a 2-d float matrix, y as the float vector of its rows' labels, and
+    the names of X's columns (``f0``, ``f1``, ... when none are given)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise BadArgumentError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+    d = X.shape[1]
+    if feature_names is None:
+        return X, y, tuple(f"f{i}" for i in range(d))
+    names = tuple(feature_names)
+    if len(names) != d:
+        raise BadArgumentError(f"{len(names)} names for {d} columns")
+    return X, y, names
+
+
+def train(
+    X: np.ndarray,
+    y: np.ndarray,
+    lam: float = DEFAULT_LAMBDA,
+    seed: int = 0,
+    feature_names: Sequence[str] | None = None,
+) -> Model:
+    """Fit the classifier; deterministic for fixed inputs regardless of seed.
+
+    Stops when the gradient max-norm falls below ``GRAD_TOL`` or after
+    ``MAX_ITER`` iterations, whichever comes first; both the iteration count
+    and convergence flag are recorded on the model.
+    """
+    if not lam >= 0:
+        raise BadArgumentError(f"lambda must be >= 0, got {lam}")
+    X, y, names = _problem(X, y, feature_names)
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise NonFiniteInputError("X or y contains non-finite values")
     classes = np.unique(y)
@@ -138,14 +151,6 @@ def train(
         raise SingleClassError(f"labels contain a single class: {classes.tolist()}")
     if not set(classes.tolist()) <= {0.0, 1.0}:
         raise BadArgumentError(f"labels must be binary 0/1, got {classes.tolist()}")
-
-    d = X.shape[1]
-    if feature_names is None:
-        names = tuple(f"f{i}" for i in range(d))
-    else:
-        names = tuple(feature_names)
-        if len(names) != d:
-            raise BadArgumentError(f"{len(names)} names for {d} columns")
 
     means = X.mean(axis=0)
     stds = X.std(axis=0)
@@ -163,12 +168,12 @@ def train(
     step = 1.0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         grad_w, grad_b = _gradient(Xs, z, y, w, lam)
         grad_inf = max(
             float(np.abs(grad_w).max()) if grad_w.size else 0.0, abs(grad_b)
         )
-        if grad_inf < tol:
+        if grad_inf < GRAD_TOL:
             converged = True
             iterations -= 1
             break
@@ -274,10 +279,7 @@ def cross_validate(
     Standardization is fitted inside each training split (train() does it),
     so no information leaks from held-out folds.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    X, y, names = _problem(X, y, feature_names)
     if folds < 2:
         raise BadArgumentError(f"folds must be >= 2, got {folds}")
     if X.shape[0] < folds:
@@ -285,11 +287,6 @@ def cross_validate(
     if np.unique(y).size < 2:
         raise SingleClassError("cross_validate needs both classes")
 
-    names = (
-        tuple(feature_names)
-        if feature_names is not None
-        else tuple(f"f{i}" for i in range(X.shape[1]))
-    )
     assignment = stratified_folds(y, folds, seed)
     accs: list[float] = []
     f1s: list[float] = []
@@ -338,16 +335,10 @@ def auc(scores: Sequence[float], labels: Sequence[float]) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("auc needs both classes")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # A run of tied scores ending at 1-based sorted position e with c members
+    # takes the mean of positions e-c+1 .. e, which is e - (c-1)/2.
+    _, tie, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[tie]
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

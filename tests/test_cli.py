@@ -15,7 +15,7 @@ from cascadekit.cascade import NODE_TYPES, ReshareEvent, SocialGraph, build_casc
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
 from cascadekit.features import CONTENT_SCORE_NAMES, ContentRecord
-from cascadekit.learner import Model, train
+from cascadekit.learner import Model, predict_proba, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
 from cascadekit.tasks import (
     CascadeRecord,
@@ -424,6 +424,14 @@ CYCLE = (
         ("config", "k = 5\nlambda = -1\n", 2),
         ("model", "lambda 0.01\nfoo 1\n", 2),
         ("model", LABELED_HEADER + "1.0,0,1,5,a\n", 1),
+        ("model", "lambda 0.01\nseed abc\n", 2),
+        ("model", "lambda 0.01\nseed 0\nbias 0.0\niterations 1.5\n", 4),
+        ("model", "lambda 0.01\nseed 0\nbias nan\n", 3),
+        ("model", "lambda 0.01\nconverged 7\n", 2),
+        ("model", "feature x 1.0 0.0 0.0\n", 1),
+        ("model", "lambda 0.01\nfeature x 1.0 0.0 -1.0\n", 2),
+        ("model", "feature x 1.0 0.0 1.0\nfeature x 1.0 0.0 1.0\n", 2),
+        ("labeled", "x,x,label,final_size,cascade_id\n1.0,0,1,5,a\n", 1),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -448,6 +456,9 @@ CYCLE = (
         "header-only-labeled", "nan-gini-value", "inf-alpha-value",
         "three-token-edge-line", "non-binary-label", "negative-final-size",
         "negative-pipeline-lambda", "unknown-model-key", "labeled-csv-for-model",
+        "non-integer-model-seed", "non-integer-model-iterations", "nan-model-bias",
+        "non-bit-model-converged", "zero-model-std", "negative-model-std",
+        "repeated-model-feature", "repeated-labeled-column",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -513,11 +524,15 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     (["stats", "gini", "{numbers}"], None, "gini requires nonnegative values"),
     (["label", "cluster", "--k", "1", "--m", "0", "--out", "c.csv", "--in", "{events}"],
      None, "m must be >= 1, got 0"),
+    (["wiener", "--threads", "0", "{events}"], None, "--threads must be >= 1, got 0"),
+    (["label", "growth", "--k", "1", "--threads", "-1", "--out", "l.csv", "--in",
+      "{events}"], None, "--threads must be >= 1, got -1"),
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
     "negative-lambda", "nan-lambda", "rank-features-final-size-0",
     "fit-alpha-xmin-0", "gini-negative-value", "cluster-m-0",
+    "threads-0", "threads-negative",
 ])
 def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
     paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",
@@ -596,6 +611,16 @@ def test_output_in_missing_directory_is_one_error(workspace, tmp_path, capsys, a
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: no such output directory: {x}"
+    ]
+
+
+def test_generate_creates_its_out_dir(tmp_path, capsys):
+    (tmp_path / "params.cfg").write_text("n_nodes = 300\nn_cascades = 10\n")
+    out = tmp_path / "nodir" / "a"
+    argv = ["generate", "--params", str(tmp_path / "params.cfg"), "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "content.jsonl", "events.jsonl", "graph.edges"
     ]
 
 
@@ -874,21 +899,22 @@ NAMES = st.text(
     st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1
 )
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
 def models(draw):
     names = draw(st.lists(NAMES, unique=True, max_size=4))
 
-    def per_feature():
-        return {name: draw(FINITE) for name in names}
+    def per_feature(values=FINITE):
+        return {name: draw(values) for name in names}
 
     return Model(
         feature_names=tuple(names),
         weights=per_feature(),
         bias=draw(FINITE),
         means=per_feature(),
-        stds=per_feature(),
+        stds=per_feature(POSITIVE),
         dropped=tuple(draw(st.lists(NAMES, max_size=3))),
         lam=draw(FINITE),
         seed=draw(st.integers(-(2**70), 2**70)),
@@ -904,6 +930,71 @@ def test_model_roundtrip_property(tmp_path_factory, model):
     io.write_model(path, model)
     # repr tells 1 from 1.0 and -0.0 from 0.0, and shows dict order.
     assert repr(io.read_model(path)) == repr(model)
+
+
+# Model-file values within a range whose scores cannot overflow, and values
+# read_model must refuse in any scalar line or as a feature's std.
+MAGNITUDES = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.just(0.0)
+MODEL_VALUES = {
+    "lambda": MAGNITUDES.map(io.fmt), "seed": st.integers(-(2**70), 2**70).map(str),
+    "bias": MAGNITUDES.map(io.fmt), "iterations": st.integers(0, 10**6).map(str),
+    "final_loss": MAGNITUDES.map(io.fmt), "converged": st.sampled_from(["0", "1"]),
+}
+BAD_SCALARS = st.sampled_from(["nan", "inf", "-inf", "abc", "0x1", "2.5e"])
+BAD_STDS = st.sampled_from(["0.0", "-0.0", "-2.5", "nan", "inf"])
+
+
+@st.composite
+def model_files(draw):
+    """The text of a model file and whether read_model must refuse it: at
+    most one scalar, std or feature name is faulty."""
+    fault = draw(st.sampled_from([None, "std", "repeat", *MODEL_VALUES]))
+    lines = [
+        f"{key} {draw(BAD_SCALARS if key == fault else values)}"
+        for key, values in MODEL_VALUES.items()
+    ]
+    least = 1 if fault in ("std", "repeat") else 0
+    names = draw(st.lists(st.sampled_from("abcd"), unique=True, min_size=least, max_size=4))
+    if fault == "repeat":
+        names.append(draw(st.sampled_from(names)))
+    stds = [io.fmt(draw(st.floats(1e-3, 1e3))) for _ in names]
+    if fault == "std":
+        stds[draw(st.integers(0, len(names) - 1))] = draw(BAD_STDS)
+    lines += [
+        f"feature {name} {io.fmt(draw(MAGNITUDES))} {io.fmt(draw(MAGNITUDES))} {std}"
+        for name, std in zip(names, stds)
+    ]
+    return "".join(f"{line}\n" for line in lines), fault is not None
+
+
+@given(case=model_files(), data=st.data())
+def test_accepted_models_score_finite_rows_to_finite_probabilities(
+    tmp_path_factory, case, data
+):
+    text, faulty = case
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    path.write_text(text)
+    try:
+        model = io.read_model(path)
+    except ConfigInvalidError:
+        assert faulty
+        return
+    assert not faulty
+    d = len(model.feature_names)
+    row = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    assert 0.0 <= predict_proba(model, row) <= 1.0
+
+
+def test_version_is_declared_once():
+    """pyproject.toml takes the version from ``cascadekit.__version__``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "cascadekit.__version__"
+    }
 
 
 def test_only_io_opens_files():

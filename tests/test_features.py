@@ -12,6 +12,7 @@ from cascadekit.features import (
     extract_features,
     extract_features_batch,
     feature_names,
+    layout_columns,
     percentile_90,
     slope_through_origin,
 )
@@ -142,7 +143,7 @@ class TestFeatureBookkeeping:
     def test_canonical_names_cover_vector(self):
         fv = extract_features(chain_cascade(), 4)
         assert list(fv.names) == feature_names(4)
-        assert set(fv.values) == set(fv.names)
+        assert len(fv.row) == 2 * len(fv.names)
 
     def test_k_too_large(self):
         with pytest.raises(KTooLargeError):
@@ -213,8 +214,7 @@ class TestFeatureProperties:
         tree = random_tree(rng, 20)
         a = extract_features(tree, 7)
         b = extract_features(tree, 7)
-        assert a.values == b.values
-        assert a.missing == b.missing
+        assert a.row == b.row
 
     def test_prefix_consistency(self, rng):
         for _ in range(10):
@@ -222,8 +222,7 @@ class TestFeatureProperties:
             k = int(rng.integers(2, tree.size + 1))
             full = extract_features(tree, k)
             pre = extract_features(prefix(tree, k), k)
-            assert full.values == pre.values
-            assert full.missing == pre.missing
+            assert full.row == pre.row
 
     def test_time_scale_covariance(self):
         tree = star_with_views()
@@ -310,3 +309,19 @@ def test_border_features_equal_the_union_reference(case):
     fv = extract_features(tree, k, graph=graph)
     assert fv.value("border_nodes") == len(set().union(*nbr_sets) - set(participants))
     assert fv.value("border_edges") == sum(len(nbrs) for nbrs in nbr_sets)
+
+
+@given(hub_graph_cascades(), st.booleans(), st.booleans())
+def test_vector_row_is_its_batch_row(case, with_graph, with_content):
+    tree, k, graph = case
+    graph = graph if with_graph else None
+    content = ContentRecord(score_food=0.25, is_en=True) if with_content else None
+    other = tree_from_parents([0] * k, cascade_id="a")
+    fv = extract_features(tree, k, graph=graph, content=content)
+    ids, X, columns = extract_features_batch(
+        [(tree, content), (other, None)], k, graph=graph
+    )
+    assert ids == ["a", "t"]
+    assert columns == layout_columns(fv.names)
+    assert X[1].tolist() == list(fv.row)
+    assert X[0].tolist() == list(extract_features(other, k, graph=graph).row)

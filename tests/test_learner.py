@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascadekit.errors import (
+    BadArgumentError,
     EmptyInputError,
     MissingFeatureError,
     NonFiniteInputError,
@@ -232,6 +233,12 @@ class TestCrossValidate:
         y = np.array([0, 1, 0, 1, 0], dtype=float)
         with pytest.raises(TooFewExamplesError):
             cross_validate(X, y, folds=10)
+
+    def test_rows_of_x_and_y_must_match(self, rng):
+        X = rng.normal(size=(10, 2))
+        y = np.array([0.0, 1.0] * 6)
+        with pytest.raises(BadArgumentError, match="X has 10 rows but y has 12"):
+            cross_validate(X, y, folds=2)
 
     def test_stratified_assignment_balance(self, rng):
         y = np.array([1.0] * 30 + [0.0] * 70)
