@@ -11,6 +11,7 @@ Cascade size counts reshares; the root is not a reshare.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, fields
@@ -91,22 +92,36 @@ _TIMESTAMP = EVENT_FIELDS.index("timestamp")
 _NODE_TYPE = EVENT_FIELDS.index("node_type")
 _OUTDEG = EVENT_FIELDS.index("outdeg")
 _event_values = operator.attrgetter(*EVENT_FIELDS)
-_slot_setters = tuple(ReshareEvent.__dict__[name].__set__ for name in EVENT_FIELDS)
+
+# ReshareEvent's slots on a class without the frozen ``__setattr__``. The two
+# lay their slots out alike, so an instance of one may become the other by
+# assigning ``__class__``.
+_EventSlots = type("_EventSlots", (), {"__slots__": EVENT_FIELDS})
 
 
-def _event(values: Sequence) -> ReshareEvent:
-    """The event with these field values (in ``EVENT_FIELDS`` order).
-
-    Runs the checks of ``__post_init__`` and then fills the slots through
-    their member descriptors, skipping ``__init__``'s argument binding and
-    frozen ``__setattr__`` calls. The read path's constructor: ``io`` parses
-    rows with it and build_cascade re-bases with it.
-    """
-    _check_event(values[_NODE_TYPE], values[_TIMESTAMP], values[_OUTDEG])
-    e = object.__new__(ReshareEvent)
-    for set_slot, value in zip(_slot_setters, values):
-        set_slot(e, value)
+def _compile_event():
+    """``_event(values)``, compiled with one attribute store per field."""
+    source = f"""def _event(values):
+    _check_event(values[{_NODE_TYPE}], values[{_TIMESTAMP}], values[{_OUTDEG}])
+    e = _new(_EventSlots)
+    {", ".join(f"e.{name}" for name in EVENT_FIELDS)} = values
+    e.__class__ = ReshareEvent
     return e
+"""
+    namespace = {"_check_event": _check_event, "_new": object.__new__,
+                 "_EventSlots": _EventSlots, "ReshareEvent": ReshareEvent}
+    exec(compile(source, f"<{__name__}._event>", "exec"), namespace)
+    return namespace["_event"]
+
+
+_event = _compile_event()
+_event.__doc__ = """The event with these field values (in ``EVENT_FIELDS`` order).
+
+Runs the checks of ``__post_init__``, then fills the slots of an
+``_EventSlots`` and makes it a ReshareEvent, skipping ``__init__``'s argument
+binding and the frozen ``__setattr__``. The package's one event constructor:
+``io`` reads rows, build_cascade re-bases and ``synth`` simulates with it.
+"""
 
 
 def _position(events: Sequence[ReshareEvent], event: ReshareEvent) -> int:
@@ -206,6 +221,57 @@ class SocialGraph:
         return sub
 
 
+def _canonical_tree(events: Sequence[ReshareEvent]) -> CascadeTree | None:
+    """The tree of a log that is already in canonical order, else None.
+
+    Canonical: the root comes first, every reshare names a parent placed
+    before it, and the reshares strictly increase in (timestamp, node_id),
+    none before the root and none whose re-based time overflows. Such a log
+    is its own (timestamp, node_id) order with parents first, which the heap
+    in build_cascade would reproduce, so the tree is built as the log goes.
+    """
+    root = events[0]
+    if root.parent_id is not None:
+        return None
+    cascade_id = root.cascade_id
+    epoch = root.timestamp
+    values = list(_event_values(root))
+    values[_TIMESTAMP] = 0.0
+    rebased = [_event(values)]
+    depth = {root.node_id: 0}
+    children: dict[str, list[str]] = {root.node_id: []}
+    last_t, last_id = epoch, None
+    for e in itertools.islice(events, 1, None):
+        nid, pid, t = e.node_id, e.parent_id, e.timestamp
+        d = depth.get(pid)
+        if (
+            d is None
+            or nid in depth
+            or e.cascade_id != cascade_id
+            or t < last_t
+            or (t == last_t and last_id is not None and nid <= last_id)
+        ):
+            return None
+        last_t, last_id = t, nid
+        values = list(_event_values(e))
+        values[_TIMESTAMP] = t - epoch
+        try:
+            rebased.append(_event(values))
+        except ValueError:
+            return None
+        depth[nid] = d + 1
+        children[nid] = []
+        children[pid].append(nid)
+    return CascadeTree(
+        cascade_id=cascade_id,
+        events=tuple(rebased),
+        parent={e.node_id: e.parent_id for e in events[1:]},
+        depth=depth,
+        children={nid: tuple(cs) for nid, cs in children.items()},
+        epoch=epoch,
+    )
+
+
 def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
     """Validate a reshare event log into a :class:`CascadeTree`.
 
@@ -216,7 +282,17 @@ def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
     Timestamps are re-based so the root sits at 0. Every rejection is a
     ``InvalidCascadeError`` whose ``index`` is the input position of the event
     it names.
+
+    A log already in canonical order (see ``_canonical_tree``) is built in one
+    pass; any other log, faulty ones included, takes ``_general_tree``.
     """
+    tree = _canonical_tree(events) if events else None
+    return tree if tree is not None else _general_tree(events)
+
+
+def _general_tree(events: Sequence[ReshareEvent]) -> CascadeTree:
+    """build_cascade's tree of any log, in several passes; the rejections are
+    build_cascade's."""
     if not events:
         raise NoRootError("empty event sequence")
     cascade_id = events[0].cascade_id

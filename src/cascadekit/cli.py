@@ -18,10 +18,12 @@ from . import __version__, io
 from .cascade import CascadeTree, ReshareEvent, SocialGraph, build_cascade
 from .errors import (
     BadArgumentError, BadParamsError, CascadeKitError, ConfigInvalidError,
-    InvalidCascadeError, MissingFeatureError,
+    InvalidCascadeError, MissingFeatureError, NonFiniteInputError,
 )
 from .features import extract_features_batch
-from .learner import DEFAULT_LAMBDA, Metrics, cross_validate, evaluate_cluster, train
+from .learner import (
+    DEFAULT_LAMBDA, Metrics, Model, cross_validate, evaluate_cluster, train,
+)
 from .stats import fit_powerlaw_alpha, gini
 from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
 from .tasks import (
@@ -64,6 +66,34 @@ def _load_records(events_path: str, content_path: str | None) -> list[CascadeRec
         CascadeRecord(tree=tree, content=contents.get(cid))
         for cid, tree in _trees(events_path, grouped)
     ]
+
+
+def _read_labeled(path: str | Path):
+    """read_labeled_csv's (X, y, final sizes, ids, columns); a cascade_id on a
+    second row names that row's line."""
+    X, y, sizes, ids, columns = io.read_labeled_csv(path)
+    first: dict[str, int] = {}
+    for i, cid in enumerate(ids):
+        if first.setdefault(cid, i) != i:
+            raise ConfigInvalidError(
+                f"{path}:{io.data_line(path, i)}: cascade_id {cid!r} appears twice"
+            )
+    return X, y, sizes, ids, columns
+
+
+def _read_model(path: str) -> Model:
+    """read_model's model; a ``dropped`` name that repeats, or is also a
+    feature, names its line."""
+    model = io.read_model(path)
+    seen = set(model.feature_names)
+    for i, name in enumerate(model.dropped):
+        if name in seen:
+            what = "is also a feature" if name in model.weights else "appears twice"
+            raise ConfigInvalidError(
+                f"{path}:{io.model_line(path, 'dropped', i)}: dropped {name!r} {what}"
+            )
+        seen.add(name)
+    return model
 
 
 def _synth_params(path: str, cfg: Mapping[str, str]) -> SynthParams:
@@ -232,7 +262,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    X, y, _, _, columns = io.read_labeled_csv(args.input)
+    X, y, _, _, columns = _read_labeled(args.input)
     model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
     io.write_model(_resolve(args.out_dir, args.model_out), model)
     status = "converged" if model.converged else "hit iteration cap"
@@ -250,7 +280,7 @@ def cmd_evaluate(args) -> int:
     if args.cluster:
         if not args.model:
             raise ConfigInvalidError("--cluster evaluation requires --model")
-        model = io.read_model(args.model)
+        model = _read_model(args.model)
         instances = io.read_cluster_csv(args.cluster)
         try:
             top1, mean_rr = evaluate_cluster(model, instances)
@@ -259,13 +289,15 @@ def cmd_evaluate(args) -> int:
                 f"{args.cluster}:1: feature columns do not match the model's ({exc}); "
                 "label the clusters at the model's k and feature options"
             ) from None
+        except NonFiniteInputError as exc:
+            raise ConfigInvalidError(f"{args.model}: {exc}") from None
         print(f"clusters   {len(instances)}")
         print(f"top1_accuracy {top1:.6f}")
         print(f"mrr           {mean_rr:.6f}")
         return 0
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
-    X, y, _, _, columns = io.read_labeled_csv(args.input)
+    X, y, _, _, columns = _read_labeled(args.input)
     _print_metrics(_cross_validate(
         args, X, y, columns,
         args.metrics_out and _resolve(args.out_dir, args.metrics_out),
@@ -275,7 +307,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_rank_features(args) -> int:
-    X, y, sizes, _, columns = io.read_labeled_csv(args.input)
+    X, y, sizes, _, columns = _read_labeled(args.input)
     lines = _ranking_table(rank_single_feature_predictors(
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
     ))
@@ -411,7 +443,7 @@ def cmd_pipeline(args) -> int:
     io.write_labeled_csv(paths["labeled.csv"], dataset)
     io.write_manifest(paths["task_meta.json"], meta)
 
-    X, y, _, _, columns = io.read_labeled_csv(paths["labeled.csv"])
+    X, y, _, _, columns = _read_labeled(paths["labeled.csv"])
     model = train(X, y, lam=opts["lambda"], seed=params.seed, feature_names=columns)
     io.write_model(paths["model.txt"], model)
     fit = argparse.Namespace(folds=opts["folds"], lam=opts["lambda"], seed=params.seed)

@@ -140,7 +140,8 @@ class SingleClassError(CascadeKitError):
 
 
 class NonFiniteInputError(CascadeKitError):
-    """Design matrix contains NaN or infinite entries."""
+    """Design matrix contains NaN or infinite entries, or a model scores a row
+    as NaN."""
 
 
 class MissingFeatureError(CascadeKitError):

@@ -53,11 +53,25 @@ _EVENT_REQUIRED = [i for i, default in enumerate(_EVENT_DEFAULTS) if default is 
 _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
 # The encoder json.dumps(obj, sort_keys=True) would build on every call.
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
+# json.loads's scanner: (value, end index) of the JSON value at an index.
+_scan_json = json.JSONDecoder().scan_once
 # What turning one malformed JSONL line or CSV row into a record raises: bad
 # JSON or a bad value (ValueError), an infinite count (OverflowError), a
 # missing required field (TypeError, KeyError), or a line that is not a JSON
 # object (AttributeError).
 _RECORD_ERRORS = (ValueError, OverflowError, TypeError, KeyError, AttributeError)
+
+
+def _json_value(line: str):
+    """``json.loads(line)`` by one scan of a line that holds exactly one JSON
+    value; any other line goes to json.loads, for its value or its error."""
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
 
 
 def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidError:
@@ -154,6 +168,40 @@ def _event_from_dict(row: Mapping) -> ReshareEvent:
     return _event(values)
 
 
+def _compile_event_row_values():
+    """``_event_row_values(row)``: _event_from_dict's field values for a row,
+    compiled with one expression per field. It raises where _event_from_dict
+    would, though not always the same error."""
+
+    def absent():
+        raise KeyError("missing required field")
+
+    lines = ["def _event_row_values(row):", "    get = row.get"]
+    for i, (name, default) in enumerate(zip(EVENT_FIELDS, _EVENT_DEFAULTS)):
+        kind = _EVENT_TYPES[name].__name__
+        # Only a value of the field's type is taken as is, and of those only
+        # a str can be "".
+        taken = f"type(v := get({name!r})) is {kind}" + (" and v" if kind == "str" else "")
+        fill = "_absent()" if default is MISSING else repr(default)
+        lines.append(f'    v{i} = v if {taken} else {fill} if v is None or v == "" else {kind}(v)')
+    lines.append(f"    return [{', '.join(f'v{i}' for i in range(len(EVENT_FIELDS)))}]")
+    namespace = {"_absent": absent}
+    exec(compile("\n".join(lines), f"<{__name__}._event_row_values>", "exec"), namespace)
+    return namespace["_event_row_values"]
+
+
+_event_row_values = _compile_event_row_values()
+
+
+def _row_event(row: Mapping) -> ReshareEvent:
+    """``_event_from_dict(row)`` by the generated converter; a row it fails
+    on is handed to _event_from_dict, which raises the error to report."""
+    try:
+        return _event(_event_row_values(row))
+    except _RECORD_ERRORS:
+        return _event_from_dict(row)
+
+
 def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
     with _create(path) as fh:
         for events in cascades:
@@ -168,14 +216,14 @@ def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
-                    e = _event_from_dict(row)
+                    e = _row_event(row)
                 except _RECORD_ERRORS as exc:
                     raise _bad_record(path, reader.line_num, exc) from None
                 yield reader.line_num, e
         return
     for lineno, line in _lines(path):
         try:
-            e = _event_from_dict(json.loads(line))
+            e = _row_event(_json_value(line))
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         yield lineno, e
@@ -250,15 +298,18 @@ def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
     out: dict[str, ContentRecord] = {}
     for lineno, line in _lines(path):
         try:
-            row = json.loads(line)
+            row = _json_value(line)
             cid = str(row.pop("cascade_id"))
-            out[cid] = ContentRecord(**{
+            record = ContentRecord(**{
                 name: kind(v)
                 for name, kind in _CONTENT_TYPES.items()
                 if (v := row.get(name)) is not None
             })
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
+        if cid in out:
+            raise ConfigInvalidError(f"{path}:{lineno}: cascade_id {cid!r} appears twice")
+        out[cid] = record
     return out
 
 
@@ -294,6 +345,12 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
     if not rows:
         raise ConfigInvalidError(f"{path}:1: header row without data rows")
     return header, rows
+
+
+def data_line(path: str | Path, index: int) -> int:
+    """Line number of data row ``index`` of a CSV file; it reads the file
+    again, so callers look lines up on error paths only."""
+    return _read_rows(path)[1][index][0]
 
 
 def _numbers(path: str | Path, lineno: int, cells: Sequence[str]) -> list[float]:
@@ -449,7 +506,7 @@ _MODEL_KEYS = frozenset(_MODEL_SCALARS) | {"feature", "dropped"}
 
 def read_model(path: str | Path) -> Model:
     """The model write_model wrote; each value must parse as its key's type,
-    each feature be named once and have a std > 0."""
+    each one-value key and each feature appear once, and each std be > 0."""
     scalars: dict[str, object] = {}
     names: list[str] = []
     weights: dict[str, float] = {}
@@ -483,6 +540,8 @@ def read_model(path: str | Path) -> Model:
         elif key == "dropped":
             dropped.append(parts[1])
         else:
+            if key in scalars:
+                raise ConfigInvalidError(f"{path}:{lineno}: {key!r} appears twice")
             try:
                 scalars[key] = _MODEL_SCALARS[key](parts[1])
             except ValueError as exc:
@@ -503,6 +562,13 @@ def read_model(path: str | Path) -> Model:
         )
     except KeyError as exc:
         raise ConfigInvalidError(f"{path}: missing model key {exc}") from exc
+
+
+def model_line(path: str | Path, key: str, index: int) -> int:
+    """Line number of the ``index``-th ``key`` line of a model file; it reads
+    the file again, so callers look lines up on error paths only."""
+    lines = (n for n, line in _lines(path) if line.split()[0] == key)
+    return next(itertools.islice(lines, index, None))
 
 
 # --- configs & manifests -----------------------------------------------------------

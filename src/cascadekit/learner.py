@@ -376,13 +376,22 @@ def evaluate_cluster(model: Model, instances: Sequence) -> tuple[float, float]:
     feature matrix ``X`` with its ``columns``, and ``winner_index``. Members
     are ranked by predicted probability descending, ties broken by
     cascade_id ascending; the rank of the true winner feeds both metrics.
+    A member that scores NaN, because its margin overflows, is a
+    NonFiniteInputError.
     """
     if len(instances) == 0:
         raise EmptyInputError("no cluster instances")
     hits = 0
     ranks: list[int] = []
     for inst in instances:
-        scores = _scores_from_matrix(model, inst.X, inst.columns)
+        with np.errstate(all="ignore"):
+            scores = _scores_from_matrix(model, inst.X, inst.columns)
+        if np.isnan(scores).any():
+            member = inst.members[int(np.argmax(np.isnan(scores)))]
+            raise NonFiniteInputError(
+                f"the model scores cascade {member!r} of cluster "
+                f"{inst.cluster_id!r} as NaN: its margin overflows"
+            )
         scored = [
             (-float(score), cascade_id, idx)
             for idx, (score, cascade_id) in enumerate(zip(scores, inst.members))

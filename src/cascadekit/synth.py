@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cascade import ReshareEvent, SocialGraph
+from .cascade import ReshareEvent, SocialGraph, _event as _make_event
 from .errors import AlphaOutOfRangeError, BadParamsError
 from .features import CONTENT_SCORE_NAMES, ContentRecord
 from .io import finite_float
@@ -293,34 +293,18 @@ def _event(
     views_orig: int | None,
     views_reshares: int | None,
 ) -> ReshareEvent:
+    # Field values in EVENT_FIELDS order.
     i = int(node)
     deg = degree[node]
     if pages[i]:
-        return ReshareEvent(
-            cascade_id=cascade_id,
-            node_id=node,
-            parent_id=parent,
-            timestamp=timestamp,
-            node_type="page",
-            outdeg=deg,
-            fan_count=deg,
-            views_orig_cum=views_orig,
-            views_reshares_cum=views_reshares,
-        )
+        return _make_event([
+            cascade_id, node, timestamp, parent, "page", deg,
+            None, deg, None, None, None, None, None, views_orig, views_reshares,
+        ])
     subscribers = profiles["subscribers"][i]
-    return ReshareEvent(
-        cascade_id=cascade_id,
-        node_id=node,
-        parent_id=parent,
-        timestamp=timestamp,
-        node_type="user",
-        outdeg=deg + subscribers,
-        friend_count=deg,
-        subscriber_count=subscribers,
-        age_years=profiles["age"][i],
-        fb_age_days=profiles["fb_age"][i],
-        activity_days=profiles["activity"][i],
-        gender="female" if profiles["female"][i] else "male",
-        views_orig_cum=views_orig,
-        views_reshares_cum=views_reshares,
-    )
+    return _make_event([
+        cascade_id, node, timestamp, parent, "user", deg + subscribers,
+        deg, None, subscribers, profiles["age"][i], profiles["fb_age"][i],
+        profiles["activity"][i], "female" if profiles["female"][i] else "male",
+        views_orig, views_reshares,
+    ])

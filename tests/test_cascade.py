@@ -9,6 +9,8 @@ from cascadekit.cascade import (
     NODE_TYPES,
     ReshareEvent,
     SocialGraph,
+    _canonical_tree,
+    _general_tree,
     build_cascade,
     induced_subgraph,
     prefix,
@@ -16,10 +18,13 @@ from cascadekit.cascade import (
 from cascadekit.errors import (
     CycleDetectedError,
     DanglingParentError,
+    DuplicateNodeError,
     KTooLargeError,
+    MixedCascadeIdError,
     MultipleRootsError,
     NegativeTimestampError,
     NoRootError,
+    TimestampOverflowError,
 )
 
 from conftest import event, random_tree, star_tree, path_tree, typed_fields
@@ -284,6 +289,62 @@ def test_rebased_events_equal_replace(log):
     for e in tree.events:
         with pytest.raises(FrozenInstanceError):
             e.timestamp = 1.0
+
+
+def tree_orders(tree):
+    """A tree's fields, its events type for type and its maps in iteration order."""
+    return (
+        tree.cascade_id, (type(tree.epoch), repr(tree.epoch)),
+        [typed_fields(e) for e in tree.events],
+        list(tree.parent.items()), list(tree.depth.items()), list(tree.children.items()),
+    )
+
+
+@given(log=event_logs())
+def test_canonical_log_builds_in_one_pass(log):
+    """A tree's own order, at the log's absolute times, builds in one pass
+    whenever its reshares strictly increase in (timestamp, node_id), and to
+    the tree the general passes build from the same log."""
+    tree = build_cascade(log)
+    by_id = {e.node_id: e for e in log}
+    canonical = [by_id[e.node_id] for e in tree.events]
+    keys = [(e.timestamp, e.node_id) for e in canonical[1:]]
+    one_pass = _canonical_tree(canonical)
+    assert (one_pass is not None) == all(a < b for a, b in zip(keys, keys[1:]))
+    general = _general_tree(canonical)
+    assert general == tree
+    for rebuilt in (build_cascade(canonical), one_pass or general):
+        assert rebuilt == general
+        assert tree_orders(rebuilt) == tree_orders(general)
+
+
+CANONICAL_LOG = [
+    ("c", "r", 10.0, None), ("c", "a", 11.0, "r"), ("c", "b", 12.0, "a"),
+    ("c", "d", 13.0, "r"),
+]
+
+
+@pytest.mark.parametrize("faults, index, error", [
+    ({3: {"cascade_id": "x"}}, 3, MixedCascadeIdError),
+    ({3: {"node_id": "a"}}, 3, DuplicateNodeError),
+    ({3: {"parent_id": None}}, 3, MultipleRootsError),
+    ({3: {"parent_id": "zz"}}, 3, DanglingParentError),
+    ({1: {"timestamp": 9.0}}, 1, NegativeTimestampError),
+    ({0: {"timestamp": -1e308}, 3: {"timestamp": 1e308}}, 3, TimestampOverflowError),
+], ids=["mixed-id", "duplicate-node", "second-root", "dangling-parent",
+        "negative-time", "overflow"])
+def test_fault_in_a_canonical_log_is_reported_at_its_index(faults, index, error):
+    """One fault in a log that is otherwise canonical leaves the one-pass
+    build, and the general passes report it at its input index."""
+    log = [event(*fields) for fields in CANONICAL_LOG]
+    assert _canonical_tree(log) is not None
+    for i, changes in faults.items():
+        log[i] = replace(log[i], **changes)
+    assert _canonical_tree(log) is None
+    with pytest.raises(error) as info:
+        build_cascade(log)
+    assert type(info.value) is error
+    assert info.value.index == index
 
 
 def test_rebased_timestamp_overflow_is_rejected():

@@ -353,6 +353,10 @@ RESHARE = (
     '{"cascade_id": "c", "node_id": "a", "parent_id": "r", "timestamp": 1.0, '
     '"node_type": "user"}\n'
 )
+# Every one-value line of a model file, as write_model writes them.
+MODEL_SCALARS = (
+    "lambda 0.01\nseed 0\nbias 0.0\niterations 1\nfinal_loss 0.5\nconverged 1\n"
+)
 CYCLE = (
     '{"cascade_id": "c", "node_id": "a", "parent_id": "b", "timestamp": 1.0}\n'
     '{"cascade_id": "c", "node_id": "b", "parent_id": "a", "timestamp": 2.0}\n'
@@ -432,6 +436,13 @@ CYCLE = (
         ("model", "lambda 0.01\nfeature x 1.0 0.0 -1.0\n", 2),
         ("model", "feature x 1.0 0.0 1.0\nfeature x 1.0 0.0 1.0\n", 2),
         ("labeled", "x,x,label,final_size,cascade_id\n1.0,0,1,5,a\n", 1),
+        ("model", "lambda 0.01\nbias 0.0\nbias 5.0\n", 3),
+        ("model", MODEL_SCALARS + "feature x 1.0 0.0 1.0\ndropped x_missing\n"
+         "dropped x_missing\n", 9),
+        ("model", MODEL_SCALARS + "feature x 1.0 0.0 1.0\ndropped x\n", 8),
+        ("model", MODEL_SCALARS + "dropped x\nfeature x 1.0 0.0 1.0\n", 7),
+        ("content", '{"cascade_id": "c"}\n{"cascade_id": "d"}\n{"cascade_id": "c"}\n', 3),
+        ("labeled", LABELED_HEADER + "1.0,0,1,5,a\n2.0,0,0,6,b\n3.0,0,1,7,a\n", 4),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -459,6 +470,9 @@ CYCLE = (
         "non-integer-model-seed", "non-integer-model-iterations", "nan-model-bias",
         "non-bit-model-converged", "zero-model-std", "negative-model-std",
         "repeated-model-feature", "repeated-labeled-column",
+        "repeated-model-scalar", "repeated-model-dropped", "dropped-model-feature",
+        "model-feature-after-dropped", "repeated-content-cascade-id",
+        "repeated-labeled-cascade-id",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -490,6 +504,44 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}:{where}: ")
+
+
+@pytest.mark.parametrize("line", [
+    RESHARE.rstrip("\n") + " x",
+    RESHARE.rstrip("\n") * 2,
+    "\ufeff" + RESHARE.rstrip("\n"),
+    RESHARE.replace("1.0", "NaN").rstrip("\n"),
+], ids=["trailing-garbage", "two-objects", "bom", "nan-timestamp"])
+def test_malformed_jsonl_line_keeps_its_error_text(tmp_path, capsys, line):
+    """An event line that is not exactly one JSON object reports json.loads's
+    own error; one that is reports the event's."""
+    bad = tmp_path / "events.jsonl"
+    bad.write_text(ROOT_EVENT + line + "\n", encoding="utf-8")
+    try:
+        ReshareEvent(**json.loads(line))
+    except ValueError as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+    assert main(["wiener", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: {reason}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight, ok", [("0.0", False), ("1.0", True)])
+def test_cluster_scores_never_rank_by_nan(tmp_path, capsys, weight, ok):
+    """A std so small that standardizing overflows: an infinite margin still
+    ranks, a NaN one is one error line; numpy warns of neither."""
+    model = tmp_path / "model.txt"
+    model.write_text(MODEL_SCALARS + f"feature x {weight} 0.0 5e-324\n")
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text(CLUSTER_HEADER + "g0,a,5,1,1.0,0\ng0,b,6,0,2.0,0\n")
+    code = main(["evaluate", "--cluster", str(clusters), "--model", str(model)])
+    err = capsys.readouterr().err
+    if ok:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err == (f"error: {model}: the model scores cascade 'a' of cluster "
+                       "'g0' as NaN: its margin overflows\n")
 
 
 BALANCED_LABELED = LABELED_HEADER + "".join(
@@ -1010,6 +1062,21 @@ def test_only_io_opens_files():
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if name in openers:
                     calls.append(f"{source.name}:{node.lineno}: {name}")
+    assert calls == []
+
+
+def test_only_cascade_constructs_events():
+    """The readers, the re-base and the simulator share cascade's one event
+    constructor: no other module calls ``ReshareEvent(``."""
+    calls = []
+    for source in sorted(Path(cascadekit.__file__).parent.glob("*.py")):
+        if source.name == "cascade.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "ReshareEvent":
+                    calls.append(f"{source.name}:{node.lineno}")
     assert calls == []
 
 
