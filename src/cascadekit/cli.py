@@ -22,7 +22,7 @@ from .errors import (
 )
 from .features import extract_features_batch
 from .learner import (
-    DEFAULT_LAMBDA, Metrics, Model, cross_validate, evaluate_cluster, train,
+    DEFAULT_LAMBDA, MAX_ITER, Metrics, Model, cross_validate, evaluate_cluster, train,
 )
 from .stats import fit_powerlaw_alpha, gini
 from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
@@ -265,7 +265,12 @@ def cmd_train(args) -> int:
     X, y, _, _, columns = _read_labeled(args.input)
     model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
     io.write_model(_resolve(args.out_dir, args.model_out), model)
-    status = "converged" if model.converged else "hit iteration cap"
+    if model.converged:
+        status = "converged"
+    elif model.iterations < MAX_ITER:
+        status = f"line search failed at iteration {model.iterations}"
+    else:
+        status = "hit iteration cap"
     print(
         f"trained on {X.shape[0]} examples, {len(model.feature_names)} features "
         f"({len(model.dropped)} constant dropped), {model.iterations} iterations "

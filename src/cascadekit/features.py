@@ -25,10 +25,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import deferred
 from .cascade import CascadeTree, SocialGraph, induced_subgraph, prefix
 from .errors import EmptyInputError, TimeNotNormalizedError
+
+np = deferred("numpy", globals(), "np")
 
 MISSING_SUFFIX = "_missing"
 

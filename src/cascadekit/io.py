@@ -13,7 +13,6 @@ path in a directory that does not exist raises ``BadArgumentError``.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 import math
@@ -24,13 +23,15 @@ from typing import (
     Callable, Iterable, Iterator, Mapping, Sequence, TextIO, get_args, get_type_hints
 )
 
-import numpy as np
-
+from ._lazy import deferred
 from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, _event
 from .errors import BadArgumentError, ConfigInvalidError
 from .features import ContentRecord, layout_columns
 from .learner import Model
 from .tasks import ClusterInstance, TaskDataset
+
+hashlib = deferred("hashlib", globals(), "hashlib")
+np = deferred("numpy", globals(), "np")
 
 CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
 

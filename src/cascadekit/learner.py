@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import deferred
 from .errors import (
     BadArgumentError,
     EmptyInputError,
@@ -23,6 +22,8 @@ from .errors import (
     SingleClassError,
     TooFewExamplesError,
 )
+
+np = deferred("numpy", globals(), "np")
 
 DEFAULT_LAMBDA = 0.01
 GRAD_TOL = 1e-6
@@ -139,7 +140,9 @@ def train(
 
     Stops when the gradient max-norm falls below ``GRAD_TOL`` or after
     ``MAX_ITER`` iterations, whichever comes first; both the iteration count
-    and convergence flag are recorded on the model.
+    and convergence flag are recorded on the model. An iteration whose line
+    search finds no decreasing step also ends the fit, unconverged, with
+    that iteration's number as the count.
     """
     if not lam >= 0:
         raise BadArgumentError(f"lambda must be >= 0, got {lam}")

@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-import numpy as np
-
+from ._lazy import deferred
 from .cascade import ReshareEvent, SocialGraph, _event as _make_event
 from .errors import AlphaOutOfRangeError, BadParamsError
 from .features import CONTENT_SCORE_NAMES, ContentRecord
 from .io import finite_float
+
+np = deferred("numpy", globals(), "np")
 
 CATEGORY_LABELS = ("animals", "food", "music", "news", "sports")
 

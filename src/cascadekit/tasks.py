@@ -14,8 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import deferred
 from .cascade import CascadeTree, SocialGraph
 from .errors import (
     BadArgumentError,
@@ -30,6 +29,8 @@ from .features import MISSING_SUFFIX, ContentRecord, extract_features_batch
 from .learner import DEFAULT_LAMBDA, cross_validate
 from .stats import median, pearson
 from .virality import wiener_index_exact
+
+np = deferred("numpy", globals(), "np")
 
 
 @dataclass(frozen=True)

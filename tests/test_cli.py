@@ -1,21 +1,24 @@
 import ast
 import errno
 import json
+import re
 import sys
-from dataclasses import FrozenInstanceError
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import FrozenInstanceError, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cascadekit
-from cascadekit import io
+from cascadekit import cli, io
 from cascadekit.cascade import NODE_TYPES, ReshareEvent, SocialGraph, build_cascade
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
 from cascadekit.features import CONTENT_SCORE_NAMES, ContentRecord
-from cascadekit.learner import Model, predict_proba, train
+from cascadekit.learner import MAX_ITER, Model, predict_proba, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
 from cascadekit.tasks import (
     CascadeRecord,
@@ -204,6 +207,28 @@ def test_evaluate_prints_baseline(workspace, capsys):
     printed = capsys.readouterr().out
     assert "accuracy" in printed and "baseline" in printed
 
+
+
+@pytest.mark.parametrize("iterations, status", [
+    (37, "line search failed at iteration 37"),
+    (MAX_ITER, "hit iteration cap"),
+])
+def test_train_names_why_a_fit_stopped(workspace, tmp_path, capsys, monkeypatch,
+                                       iterations, status):
+    """An unconverged fit that stopped before the iteration cap stopped
+    because its line search found no step."""
+    def unconverged(X, y, *, lam, seed, feature_names):
+        return Model(("x",), {"x": 1.0}, 0.0, {"x": 0.0}, {"x": 1.0}, (), lam, seed,
+                     iterations, 0.5, False)
+
+    monkeypatch.setattr(cli, "train", unconverged)
+    _, _, out = workspace
+    assert main([
+        "train", "--in", str(out / "labeled.csv"), "--model-out",
+        str(tmp_path / "model.txt"), "--folds", "0",
+    ]) == 0
+    printed = capsys.readouterr().out
+    assert f"{iterations} iterations ({status}), loss 0.500000" in printed
 
 @pytest.fixture(scope="module")
 def clustered(tmp_path_factory):
@@ -1036,6 +1061,97 @@ def test_accepted_models_score_finite_rows_to_finite_probabilities(
     row = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
     assert 0.0 <= predict_proba(model, row) <= 1.0
 
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """An 80-cascade corpus with content in 8 clusters and a graph, its
+    labeled CSV, a model trained on it and its cluster CSV."""
+    root = tmp_path_factory.mktemp("fuzz")
+    params = SynthParams(n_nodes=800, attachment_m=2, n_cascades=80, x_min=5.0,
+                         rate_boost=3.0, seed=11)
+    graph = generate_social_graph(params, params.seed)
+    cascades, contents = simulate_cascades(graph, params, params.seed)
+    io.write_events_jsonl(root / "events.jsonl", cascades)
+    io.write_edge_list(root / "graph.edges", graph)
+    io.write_content_jsonl(root / "content.jsonl", {
+        cid: replace(content, cluster_id=f"g{i % 8}")
+        for i, (cid, content) in enumerate(sorted(contents.items()))
+    })
+    common = ["--k", "3", "--in", str(root / "events.jsonl"),
+              "--content", str(root / "content.jsonl")]
+    assert main(["label", "growth", *common, "--out", str(root / "labeled.csv")]) == 0
+    assert main(["label", "cluster", *common, "--m", "5",
+                 "--out", str(root / "clusters.csv")]) == 0
+    assert main(["train", "--in", str(root / "labeled.csv"),
+                 "--model-out", str(root / "model.txt"), "--folds", "0"]) == 0
+    return root
+
+
+# Each fuzzed file and the command that reads it; {bad} is the edited copy,
+# {dir} the corpus and {tmp} a directory for outputs.
+FUZZ_TARGETS = {
+    "events.jsonl": ["wiener", "{bad}"],
+    "labeled.csv": ["train", "--in", "{bad}", "--model-out", "{tmp}/model.txt",
+                    "--folds", "0"],
+    "model.txt": ["evaluate", "--cluster", "{dir}/clusters.csv", "--model", "{bad}"],
+    "clusters.csv": ["evaluate", "--cluster", "{bad}", "--model", "{dir}/model.txt"],
+    "content.jsonl": ["featurize", "--k", "3", "--in", "{dir}/events.jsonl",
+                      "--content", "{bad}", "--out", "{tmp}/features.csv"],
+    "graph.edges": ["featurize", "--k", "3", "--in", "{dir}/events.jsonl",
+                    "--graph", "{bad}", "--out", "{tmp}/features.csv"],
+}
+FUZZ_TOKENS = ["", "x", "0", "-1", "2.5", "1e309", "nan", "-inf", "null", "true",
+               '"', ",", "{", "}", ":", " ", "\u00e9", "g0", "c0000"]
+# (operation, line, position in the line, replacement token); low line
+# numbers are drawn often, so headers and first records get edited.
+LINE_EDITS = st.tuples(
+    st.sampled_from(["replace", "duplicate", "delete", "truncate"]),
+    st.integers(0, 3) | st.integers(0, 2**16),
+    st.integers(0, 2**16),
+    st.sampled_from(FUZZ_TOKENS),
+)
+
+
+def _edit_lines(lines, edits):
+    for op, at, pos, token in edits:
+        if not lines:
+            break
+        i = at % len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][:pos % (len(lines[i]) + 1)]
+        else:
+            # Tokens sit at the even places between separator runs.
+            parts = re.split(r'([\s,:{}"]+)', lines[i])
+            parts[2 * (pos % ((len(parts) + 1) // 2))] = token
+            lines[i] = "".join(parts)
+    return lines
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(target=st.sampled_from(sorted(FUZZ_TARGETS)),
+       edits=st.lists(LINE_EDITS, min_size=1, max_size=3))
+def test_edited_inputs_end_in_one_error_line_at_most(
+    fuzz_corpus, tmp_path_factory, target, edits
+):
+    """Random line edits to any input file end in exit 0, or in exit 2 with
+    one error line; never in a traceback, a warning or another exit code."""
+    tmp = tmp_path_factory.mktemp("edited")
+    bad = tmp / target
+    lines = (fuzz_corpus / target).read_text(encoding="utf-8").splitlines()
+    bad.write_text("".join(f"{line}\n" for line in _edit_lines(lines, edits)),
+                   encoding="utf-8")
+    argv = [a.format(bad=bad, dir=fuzz_corpus, tmp=tmp) for a in FUZZ_TARGETS[target]]
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert (code, len(lines)) in ((0, 0), (2, 1)), (code, lines)
 
 def test_version_is_declared_once():
     """pyproject.toml takes the version from ``cascadekit.__version__``."""
