@@ -22,7 +22,7 @@ from .errors import (
 )
 from .features import extract_features_batch
 from .learner import (
-    DEFAULT_LAMBDA, MAX_ITER, Metrics, Model, cross_validate, evaluate_cluster, train,
+    DEFAULT_LAMBDA, MAX_ITER, Metrics, cross_validate, evaluate_cluster, train,
 )
 from .stats import fit_powerlaw_alpha, gini
 from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
@@ -66,34 +66,6 @@ def _load_records(events_path: str, content_path: str | None) -> list[CascadeRec
         CascadeRecord(tree=tree, content=contents.get(cid))
         for cid, tree in _trees(events_path, grouped)
     ]
-
-
-def _read_labeled(path: str | Path):
-    """read_labeled_csv's (X, y, final sizes, ids, columns); a cascade_id on a
-    second row names that row's line."""
-    X, y, sizes, ids, columns = io.read_labeled_csv(path)
-    first: dict[str, int] = {}
-    for i, cid in enumerate(ids):
-        if first.setdefault(cid, i) != i:
-            raise ConfigInvalidError(
-                f"{path}:{io.data_line(path, i)}: cascade_id {cid!r} appears twice"
-            )
-    return X, y, sizes, ids, columns
-
-
-def _read_model(path: str) -> Model:
-    """read_model's model; a ``dropped`` name that repeats, or is also a
-    feature, names its line."""
-    model = io.read_model(path)
-    seen = set(model.feature_names)
-    for i, name in enumerate(model.dropped):
-        if name in seen:
-            what = "is also a feature" if name in model.weights else "appears twice"
-            raise ConfigInvalidError(
-                f"{path}:{io.model_line(path, 'dropped', i)}: dropped {name!r} {what}"
-            )
-        seen.add(name)
-    return model
 
 
 def _synth_params(path: str, cfg: Mapping[str, str]) -> SynthParams:
@@ -151,6 +123,16 @@ def _generate(
     n_events = sum(len(c) for c in cascades)
     return (f"generated {len(cascades)} cascades, {n_events} events, "
             f"{social.edge_count()} graph edges")
+
+
+def _task_options(task: str, R: int | None, quartiles: bool) -> None:
+    """Refuse an option the task would ignore: ``R`` and ``quartiles`` shape
+    growth labels only, and fixed-R growth labels have no quartiles."""
+    if task != "growth" and (R is not None or quartiles):
+        name = "R" if R is not None else "quartiles"
+        raise BadArgumentError(f"{name} applies to growth labels only, not {task}")
+    if R is not None and quartiles:
+        raise BadArgumentError("quartiles does not apply to fixed-R growth labels")
 
 
 def _label(
@@ -234,6 +216,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_label(args) -> int:
+    _task_options(args.task, args.R, args.quartiles)
     records = _load_records(args.input, args.content)
     graph = _load_graph(args)
     out_path = _resolve(args.out_dir, args.out)
@@ -262,7 +245,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    X, y, _, _, columns = _read_labeled(args.input)
+    X, y, _, _, columns = io.read_labeled_csv(args.input)
     model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
     io.write_model(_resolve(args.out_dir, args.model_out), model)
     if model.converged:
@@ -285,7 +268,7 @@ def cmd_evaluate(args) -> int:
     if args.cluster:
         if not args.model:
             raise ConfigInvalidError("--cluster evaluation requires --model")
-        model = _read_model(args.model)
+        model = io.read_model(args.model)
         instances = io.read_cluster_csv(args.cluster)
         try:
             top1, mean_rr = evaluate_cluster(model, instances)
@@ -302,7 +285,7 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
-    X, y, _, _, columns = _read_labeled(args.input)
+    X, y, _, _, columns = io.read_labeled_csv(args.input)
     _print_metrics(_cross_validate(
         args, X, y, columns,
         args.metrics_out and _resolve(args.out_dir, args.metrics_out),
@@ -312,7 +295,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_rank_features(args) -> int:
-    X, y, sizes, _, columns = _read_labeled(args.input)
+    if args.top < 0:
+        raise BadArgumentError(f"--top must be >= 0, got {args.top}")
+    X, y, sizes, _, columns = io.read_labeled_csv(args.input)
     lines = _ranking_table(rank_single_feature_predictors(
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
     ))
@@ -434,6 +419,11 @@ def cmd_pipeline(args) -> int:
         key: parse(cfg[key]) if key in cfg else default
         for key, (parse, default) in PIPELINE_KEYS.items()
     }
+    try:
+        _task_options(opts["task"], None, opts["quartiles"])
+    except BadArgumentError as exc:
+        line = io.config_line(args.config, ["quartiles"])
+        raise ConfigInvalidError(f"{args.config}:{line}: {exc}") from None
     paths = {name: _resolve(args.out_dir, name) for name in PIPELINE_OUTPUTS}
 
     _generate(params, paths["events.jsonl"], paths["graph.edges"], paths["content.jsonl"])
@@ -448,7 +438,7 @@ def cmd_pipeline(args) -> int:
     io.write_labeled_csv(paths["labeled.csv"], dataset)
     io.write_manifest(paths["task_meta.json"], meta)
 
-    X, y, _, _, columns = _read_labeled(paths["labeled.csv"])
+    X, y, _, _, columns = io.read_labeled_csv(paths["labeled.csv"])
     model = train(X, y, lam=opts["lambda"], seed=params.seed, feature_names=columns)
     io.write_model(paths["model.txt"], model)
     fit = argparse.Namespace(folds=opts["folds"], lam=opts["lambda"], seed=params.seed)

@@ -8,6 +8,8 @@ Feature, labeled and cluster CSVs hold design-matrix rows in the
 as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
 ``path:line``; a missing one raises ``FileNotFoundError``, and an output
 path in a directory that does not exist raises ``BadArgumentError``.
+Each format's reader owns all of its format's checks and names a fault's
+line from the lines it has read.
 """
 
 from __future__ import annotations
@@ -46,11 +48,8 @@ def _field_types(cls: type) -> dict[str, type]:
 
 _EVENT_TYPES = _field_types(ReshareEvent)
 _CONTENT_TYPES = _field_types(ContentRecord)
-# Event field name -> (position in EVENT_FIELDS, type its values parse to).
-_EVENT_SLOTS = {name: (i, _EVENT_TYPES[name]) for i, name in enumerate(EVENT_FIELDS)}
 # The field values of a row that sets no field; MISSING marks a required one.
 _EVENT_DEFAULTS = [f.default for f in fields(ReshareEvent)]
-_EVENT_REQUIRED = [i for i, default in enumerate(_EVENT_DEFAULTS) if default is MISSING]
 _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
 # The encoder json.dumps(obj, sort_keys=True) would build on every call.
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
@@ -58,8 +57,8 @@ _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 _scan_json = json.JSONDecoder().scan_once
 # What turning one malformed JSONL line or CSV row into a record raises: bad
 # JSON or a bad value (ValueError), an infinite count (OverflowError), a
-# missing required field (TypeError, KeyError), or a line that is not a JSON
-# object (AttributeError).
+# missing required field (TypeError; KeyError for a content line's
+# cascade_id), or a line that is not a JSON object (AttributeError).
 _RECORD_ERRORS = (ValueError, OverflowError, TypeError, KeyError, AttributeError)
 
 
@@ -149,33 +148,16 @@ def event_to_dict(event: ReshareEvent) -> dict:
     return {k: v for k in EVENT_FIELDS if (v := getattr(event, k)) is not None}
 
 
-def _event_from_dict(row: Mapping) -> ReshareEvent:
-    """The event one JSONL object or CSV row describes.
-
-    Unknown keys are ignored and ``None`` or ``""`` means absent. A value
-    whose type is not its field's is converted with ``int``, ``float`` or
-    ``str``; one that already has it is taken as is.
-    """
-    values = _EVENT_DEFAULTS.copy()
-    for name, v in row.items():
-        slot = _EVENT_SLOTS.get(name)
-        if slot is None or v is None or v == "":
-            continue
-        i, kind = slot
-        values[i] = v if type(v) is kind else kind(v)
-    for i in _EVENT_REQUIRED:
-        if values[i] is MISSING:
-            raise TypeError(f"missing required field {EVENT_FIELDS[i]!r}")
-    return _event(values)
-
-
 def _compile_event_row_values():
-    """``_event_row_values(row)``: _event_from_dict's field values for a row,
-    compiled with one expression per field. It raises where _event_from_dict
-    would, though not always the same error."""
+    """``_event_row_values(row)``: the field values (in ``EVENT_FIELDS``
+    order) of the event one JSONL object or CSV row describes, compiled with
+    one expression per field. Unknown keys are ignored and ``None`` or ``""``
+    means absent; a value of its field's type is taken as is, any other is
+    converted with ``int``, ``float`` or ``str``. A row with several faults
+    raises the error of its first faulty field."""
 
-    def absent():
-        raise KeyError("missing required field")
+    def absent(name: str):
+        raise TypeError(f"missing required field {name!r}")
 
     lines = ["def _event_row_values(row):", "    get = row.get"]
     for i, (name, default) in enumerate(zip(EVENT_FIELDS, _EVENT_DEFAULTS)):
@@ -183,7 +165,7 @@ def _compile_event_row_values():
         # Only a value of the field's type is taken as is, and of those only
         # a str can be "".
         taken = f"type(v := get({name!r})) is {kind}" + (" and v" if kind == "str" else "")
-        fill = "_absent()" if default is MISSING else repr(default)
+        fill = f"_absent({name!r})" if default is MISSING else repr(default)
         lines.append(f'    v{i} = v if {taken} else {fill} if v is None or v == "" else {kind}(v)')
     lines.append(f"    return [{', '.join(f'v{i}' for i in range(len(EVENT_FIELDS)))}]")
     namespace = {"_absent": absent}
@@ -192,15 +174,6 @@ def _compile_event_row_values():
 
 
 _event_row_values = _compile_event_row_values()
-
-
-def _row_event(row: Mapping) -> ReshareEvent:
-    """``_event_from_dict(row)`` by the generated converter; a row it fails
-    on is handed to _event_from_dict, which raises the error to report."""
-    try:
-        return _event(_event_row_values(row))
-    except _RECORD_ERRORS:
-        return _event_from_dict(row)
 
 
 def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
@@ -217,14 +190,14 @@ def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
-                    e = _row_event(row)
+                    e = _event(_event_row_values(row))
                 except _RECORD_ERRORS as exc:
                     raise _bad_record(path, reader.line_num, exc) from None
                 yield reader.line_num, e
         return
     for lineno, line in _lines(path):
         try:
-            e = _row_event(_json_value(line))
+            e = _event(_event_row_values(_json_value(line)))
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         yield lineno, e
@@ -348,12 +321,6 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
     return header, rows
 
 
-def data_line(path: str | Path, index: int) -> int:
-    """Line number of data row ``index`` of a CSV file; it reads the file
-    again, so callers look lines up on error paths only."""
-    return _read_rows(path)[1][index][0]
-
-
 def _numbers(path: str | Path, lineno: int, cells: Sequence[str]) -> list[float]:
     """Cells parsed as finite floats."""
     try:
@@ -398,7 +365,7 @@ def read_labeled_csv(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
     """Returns (X, y, final_sizes, cascade_ids, feature_columns); each label
-    is 0 or 1 and each final size a count >= 0."""
+    is 0 or 1, each final size a count >= 0, and each cascade_id on one row."""
     header, rows = _read_rows(path)
     if header[-3:] != ["label", "final_size", "cascade_id"]:
         raise ConfigInvalidError(
@@ -414,6 +381,11 @@ def read_labeled_csv(
             f"{path}:{lineno}: label must be 0 or 1 and final_size >= 0, "
             f"got {row[-3]} and {row[-2]}"
         )
+    seen: set[str] = set()
+    for lineno, row in rows:
+        if row[-1] in seen:
+            raise ConfigInvalidError(f"{path}:{lineno}: cascade_id {row[-1]!r} appears twice")
+        seen.add(row[-1])
     ids = [row[-1] for _, row in rows]
     X = np.ascontiguousarray(table[:, :-2])
     return X, table[:, -2].copy(), table[:, -1].copy(), ids, header[:-3]
@@ -507,13 +479,14 @@ _MODEL_KEYS = frozenset(_MODEL_SCALARS) | {"feature", "dropped"}
 
 def read_model(path: str | Path) -> Model:
     """The model write_model wrote; each value must parse as its key's type,
-    each one-value key and each feature appear once, and each std be > 0."""
+    each one-value key and each feature appear once, each std be > 0, and
+    each ``dropped`` name be neither a feature nor dropped twice."""
     scalars: dict[str, object] = {}
     names: list[str] = []
     weights: dict[str, float] = {}
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
-    dropped: list[str] = []
+    dropped: list[tuple[int, str]] = []
     for lineno, line in _lines(path):
         parts = line.split()
         key = parts[0]
@@ -539,7 +512,7 @@ def read_model(path: str | Path) -> Model:
             names.append(name)
             weights[name], means[name], stds[name] = weight, mean, std
         elif key == "dropped":
-            dropped.append(parts[1])
+            dropped.append((lineno, parts[1]))
         else:
             if key in scalars:
                 raise ConfigInvalidError(f"{path}:{lineno}: {key!r} appears twice")
@@ -548,13 +521,13 @@ def read_model(path: str | Path) -> Model:
             except ValueError as exc:
                 raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
     try:
-        return Model(
+        model = Model(
             feature_names=tuple(names),
             weights=weights,
             bias=scalars["bias"],
             means=means,
             stds=stds,
-            dropped=tuple(dropped),
+            dropped=tuple(name for _, name in dropped),
             lam=scalars["lambda"],
             seed=scalars["seed"],
             iterations=scalars["iterations"],
@@ -563,13 +536,13 @@ def read_model(path: str | Path) -> Model:
         )
     except KeyError as exc:
         raise ConfigInvalidError(f"{path}: missing model key {exc}") from exc
-
-
-def model_line(path: str | Path, key: str, index: int) -> int:
-    """Line number of the ``index``-th ``key`` line of a model file; it reads
-    the file again, so callers look lines up on error paths only."""
-    lines = (n for n, line in _lines(path) if line.split()[0] == key)
-    return next(itertools.islice(lines, index, None))
+    seen = set(weights)
+    for lineno, name in dropped:
+        if name in seen:
+            what = "is also a feature" if name in weights else "appears twice"
+            raise ConfigInvalidError(f"{path}:{lineno}: dropped {name!r} {what}")
+        seen.add(name)
+    return model
 
 
 # --- configs & manifests -----------------------------------------------------------

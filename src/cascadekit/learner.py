@@ -146,6 +146,8 @@ def train(
     """
     if not lam >= 0:
         raise BadArgumentError(f"lambda must be >= 0, got {lam}")
+    if not math.isfinite(lam):
+        raise BadArgumentError(f"lambda must be finite, got {lam}")
     X, y, names = _problem(X, y, feature_names)
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise NonFiniteInputError("X or y contains non-finite values")

@@ -1,6 +1,7 @@
 import ast
 import errno
 import json
+import math
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,7 +19,7 @@ from cascadekit.cascade import NODE_TYPES, ReshareEvent, SocialGraph, build_casc
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
 from cascadekit.features import CONTENT_SCORE_NAMES, ContentRecord
-from cascadekit.learner import MAX_ITER, Model, predict_proba, train
+from cascadekit.learner import DEFAULT_LAMBDA, MAX_ITER, Model, predict_proba, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
 from cascadekit.tasks import (
     CascadeRecord,
@@ -468,6 +469,7 @@ CYCLE = (
         ("model", MODEL_SCALARS + "dropped x\nfeature x 1.0 0.0 1.0\n", 7),
         ("content", '{"cascade_id": "c"}\n{"cascade_id": "d"}\n{"cascade_id": "c"}\n', 3),
         ("labeled", LABELED_HEADER + "1.0,0,1,5,a\n2.0,0,0,6,b\n3.0,0,1,7,a\n", 4),
+        ("config", "task = structure\nn_nodes = 300\nquartiles = TRUE\n", 3),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -497,7 +499,7 @@ CYCLE = (
         "repeated-model-feature", "repeated-labeled-column",
         "repeated-model-scalar", "repeated-model-dropped", "dropped-model-feature",
         "model-feature-after-dropped", "repeated-content-cascade-id",
-        "repeated-labeled-cascade-id",
+        "repeated-labeled-cascade-id", "pipeline-quartiles-for-structure",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -593,6 +595,20 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
      BALANCED_LABELED, "lambda must be >= 0, got -1.0"),
     (["train", "--lambda", "nan", "--model-out", "m.txt", "--in", "{labeled}"],
      BALANCED_LABELED, "lambda must be >= 0, got nan"),
+    (["train", "--lambda", "inf", "--model-out", "m.txt", "--in", "{labeled}"],
+     BALANCED_LABELED, "lambda must be finite, got inf"),
+    (["rank-features", "--top", "-3", "--in", "{labeled}"], BALANCED_LABELED,
+     "--top must be >= 0, got -3"),
+    (["label", "structure", "--k", "1", "--quartiles", "--out", "l.csv", "--in",
+      "{events}"], None, "quartiles applies to growth labels only, not structure"),
+    (["label", "structure", "--k", "1", "--R", "50", "--out", "l.csv", "--in",
+      "{events}"], None, "R applies to growth labels only, not structure"),
+    (["label", "growth", "--k", "1", "--R", "10", "--quartiles", "--out", "l.csv",
+      "--in", "{events}"], None, "quartiles does not apply to fixed-R growth labels"),
+    (["label", "cluster", "--k", "1", "--R", "10", "--out", "c.csv", "--in",
+      "{events}"], None, "R applies to growth labels only, not cluster"),
+    (["label", "cluster", "--k", "1", "--quartiles", "--out", "c.csv", "--in",
+      "{events}"], None, "quartiles applies to growth labels only, not cluster"),
     (["rank-features", "--folds", "2", "--in", "{labeled}"],
      BALANCED_LABELED.replace(",5,c0", ",0,c0"),
      "final sizes must be >= 1, got 0.0"),
@@ -607,7 +623,9 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
-    "negative-lambda", "nan-lambda", "rank-features-final-size-0",
+    "negative-lambda", "nan-lambda", "inf-lambda", "rank-features-top-negative",
+    "structure-quartiles", "structure-R", "fixed-R-quartiles", "cluster-R",
+    "cluster-quartiles", "rank-features-final-size-0",
     "fit-alpha-xmin-0", "gini-negative-value", "cluster-m-0",
     "threads-0", "threads-negative",
 ])
@@ -852,6 +870,78 @@ def test_read_events_matches_constructor(tmp_path_factory, row):
         with pytest.raises(FrozenInstanceError):
             events[0].node_id = "x"
 
+
+INT_FIELDS = [name for name, kind in CONVERT.items() if kind is int]
+FLOAT_FIELDS = [name for name, kind in CONVERT.items() if kind is float]
+# Each kind of single fault in an event row: the fields it may hit and the
+# bad values it puts there (None removes a required field).
+EVENT_FAULTS = [
+    (st.sampled_from(REQUIRED), st.none()),
+    (st.sampled_from(INT_FIELDS), st.sampled_from(["many", "2.5", "1e3", "0x1"])),
+    (st.sampled_from(FLOAT_FIELDS), st.sampled_from(["soon", "1,5", "e"])),
+    (st.sampled_from(INT_FIELDS), st.sampled_from([math.inf, -math.inf])),
+    (st.just("node_type"), st.sampled_from(["bot", "USER", " user"])),
+    (st.just("timestamp"), st.sampled_from([math.nan, math.inf, -math.inf])),
+    (st.just("outdeg"), st.integers(-(10**6), -1)),
+]
+VALID_FIELDS = {
+    int: st.integers(0, 10**6), float: st.floats(-1e6, 1e6),
+    str: st.sampled_from(["f", "m", "x y"]),
+}
+
+
+@st.composite
+def one_fault_rows(draw):
+    """A reshare of cascade ``c`` under its root ``r`` whose fields are all
+    valid but one."""
+    row = {"cascade_id": "c", "node_id": "a", "parent_id": "r",
+           "timestamp": draw(VALID_FIELDS[float])}
+    row.update(draw(st.fixed_dictionaries({}, optional={
+        name: VALID_FIELDS[kind] for name, kind in CONVERT.items()
+        if name not in row and name != "node_type"
+    })))
+    row["node_type"] = draw(st.sampled_from(NODE_TYPES))
+    fields, values = draw(st.sampled_from(EVENT_FAULTS))
+    name, value = draw(fields), draw(values)
+    if value is None:
+        del row[name]
+    else:
+        row[name] = value
+    return row
+
+
+def _one_fault_reason(source):
+    """``<Type>: <message>`` of the one fault in an event row, built from
+    int, float and ReshareEvent(**kw) as the readers must report it."""
+    missing = [name for name in REQUIRED if source.get(name) in (None, "")]
+    if missing:
+        return f"TypeError: missing required field {missing[0]!r}"
+    try:
+        ReshareEvent(**{name: CONVERT[name](v) for name, v in source.items()
+                        if v is not None and v != ""})
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    raise AssertionError(f"row has no fault: {source}")
+
+
+@given(row=one_fault_rows())
+def test_event_row_with_one_fault_reports_its_error(tmp_path_factory, row):
+    """An event row with exactly one faulty field ends ``wiener`` as one
+    line naming the row's line and that field's own error, in JSONL and CSV."""
+    root = tmp_path_factory.mktemp("fault")
+    jsonl, csv_file = root / "events.jsonl", root / "events.csv"
+    jsonl.write_text(ROOT_EVENT + json.dumps(row) + "\n")
+    cells = {name: "" if (v := row.get(name)) is None else repr(v) if type(v) is float
+             else str(v) for name in CONVERT}
+    root_cells = ["c", "r", "0.0"] + [""] * (len(CONVERT) - 3)
+    io.write_csv(csv_file, list(CONVERT), [root_cells, list(cells.values())])
+    for path, source, line in ((jsonl, row, 2), (csv_file, cells, 3)):
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            assert main(["wiener", str(path)]) == 2
+        assert err.getvalue() == f"error: {path}:{line}: {_one_fault_reason(source)}\n"
+
+
 # Two features in the layout: each value column, then its missing indicator.
 LAYOUT = ["a", "a_missing", "b", "b_missing"]
 SIZES = st.integers(min_value=0, max_value=10**6)
@@ -878,7 +968,7 @@ def layout_rows(draw, n):
 def datasets(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     return TaskDataset(
-        examples=tuple(draw(st.lists(CSV_IDS, min_size=n, max_size=n))),
+        examples=tuple(draw(st.lists(CSV_IDS, min_size=n, max_size=n, unique=True))),
         final_sizes=tuple(draw(st.lists(SIZES, min_size=n, max_size=n))),
         X=draw(layout_rows(n)),
         y=np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))),
@@ -992,7 +1082,9 @@ def models(draw):
         bias=draw(FINITE),
         means=per_feature(),
         stds=per_feature(POSITIVE),
-        dropped=tuple(draw(st.lists(NAMES, max_size=3))),
+        dropped=tuple(draw(st.lists(
+            NAMES.filter(lambda name: name not in names), unique=True, max_size=3
+        ))),
         lam=draw(FINITE),
         seed=draw(st.integers(-(2**70), 2**70)),
         iterations=draw(st.integers(0, 10**6)),
@@ -1006,6 +1098,35 @@ def test_model_roundtrip_property(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("model") / "model.txt"
     io.write_model(path, model)
     # repr tells 1 from 1.0 and -0.0 from 0.0, and shows dict order.
+    assert repr(io.read_model(path)) == repr(model)
+
+
+@st.composite
+def training_sets(draw):
+    """(X, y, names, lambda): a few examples of both classes over 1-3
+    single-token features, some of them constant."""
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    columns = [
+        [draw(st.floats(-1e3, 1e3))] * n if draw(st.booleans())
+        else draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        for _ in range(d)
+    ]
+    y = [0.0, 1.0] + draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n - 2,
+                                   max_size=n - 2))
+    names = draw(st.lists(NAMES, min_size=d, max_size=d, unique=True))
+    lam = draw(st.sampled_from([0.0, DEFAULT_LAMBDA]) | st.floats(1e-3, 1e3))
+    return np.array(columns).T, np.array(y), names, lam
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=training_sets(), seed=st.integers(-(2**40), 2**40))
+def test_trained_model_roundtrip_property(tmp_path_factory, case, seed):
+    """Every model train returns is one write_model writes and read_model
+    reads back equal."""
+    X, y, names, lam = case
+    model = train(X, y, lam=lam, seed=seed, feature_names=names)
+    path = tmp_path_factory.mktemp("trained") / "model.txt"
+    io.write_model(path, model)
     assert repr(io.read_model(path)) == repr(model)
 
 
