@@ -27,8 +27,9 @@ from .learner import (
 from .stats import fit_powerlaw_alpha, gini
 from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
 from .tasks import (
-    CascadeRecord, FeatureRanking, TaskDataset, build_cluster_task, group_summaries,
-    label_growth, label_growth_fixed_R, label_structure, rank_single_feature_predictors,
+    CLUSTER_M, CascadeRecord, FeatureRanking, TaskDataset, build_cluster_task,
+    group_summaries, label_growth, label_growth_fixed_R, label_structure,
+    rank_single_feature_predictors,
 )
 from .virality import wiener_index_exact
 
@@ -125,12 +126,17 @@ def _generate(
             f"{social.edge_count()} graph edges")
 
 
-def _task_options(task: str, R: int | None, quartiles: bool) -> None:
+def _task_options(
+    task: str, R: int | None, quartiles: bool, m: int | None = None
+) -> None:
     """Refuse an option the task would ignore: ``R`` and ``quartiles`` shape
-    growth labels only, and fixed-R growth labels have no quartiles."""
+    growth labels only, ``m`` cluster instances only, and fixed-R growth
+    labels have no quartiles."""
     if task != "growth" and (R is not None or quartiles):
         name = "R" if R is not None else "quartiles"
         raise BadArgumentError(f"{name} applies to growth labels only, not {task}")
+    if task != "cluster" and m is not None:
+        raise BadArgumentError(f"m applies to cluster labels only, not {task}")
     if R is not None and quartiles:
         raise BadArgumentError("quartiles does not apply to fixed-R growth labels")
 
@@ -216,7 +222,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_label(args) -> int:
-    _task_options(args.task, args.R, args.quartiles)
+    _task_options(args.task, args.R, args.quartiles, args.m)
     records = _load_records(args.input, args.content)
     graph = _load_graph(args)
     out_path = _resolve(args.out_dir, args.out)
@@ -224,11 +230,10 @@ def cmd_label(args) -> int:
         graph=graph, centered_slopes=args.centered_slopes, threads=args.threads
     )
     if args.task == "cluster":
-        instances = build_cluster_task(
-            records, args.k, m=args.m, seed=args.seed, **common
-        )
+        m = CLUSTER_M if args.m is None else args.m
+        instances = build_cluster_task(records, args.k, m=m, seed=args.seed, **common)
         io.write_cluster_csv(out_path, instances)
-        meta = {"task": "cluster", "k": args.k, "m": args.m, "seed": args.seed,
+        meta = {"task": "cluster", "k": args.k, "m": m, "seed": args.seed,
                 "n_instances": len(instances)}
         print(f"wrote {len(instances)} cluster instances to {out_path}")
     else:
@@ -504,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "label", cmd_label, "build a labeled task dataset", window, events)
     p.add_argument("task", choices=["growth", "structure", "cluster"])
     p.add_argument("--R", type=int, help="growth: fixed minimum final size")
-    p.add_argument("--m", type=int, default=10, help="cluster: members per instance")
+    p.add_argument("--m", type=int,
+                   help=f"cluster: members per instance (default {CLUSTER_M})")
     p.add_argument("--quartiles", action="store_true",
                    help="growth: top vs bottom quartile only")
     p.add_argument("--out", required=True)

@@ -9,7 +9,10 @@ as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
 ``path:line``; a missing one raises ``FileNotFoundError``, and an output
 path in a directory that does not exist raises ``BadArgumentError``.
 Each format's reader owns all of its format's checks and names a fault's
-line from the lines it has read.
+line from the lines it has read. Event lines are written by code generated
+from the ``ReshareEvent`` fields, byte for byte what ``json.dumps(...,
+sort_keys=True)`` writes; a value that is not an exact str, int or finite
+float takes the json encoder.
 """
 
 from __future__ import annotations
@@ -176,10 +179,39 @@ def _compile_event_row_values():
 _event_row_values = _compile_event_row_values()
 
 
+def _compile_event_line():
+    """``_event_line(event)``: ``json.dumps(event_to_dict(event),
+    sort_keys=True) + "\\n"``, compiled with one statement per field in sorted
+    key order. A None field is skipped; an exact str takes json's own string
+    encoder, an exact int or finite float its type's ``__repr__`` (what ``!r``
+    calls for them). Any other value (a bool, a subclass, NaN or an infinity)
+    makes it return None, for the encoder to write or refuse."""
+    lines = ["def _event_line(e):", "    s = ''"]
+    for name in sorted(EVENT_FIELDS):
+        kind = _EVENT_TYPES[name].__name__
+        # v - v is 0.0 for a finite float and nan for nan or an infinity.
+        bad = f"type(v) is not {kind}" + (" or v - v != 0.0" if kind == "float" else "")
+        value = "_encode_str(v)" if kind == "str" else "v!r"
+        lines += [f"    if (v := e.{name}) is not None:",
+                  f"        if {bad}:",
+                  "            return None",
+                  f"        s = f'{{s}}, \"{name}\": {{{value}}}'"]
+    lines.append("    return f'{{{s[2:]}}}\\n'")
+    namespace = {"_encode_str": json.encoder.encode_basestring_ascii}
+    exec(compile("\n".join(lines), f"<{__name__}._event_line>", "exec"), namespace)
+    return namespace["_event_line"]
+
+
+_event_line = _compile_event_line()
+
+
 def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]]) -> None:
+    """One ``json.dumps(event_to_dict(e), sort_keys=True)`` line per event."""
     with _create(path) as fh:
         for events in cascades:
-            fh.writelines(f"{_encode_sorted(event_to_dict(e))}\n" for e in events)
+            fh.writelines(
+                _event_line(e) or f"{_encode_sorted(event_to_dict(e))}\n" for e in events
+            )
 
 
 def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
@@ -305,6 +337,13 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
         header = next(reader, None)
         if header is None:
             raise ConfigInvalidError(f"{path}:1: empty file, expected a header row")
+        # read_model splits its lines on whitespace, so a column name that a
+        # model may carry is one whitespace-free token.
+        bad = next((name for name in header if name.split() != [name]), None)
+        if bad is not None:
+            raise ConfigInvalidError(
+                f"{path}:1: column name {bad!r} is empty or holds whitespace"
+            )
         if len(set(header)) < len(header):
             twice = next(name for i, name in enumerate(header) if name in header[:i])
             raise ConfigInvalidError(f"{path}:1: column {twice!r} appears twice")

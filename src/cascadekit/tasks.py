@@ -32,6 +32,9 @@ from .virality import wiener_index_exact
 
 np = deferred("numpy", globals(), "np")
 
+# Members per same-content ranking instance when none is asked for.
+CLUSTER_M = 10
+
 
 @dataclass(frozen=True)
 class CascadeRecord:
@@ -222,7 +225,7 @@ def label_structure(
 def build_cluster_task(
     records: Sequence[CascadeRecord],
     k: int,
-    m: int = 10,
+    m: int = CLUSTER_M,
     seed: int = 0,
     *,
     graph: SocialGraph | None = None,

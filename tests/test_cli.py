@@ -470,6 +470,8 @@ CYCLE = (
         ("content", '{"cascade_id": "c"}\n{"cascade_id": "d"}\n{"cascade_id": "c"}\n', 3),
         ("labeled", LABELED_HEADER + "1.0,0,1,5,a\n2.0,0,0,6,b\n3.0,0,1,7,a\n", 4),
         ("config", "task = structure\nn_nodes = 300\nquartiles = TRUE\n", 3),
+        ("labeled", "a b,a b_missing,label,final_size,cascade_id\n1.0,0,1,5,a\n", 1),
+        ("cluster", CLUSTER_HEADER.replace("x", "x\ty") + "g0,a,5,1,1.0,0\n", 1),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -500,6 +502,7 @@ CYCLE = (
         "repeated-model-scalar", "repeated-model-dropped", "dropped-model-feature",
         "model-feature-after-dropped", "repeated-content-cascade-id",
         "repeated-labeled-cascade-id", "pipeline-quartiles-for-structure",
+        "labeled-column-whitespace", "cluster-column-whitespace",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -620,6 +623,10 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     (["wiener", "--threads", "0", "{events}"], None, "--threads must be >= 1, got 0"),
     (["label", "growth", "--k", "1", "--threads", "-1", "--out", "l.csv", "--in",
       "{events}"], None, "--threads must be >= 1, got -1"),
+    (["label", "growth", "--k", "1", "--m", "3", "--out", "l.csv", "--in", "{events}"],
+     None, "m applies to cluster labels only, not growth"),
+    (["label", "structure", "--k", "1", "--m", "3", "--out", "l.csv", "--in",
+      "{events}"], None, "m applies to cluster labels only, not structure"),
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
@@ -627,7 +634,7 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     "structure-quartiles", "structure-R", "fixed-R-quartiles", "cluster-R",
     "cluster-quartiles", "rank-features-final-size-0",
     "fit-alpha-xmin-0", "gini-negative-value", "cluster-m-0",
-    "threads-0", "threads-negative",
+    "threads-0", "threads-negative", "growth-m", "structure-m",
 ])
 def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
     paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",
@@ -802,6 +809,57 @@ def test_events_jsonl_csv_roundtrip(tmp_path_factory, events):
     io.write_events_csv(root / "events.csv", [events])
     assert io.read_events(root / "events.jsonl") == expected
     assert io.read_events(root / "events.csv") == expected
+
+
+# Text with what json escapes: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates.
+JSON_TEXT = st.text(
+    st.characters() | st.characters(categories=["Cs"]) | st.sampled_from('"\\\x00\n\x7f')
+)
+# Any float, often one json writes in its own way (-0.0, subnormals, the
+# largest magnitudes, NaN and the infinities), and a float subclass.
+JSON_FLOATS = (
+    st.floats() | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, math.nan, math.inf, -math.inf])
+)
+# Counts up to 2**200, negative ones, and True in an int field.
+JSON_INTS = st.integers(min_value=-2**200, max_value=2**200) | st.just(True)
+JSON_EVENTS = st.builds(
+    ReshareEvent,
+    cascade_id=JSON_TEXT,
+    node_id=JSON_TEXT,
+    timestamp=st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0),
+    parent_id=st.none() | JSON_TEXT,
+    node_type=st.sampled_from(NODE_TYPES),
+    outdeg=st.integers(min_value=0, max_value=2**200) | st.just(True),
+    friend_count=st.none() | JSON_INTS,
+    fan_count=st.none() | JSON_INTS,
+    subscriber_count=st.none() | JSON_INTS,
+    age_years=st.none() | JSON_FLOATS,
+    fb_age_days=st.none() | JSON_FLOATS,
+    activity_days=st.none() | JSON_FLOATS,
+    gender=st.none() | JSON_TEXT,
+    views_orig_cum=st.none() | JSON_INTS,
+    views_reshares_cum=st.none() | JSON_INTS,
+)
+
+
+@given(events=st.lists(JSON_EVENTS, max_size=8))
+def test_events_jsonl_is_what_json_dumps_writes(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    io.write_events_jsonl(path, [events[:2], events[2:]])
+    expected = "".join(
+        json.dumps(io.event_to_dict(e), sort_keys=True) + "\n" for e in events
+    )
+    assert path.read_bytes() == expected.encode()
+
+
+def test_generated_events_take_the_line_formatter():
+    """Every event the generator makes is formatted without the encoder."""
+    params = SynthParams(n_nodes=600, n_cascades=80, x_min=5.0, seed=5)
+    cascades, _ = simulate_cascades(generate_social_graph(params, params.seed),
+                                    params, params.seed)
+    assert [e for events in cascades for e in events if io._event_line(e) is None] == []
 
 
 # How the readers convert each event field, as ReshareEvent(**kw) takes it.
