@@ -18,11 +18,12 @@ from . import __version__, io
 from .cascade import CascadeTree, ReshareEvent, SocialGraph, build_cascade
 from .errors import (
     BadArgumentError, BadParamsError, CascadeKitError, ConfigInvalidError,
-    InvalidCascadeError, MissingFeatureError, NonFiniteInputError,
+    InvalidCascadeError, MissingFeatureError, NonFiniteInputError, SingleClassError,
 )
 from .features import extract_features_batch
 from .learner import (
-    DEFAULT_LAMBDA, MAX_ITER, Metrics, cross_validate, evaluate_cluster, train,
+    DEFAULT_LAMBDA, MAX_ITER, Metrics, check_folds, cross_validate, evaluate_cluster,
+    train,
 )
 from .stats import fit_powerlaw_alpha, gini
 from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
@@ -169,6 +170,15 @@ def _label(
     return dataset, meta
 
 
+def _check_folds(path: str, y, folds: int) -> None:
+    """``check_folds`` on the labels of the labeled CSV at ``path``; a class
+    with too few examples is a fault of that file."""
+    try:
+        check_folds(y, folds)
+    except SingleClassError as exc:
+        raise ConfigInvalidError(f"{path}: {exc}") from None
+
+
 def _cross_validate(
     args, X, y, columns, metrics_out: Path | None = None, per_fold_out: Path | None = None
 ) -> Metrics:
@@ -252,6 +262,8 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     X, y, _, _, columns = io.read_labeled_csv(args.input)
     model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
+    if args.folds > 0:
+        _check_folds(args.input, y, args.folds)
     io.write_model(_resolve(args.out_dir, args.model_out), model)
     if model.converged:
         status = "converged"
@@ -291,6 +303,7 @@ def cmd_evaluate(args) -> int:
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
     X, y, _, _, columns = io.read_labeled_csv(args.input)
+    _check_folds(args.input, y, args.folds)
     _print_metrics(_cross_validate(
         args, X, y, columns,
         args.metrics_out and _resolve(args.out_dir, args.metrics_out),
@@ -303,6 +316,7 @@ def cmd_rank_features(args) -> int:
     if args.top < 0:
         raise BadArgumentError(f"--top must be >= 0, got {args.top}")
     X, y, sizes, _, columns = io.read_labeled_csv(args.input)
+    _check_folds(args.input, y, args.folds)
     lines = _ranking_table(rank_single_feature_predictors(
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
     ))
@@ -330,7 +344,33 @@ def cmd_stats(args) -> int:
     return 0
 
 
+# Each report option: its flag, its value when not given, and the tables that
+# read it. Given to any other table, it is refused.
+_REPORT_OPTIONS = {
+    "graph": ("--graph", None, ("rank-features", "accuracy-vs-k")),
+    "directed": ("--directed", False, ("rank-features", "accuracy-vs-k")),
+    "k": ("--k", 5, ("rank-features",)),
+    "ks": ("--ks", "5,10,25", ("accuracy-vs-k",)),
+    "R": ("--R", None, ("accuracy-vs-k",)),
+    "lam": ("--lambda", DEFAULT_LAMBDA, ("rank-features", "accuracy-vs-k")),
+    "folds": ("--folds", 10, ("rank-features", "accuracy-vs-k")),
+    "group_by": ("--group-by", "category", ("groups",)),
+}
+
+
+def _report_options(args) -> None:
+    """Refuse an option the report table would ignore, then set each option
+    not given to its default."""
+    for dest, (flag, default, tables) in _REPORT_OPTIONS.items():
+        value = getattr(args, dest)
+        if value is None or value is False:
+            setattr(args, dest, default)
+        elif args.kind not in tables:
+            raise BadArgumentError(f"{flag} does not apply to report {args.kind}")
+
+
 def cmd_report(args) -> int:
+    _report_options(args)
     records = _load_records(args.input, args.content)
     graph = _load_graph(args)
     if args.kind == "groups":
@@ -545,12 +585,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(stats_sub, "gini", cmd_stats, "Gini coefficient")
     p.add_argument("file")
 
-    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events, fit)
+    # No defaults here: _report_options tells a given option from one left out.
+    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events)
     p.add_argument("kind", choices=["accuracy-vs-k", "rank-features", "groups"])
-    p.add_argument("--ks", default="5,10,25", help="comma-separated k values")
-    p.add_argument("--k", type=int, default=5, help="window for rank-features")
-    p.add_argument("--R", type=int, help="fixed minimum final size variant")
-    p.add_argument("--group-by", default="category")
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help=f"L2 penalty of the fits (default {DEFAULT_LAMBDA})")
+    p.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
+    p.add_argument("--ks", help="accuracy-vs-k: comma-separated k values (default 5,10,25)")
+    p.add_argument("--k", type=int, help="rank-features: window (default 5)")
+    p.add_argument("--R", type=int, help="accuracy-vs-k: fixed minimum final size variant")
+    p.add_argument("--group-by", help="groups: content field to group by (default category)")
     p.add_argument("--out", help="output CSV")
 
     p = command(sub, "pipeline", cmd_pipeline,

@@ -15,7 +15,7 @@ configured k only; vectors for different k must not be mixed in a dataset.
 ``layout_columns`` is the one column layout, shared by the CSV files and
 the design matrix: each value column followed by its ``<name>_missing``
 indicator. A ``FeatureVector``'s ``row`` is one row in that layout, and
-``extract_features_batch`` stacks the rows of a batch into one matrix.
+``extract_features_batch`` writes the rows of a batch into one matrix.
 """
 
 from __future__ import annotations
@@ -117,11 +117,6 @@ class FeatureVector:
 def layout_columns(names: Iterable[str]) -> list[str]:
     """Each feature name followed by its ``<name>_missing`` indicator."""
     return [column for name in names for column in (name, name + MISSING_SUFFIX)]
-
-
-def feature_layout(fv: FeatureVector) -> tuple[list[str], list[float]]:
-    """Column names and row of ``fv`` in the CSV / design-matrix layout."""
-    return layout_columns(fv.names), list(fv.row)
 
 
 def feature_names(k: int) -> list[str]:
@@ -373,11 +368,13 @@ def extract_features_batch(
 
     Rows of ``X`` are in cascade_id order and its columns are
     ``layout_columns(feature_names(k))``, so an empty batch still has its
-    columns. Extraction is pure per cascade and ``pool.map`` keeps input
-    order, so the thread pool changes throughput only.
+    columns. Each row is written into ``X`` as it is extracted, so no list
+    of rows is held. Extraction is pure per cascade and ``pool.map`` keeps
+    input order, so the thread pool changes throughput only.
     """
     pairs = sorted(items, key=lambda pair: pair[0].cascade_id)
     columns = layout_columns(feature_names(k))
+    X = np.empty((len(pairs), len(columns)), dtype=np.float64)
 
     def row(pair: tuple[CascadeTree, ContentRecord | None]) -> tuple[float, ...]:
         tree, content = pair
@@ -387,8 +384,9 @@ def extract_features_batch(
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, pairs))
+            for i, values in enumerate(pool.map(row, pairs)):
+                X[i] = values
     else:
-        rows = [row(pair) for pair in pairs]
-    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+        for i, pair in enumerate(pairs):
+            X[i] = row(pair)
     return [tree.cascade_id for tree, _ in pairs], X, columns

@@ -9,10 +9,12 @@ as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
 ``path:line``; a missing one raises ``FileNotFoundError``, and an output
 path in a directory that does not exist raises ``BadArgumentError``.
 Each format's reader owns all of its format's checks and names a fault's
-line from the lines it has read. Event lines are written by code generated
-from the ``ReshareEvent`` fields, byte for byte what ``json.dumps(...,
-sort_keys=True)`` writes; a value that is not an exact str, int or finite
-float takes the json encoder.
+line from the lines it has read. The event and edge-list readers hold equal
+strings once per file: one dict, kept for that read only, hands out the
+first string equal to each id, so repeated ids cost one object. Event lines
+are written by code generated from the ``ReshareEvent`` fields, byte for
+byte what ``json.dumps(..., sort_keys=True)`` writes; a value that is not an
+exact str, int or finite float takes the json encoder.
 """
 
 from __future__ import annotations
@@ -152,24 +154,32 @@ def event_to_dict(event: ReshareEvent) -> dict:
 
 
 def _compile_event_row_values():
-    """``_event_row_values(row)``: the field values (in ``EVENT_FIELDS``
-    order) of the event one JSONL object or CSV row describes, compiled with
-    one expression per field. Unknown keys are ignored and ``None`` or ``""``
-    means absent; a value of its field's type is taken as is, any other is
-    converted with ``int``, ``float`` or ``str``. A row with several faults
-    raises the error of its first faulty field."""
+    """``_event_row_values(row, share)``: the field values (in
+    ``EVENT_FIELDS`` order) of the event one JSONL object or CSV row
+    describes, compiled with one expression per field. Unknown keys are
+    ignored and ``None`` or ``""`` means absent; a value of its field's type
+    is taken as is, any other is converted with ``int``, ``float`` or
+    ``str``. Each str value ``s``, a default included, becomes ``share(s,
+    s)``: a reader passes the ``setdefault`` of one dict per file, so equal
+    strings of one file are one object. A row with several faults raises the
+    error of its first faulty field."""
 
     def absent(name: str):
         raise TypeError(f"missing required field {name!r}")
 
-    lines = ["def _event_row_values(row):", "    get = row.get"]
+    lines = ["def _event_row_values(row, share):", "    get = row.get"]
     for i, (name, default) in enumerate(zip(EVENT_FIELDS, _EVENT_DEFAULTS)):
         kind = _EVENT_TYPES[name].__name__
         # Only a value of the field's type is taken as is, and of those only
         # a str can be "".
         taken = f"type(v := get({name!r})) is {kind}" + (" and v" if kind == "str" else "")
         fill = f"_absent({name!r})" if default is MISSING else repr(default)
-        lines.append(f'    v{i} = v if {taken} else {fill} if v is None or v == "" else {kind}(v)')
+        value, convert = "v", f"{kind}(v)"
+        if kind == "str":
+            value, convert = "share(v, v)", "share(s := str(v), s)"
+            if isinstance(default, str):
+                fill = f"share({fill}, {fill})"
+        lines.append(f'    v{i} = {value} if {taken} else {fill} if v is None or v == "" else {convert}')
     lines.append(f"    return [{', '.join(f'v{i}' for i in range(len(EVENT_FIELDS)))}]")
     namespace = {"_absent": absent}
     exec(compile("\n".join(lines), f"<{__name__}._event_row_values>", "exec"), namespace)
@@ -217,19 +227,20 @@ def write_events_jsonl(path: str | Path, cascades: Iterable[Sequence[ReshareEven
 def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
     """(line number, event) for every event of an event file, in file order;
     the format is read_events'."""
+    share = {}.setdefault
     if Path(path).suffix.lower() == ".csv":
         with _text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
-                    e = _event(_event_row_values(row))
+                    e = _event(_event_row_values(row, share))
                 except _RECORD_ERRORS as exc:
                     raise _bad_record(path, reader.line_num, exc) from None
                 yield reader.line_num, e
         return
     for lineno, line in _lines(path):
         try:
-            e = _event(_event_row_values(_json_value(line)))
+            e = _event(_event_row_values(_json_value(line), share))
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         yield lineno, e
@@ -273,12 +284,16 @@ def write_events_csv(path: str | Path, cascades: Iterable[Sequence[ReshareEvent]
 # --- social graph ----------------------------------------------------------
 
 def read_edge_list(path: str | Path, directed: bool = False) -> SocialGraph:
+    """The graph an edge list describes: two whitespace-separated ids per
+    line, ``#`` comments and blank lines skipped."""
     graph = SocialGraph(directed=directed)
+    share = {}.setdefault
     for lineno, line in _lines(path, comments=True):
         parts = line.split()
         if len(parts) != 2:
             raise ConfigInvalidError(f"{path}:{lineno}: expected two ids, got {line!r}")
-        graph.add_edge(parts[0], parts[1])
+        u, v = parts
+        graph.add_edge(share(u, u), share(v, v))
     return graph
 
 
@@ -322,8 +337,10 @@ def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
 # --- feature / labeled CSVs ---------------------------------------------------
 
 def _layout_cells(X: np.ndarray) -> Iterator[list[str]]:
-    """The rows of a ``layout_columns`` matrix as CSV cells."""
-    for row in X.tolist():
+    """The rows of a ``layout_columns`` matrix as CSV cells, converted one
+    row at a time."""
+    for values in X:
+        row = values.tolist()
         cells = row[:]
         cells[0::2] = map(fmt, row[0::2])
         cells[1::2] = ["1" if flag else "0" for flag in row[1::2]]

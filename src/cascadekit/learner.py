@@ -1,6 +1,6 @@
 """Regularized logistic regression, written out, plus evaluation metrics.
 
-Training standardizes features internally, drops zero-variance columns, and
+Training standardizes features internally, drops constant columns, and
 minimizes mean logistic loss + (lambda/2)||w||^2 by deterministic full-batch
 gradient descent with Armijo backtracking. The seed never touches the
 optimizer; it only drives cross-validation fold assignment, so fits are
@@ -159,7 +159,10 @@ def train(
 
     means = X.mean(axis=0)
     stds = X.std(axis=0)
-    keep = stds > 0.0
+    # A column of equal values can have a computed std of float noise (0.1
+    # repeated has one): it is dropped as constant. A column whose std
+    # underflows to 0.0 cannot be standardized and is dropped too.
+    keep = (X != X[0]).any(axis=0) & (stds > 0.0)
     kept_names = tuple(n for n, flag in zip(names, keep) if flag)
     dropped = tuple(n for n, flag in zip(names, keep) if not flag)
     Xs = (X[:, keep] - means[keep]) / stds[keep]
@@ -271,6 +274,26 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
+def check_folds(y: np.ndarray, folds: int) -> None:
+    """Refuse labels that stratified ``folds``-fold cross-validation cannot
+    split: fewer than 2 folds, fewer examples than folds, or a class with
+    fewer than 2 examples. Folds deal each class round-robin, so the one
+    example of a class would leave its fold's training split without it."""
+    if folds < 2:
+        raise BadArgumentError(f"folds must be >= 2, got {folds}")
+    y = np.asarray(y)
+    if y.shape[0] < folds:
+        raise TooFewExamplesError(f"{y.shape[0]} examples for {folds} folds")
+    classes, counts = np.unique(y, return_counts=True)
+    if classes.size < 2:
+        raise SingleClassError("cross_validate needs both classes")
+    if counts.min() < 2:
+        raise SingleClassError(
+            f"class {classes[counts.argmin()]:g} has 1 example; cross-validation "
+            "needs >= 2 of each class"
+        )
+
+
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -282,15 +305,11 @@ def cross_validate(
     """Stratified k-fold cross-validation of the classifier.
 
     Standardization is fitted inside each training split (train() does it),
-    so no information leaks from held-out folds.
+    so no information leaks from held-out folds. Labels ``check_folds``
+    refuses are refused before any fit.
     """
     X, y, names = _problem(X, y, feature_names)
-    if folds < 2:
-        raise BadArgumentError(f"folds must be >= 2, got {folds}")
-    if X.shape[0] < folds:
-        raise TooFewExamplesError(f"{X.shape[0]} examples for {folds} folds")
-    if np.unique(y).size < 2:
-        raise SingleClassError("cross_validate needs both classes")
+    check_folds(y, folds)
 
     assignment = stratified_folds(y, folds, seed)
     accs: list[float] = []

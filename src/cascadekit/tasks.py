@@ -21,12 +21,11 @@ from .errors import (
     EmptyDatasetError,
     KExceedsRError,
     NoQualifyingClustersError,
-    SingleClassError,
     UnknownFieldError,
     ZeroVarianceError,
 )
 from .features import MISSING_SUFFIX, ContentRecord, extract_features_batch
-from .learner import DEFAULT_LAMBDA, cross_validate
+from .learner import DEFAULT_LAMBDA, check_folds, cross_validate
 from .stats import median, pearson
 from .virality import wiener_index_exact
 
@@ -357,9 +356,7 @@ def rank_single_feature_predictors(
     if X.shape[0] == 0:
         raise EmptyDatasetError("no examples")
     labels = np.asarray(y, dtype=np.float64)
-    for cls in (0, 1):
-        if np.sum(labels == cls) < 2:
-            raise SingleClassError(f"need >= 2 examples of class {cls}")
+    check_folds(labels, folds)
     if min(final_sizes) < 1:
         raise BadArgumentError(f"final sizes must be >= 1, got {min(final_sizes)}")
     log_sizes = [math.log(s) for s in final_sizes]

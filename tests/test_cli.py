@@ -627,6 +627,22 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
      None, "m applies to cluster labels only, not growth"),
     (["label", "structure", "--k", "1", "--m", "3", "--out", "l.csv", "--in",
       "{events}"], None, "m applies to cluster labels only, not structure"),
+    (["report", "groups", "--k", "3", "--in", "{events}"], None,
+     "--k does not apply to report groups"),
+    (["report", "groups", "--R", "10", "--in", "{events}"], None,
+     "--R does not apply to report groups"),
+    (["report", "groups", "--ks", "5", "--in", "{events}"], None,
+     "--ks does not apply to report groups"),
+    (["report", "groups", "--lambda", "0.1", "--in", "{events}"], None,
+     "--lambda does not apply to report groups"),
+    (["report", "groups", "--folds", "4", "--in", "{events}"], None,
+     "--folds does not apply to report groups"),
+    (["report", "rank-features", "--R", "10", "--in", "{events}"], None,
+     "--R does not apply to report rank-features"),
+    (["report", "rank-features", "--ks", "5", "--in", "{events}"], None,
+     "--ks does not apply to report rank-features"),
+    (["report", "accuracy-vs-k", "--k", "3", "--in", "{events}"], None,
+     "--k does not apply to report accuracy-vs-k"),
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
@@ -635,6 +651,8 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     "cluster-quartiles", "rank-features-final-size-0",
     "fit-alpha-xmin-0", "gini-negative-value", "cluster-m-0",
     "threads-0", "threads-negative", "growth-m", "structure-m",
+    "groups-k", "groups-R", "groups-ks", "groups-lambda", "groups-folds",
+    "rank-features-R", "rank-features-ks", "accuracy-vs-k-k",
 ])
 def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
     paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",
@@ -645,6 +663,28 @@ def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, mes
     argv = [arg.format(**paths) for arg in argv]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--folds", "{folds}", "--in"],
+    ["train", "--folds", "{folds}", "--model-out", "model.txt", "--in"],
+    ["rank-features", "--folds", "{folds}", "--in"],
+])
+@pytest.mark.parametrize("folds", [2, 10])
+def test_class_of_one_example_names_its_file(tmp_path, capsys, command, folds):
+    """Cross-validation refuses a class of one example before it fits, and
+    train before it writes its model."""
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text(LABELED_HEADER + "".join(
+        f"{x}.0,0,{int(x == 3)},{5 + x},c{x}\n" for x in range(12)
+    ))
+    argv = [arg.format(folds=folds) for arg in command]
+    assert main([*argv, str(labeled), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {labeled}: class 1 has 1 example; cross-validation needs >= 2 "
+        "of each class"
+    ]
+    assert not (tmp_path / "model.txt").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -927,6 +967,83 @@ def test_read_events_matches_constructor(tmp_path_factory, row):
         assert typed_fields(events[0]) == typed_fields(expected)
         with pytest.raises(FrozenInstanceError):
             events[0].node_id = "x"
+
+
+SHORT_IDS = st.text(alphabet="ab1", min_size=1, max_size=2)
+
+
+@st.composite
+def shared_rows(draw):
+    """Valid event rows whose ids, types and genders repeat: a parent_id
+    names a node_id drawn for an earlier row, a later row or no row."""
+    node_ids = draw(st.lists(SHORT_IDS | st.integers(0, 3), min_size=1, max_size=12))
+    rows = []
+    for nid in node_ids:
+        row = {
+            "cascade_id": draw(st.sampled_from(["c0", "c1", 7])),
+            "node_id": nid,
+            "timestamp": draw(st.floats(0, 100)),
+            "parent_id": draw(st.none() | st.sampled_from(node_ids) | SHORT_IDS),
+        }
+        for name, values in (("node_type", ["user", "page", "", None]),
+                             ("gender", ["female", "male", "", None])):
+            value = draw(st.sampled_from(values))
+            if value is not None:
+                row[name] = value
+        rows.append(row)
+    return rows
+
+
+STR_FIELDS = [name for name, kind in CONVERT.items() if kind is str]
+
+
+@given(rows=shared_rows(),
+       edges=st.lists(st.tuples(SHORT_IDS, SHORT_IDS), max_size=20),
+       directed=st.booleans())
+def test_readers_hold_each_string_once(tmp_path_factory, rows, edges, directed):
+    """In one read, each distinct string of the event fields is one object,
+    so a reshare's parent_id is its parent's node_id object; each event
+    still equals ``ReshareEvent(**kw)`` type for type. The edge list's
+    adjacency keys and members hold one object per id too."""
+    root = tmp_path_factory.mktemp("shared")
+    jsonl, csv_file = root / "events.jsonl", root / "events.csv"
+    jsonl.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    header = ["cascade_id", "node_id", "timestamp", "parent_id", "node_type", "gender"]
+    io.write_csv(csv_file, header, [
+        ["" if row.get(name) is None else str(row[name]) for name in header]
+        for row in rows
+    ])
+    expected: dict[str, list[ReshareEvent]] = {}
+    for row in rows:
+        kw = {name: CONVERT[name](v) for name, v in row.items()
+              if v is not None and v != ""}
+        expected.setdefault(kw["cascade_id"], []).append(ReshareEvent(**kw))
+    for path in (jsonl, csv_file):
+        grouped = io.read_events(path)
+        assert list(grouped) == list(expected)
+        for events, want in zip(grouped.values(), expected.values()):
+            assert [typed_fields(e) for e in events] == [typed_fields(e) for e in want]
+        events = [e for es in grouped.values() for e in es]
+        held: dict[str, str] = {}
+        for value in (getattr(e, name) for e in events for name in STR_FIELDS):
+            if value is not None:
+                assert held.setdefault(value, value) is value
+        node = {e.node_id: e.node_id for e in events}
+        for e in events:
+            if e.parent_id in node:
+                assert e.parent_id is node[e.parent_id]
+
+    edge_file = root / "graph.edges"
+    edge_file.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    graph = io.read_edge_list(edge_file, directed=directed)
+    plain = SocialGraph(directed=directed)
+    for u, v in edges:
+        plain.add_edge(u, v)
+    assert graph.adjacency == plain.adjacency
+    held = {}
+    for u, members in graph.adjacency.items():
+        for value in (u, *members):
+            assert held.setdefault(value, value) is value
 
 
 INT_FIELDS = [name for name, kind in CONVERT.items() if kind is int]

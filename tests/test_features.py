@@ -255,15 +255,28 @@ class TestFeatureProperties:
             assert min(depths) <= fv.value("depths_90p") <= max(depths)
 
     def test_batch_sorted_and_parallel_identical(self, rng):
-        trees = [random_tree(rng, int(rng.integers(5, 25)), cascade_id=f"c{i:02d}")
-                 for i in range(12)]
-        items = [(t, None) for t in reversed(trees)]
+        trees = [random_tree(rng, int(rng.integers(5, 25)), cascade_id=f"c{i:03d}")
+                 for i in range(150)]
+        items = [(t, None) for t in reversed(trees[:12])]
         seq_ids, seq_X, seq_columns = extract_features_batch(items, 3, threads=1)
         par_ids, par_X, par_columns = extract_features_batch(items, 3, threads=4)
-        assert seq_ids == sorted(t.cascade_id for t in trees)
+        assert seq_ids == sorted(t.cascade_id for t in trees[:12])
         assert par_ids == seq_ids
         assert par_columns == seq_columns
         assert np.array_equal(par_X, seq_X)
+        # X is the matrix np.array makes of the vectors' rows, for an empty
+        # batch, a batch of one and a large one, sequential or pooled.
+        for n in (0, 1, len(trees)):
+            rows = [extract_features(t, 3).row for t in trees[:n]]
+            expected = np.array(rows, dtype=np.float64).reshape(n, len(seq_columns))
+            for threads in (1, 2):
+                ids, X, columns = extract_features_batch(
+                    [(t, None) for t in reversed(trees[:n])], 3, threads=threads
+                )
+                assert ids == [t.cascade_id for t in trees[:n]]
+                assert columns == seq_columns
+                assert X.dtype == np.float64 and X.shape == expected.shape
+                assert np.array_equal(X, expected)
 
 
 class TestContentRecord:

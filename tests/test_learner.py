@@ -29,7 +29,7 @@ from cascadekit.learner import (
     train,
 )
 from cascadekit.tasks import ClusterInstance
-from cascadekit.features import FeatureVector, feature_layout
+from cascadekit.features import FeatureVector, layout_columns
 
 
 def separable_1d(rng, n=200, gap=3.0):
@@ -75,6 +75,26 @@ class TestTrain:
         assert model.dropped == ("constant",)
         assert model.feature_names == ("signal",)
         assert all(s > 0 for s in model.stds.values())
+
+    def test_constant_column_with_a_noisy_std_dropped(self, rng):
+        # The computed mean of 0.1 repeated is not 0.1, so its std is float
+        # noise, not 0.0; the column is still constant and changes nothing.
+        X, y = separable_1d(rng, n=100)
+        tenth = np.full((100, 1), 0.1)
+        assert tenth.std() > 0.0
+        model = train(np.hstack([X, tenth]), y, feature_names=["signal", "constant"])
+        alone = train(X, y, feature_names=["signal"])
+        assert model.dropped == ("constant",)
+        assert model.iterations == alone.iterations
+        assert model.weights["signal"] == pytest.approx(alone.weights["signal"], rel=1e-12)
+        assert model.bias == pytest.approx(alone.bias, rel=1e-12)
+
+    def test_column_whose_std_underflows_dropped(self, rng):
+        X, y = separable_1d(rng, n=40)
+        tiny = np.array([[0.0], [1e-320]] * 20)
+        assert tiny.std() == 0.0
+        model = train(np.hstack([X, tiny]), y, feature_names=["signal", "tiny"])
+        assert model.dropped == ("tiny",)
 
     def test_deterministic_regardless_of_seed(self, rng):
         X, y = separable_1d(rng, n=100)
@@ -190,10 +210,10 @@ class TestPredictProba:
             raws.append({"x": None if missing else float(rng.normal())})
             labels.append(1.0 if (not missing and raws[-1]["x"] > 0) else 0.0)
         vectors = [FeatureVector(names, raw) for raw in raws]
-        X = np.array([feature_layout(v)[1] for v in vectors])
+        X = np.array([v.row for v in vectors])
         model = train(X, np.array(labels), feature_names=["x", "x_missing"])
-        columns, row = feature_layout(vectors[1])
-        p = predict_proba(model, dict(zip(columns, row)))
+        columns = layout_columns(vectors[1].names)
+        p = predict_proba(model, dict(zip(columns, vectors[1].row)))
         assert 0.0 <= p <= 1.0
 
 
@@ -234,6 +254,19 @@ class TestCrossValidate:
         with pytest.raises(TooFewExamplesError):
             cross_validate(X, y, folds=10)
 
+    @pytest.mark.parametrize("folds", [2, 10])
+    def test_class_of_one_example_refused_before_any_fit(self, rng, monkeypatch, folds):
+        X = rng.normal(size=(30, 2))
+        y = np.array([1.0] + [0.0] * 29)
+        fits = []
+        monkeypatch.setattr("cascadekit.learner.train", lambda *a, **kw: fits.append(a))
+        with pytest.raises(
+            SingleClassError,
+            match="class 1 has 1 example; cross-validation needs >= 2 of each class",
+        ):
+            cross_validate(X, y, folds=folds)
+        assert fits == []
+
     def test_rows_of_x_and_y_must_match(self, rng):
         X = rng.normal(size=(10, 2))
         y = np.array([0.0, 1.0] * 6)
@@ -269,6 +302,40 @@ class TestAuc:
     def test_single_class(self):
         with pytest.raises(SingleClassError):
             auc([0.3, 0.4], [1, 1])
+
+
+# Column values: any finite float in a range the fit handles, and values
+# whose columns are constant with a nonzero computed std (0.1, 0.7) or not
+# constant with a std that underflows (1e-320 next to 0.0).
+COLUMN_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.1, 0.7, 0.0, -0.0, 1e-320])
+
+
+@st.composite
+def columns_and_labels(draw):
+    n = draw(st.integers(4, 12))
+    columns = draw(st.lists(
+        st.lists(COLUMN_VALUES, min_size=n, max_size=n)
+        | COLUMN_VALUES.map(lambda v: [v] * n),
+        min_size=1, max_size=4,
+    ))
+    return np.array(columns).T, np.array([0.0, 1.0] * (n // 2) + [1.0] * (n % 2))
+
+
+@given(problem=columns_and_labels())
+def test_train_drops_exactly_the_constant_columns(problem):
+    """A column is dropped when all its values are equal or its std (as
+    train computes it) is 0.0; every other column is kept."""
+    X, y = problem
+    names = [f"c{j}" for j in range(X.shape[1])]
+    stds = X.std(axis=0)
+    dropped = tuple(
+        name for j, name in enumerate(names)
+        if len(set(X[:, j].tolist())) == 1 or stds[j] == 0.0
+    )
+    model = train(X, y, lam=1.0, feature_names=names)
+    assert model.dropped == dropped
+    assert model.feature_names == tuple(n for n in names if n not in dropped)
+    assert all(s > 0.0 for s in model.stds.values())
 
 
 # Small integer scores tie often; the floats cover distinct scores.
