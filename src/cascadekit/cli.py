@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -115,11 +116,13 @@ def _generate(
     params: SynthParams, events: Path, graph: Path, content: Path | None
 ) -> str:
     """Write a synthetic graph and its cascades (and their content records,
-    unless ``content`` is None); returns the one-line summary."""
+    unless ``content`` is None); returns the one-line summary. The graph is
+    written before the cascades are simulated, so its sorted edge list is
+    gone before the events exist."""
     social = generate_social_graph(params, params.seed)
+    io.write_edge_list(graph, social)
     cascades, contents = simulate_cascades(social, params, params.seed)
     io.write_events_jsonl(events, cascades)
-    io.write_edge_list(graph, social)
     if content:
         io.write_content_jsonl(content, contents)
     n_events = sum(len(c) for c in cascades)
@@ -170,11 +173,12 @@ def _label(
     return dataset, meta
 
 
-def _check_folds(path: str, y, folds: int) -> None:
-    """``check_folds`` on the labels of the labeled CSV at ``path``; a class
-    with too few examples is a fault of that file."""
+@contextmanager
+def _labels_of(path: str) -> Iterator[None]:
+    """Blame the labeled CSV at ``path`` for a class with too few examples to
+    fit or to cross-validate, as the body finds it."""
     try:
-        check_folds(y, folds)
+        yield
     except SingleClassError as exc:
         raise ConfigInvalidError(f"{path}: {exc}") from None
 
@@ -206,6 +210,13 @@ def _cross_validate(
 # --- subcommands ------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    # The params file's seed key seeds the generator, and it runs on one thread.
+    if args.seed is not None:
+        raise BadArgumentError(
+            "--seed does not apply to generate; set seed in the params file"
+        )
+    if args.threads is not None:
+        raise BadArgumentError("--threads does not apply to generate")
     params = _synth_params(args.params, io.read_config(args.params, PARAM_TYPES))
     print(_generate(
         params,
@@ -261,9 +272,10 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     X, y, _, _, columns = io.read_labeled_csv(args.input)
-    model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
-    if args.folds > 0:
-        _check_folds(args.input, y, args.folds)
+    with _labels_of(args.input):
+        model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
+        if args.folds > 0:
+            check_folds(y, args.folds)
     io.write_model(_resolve(args.out_dir, args.model_out), model)
     if model.converged:
         status = "converged"
@@ -303,7 +315,8 @@ def cmd_evaluate(args) -> int:
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
     X, y, _, _, columns = io.read_labeled_csv(args.input)
-    _check_folds(args.input, y, args.folds)
+    with _labels_of(args.input):
+        check_folds(y, args.folds)
     _print_metrics(_cross_validate(
         args, X, y, columns,
         args.metrics_out and _resolve(args.out_dir, args.metrics_out),
@@ -316,7 +329,8 @@ def cmd_rank_features(args) -> int:
     if args.top < 0:
         raise BadArgumentError(f"--top must be >= 0, got {args.top}")
     X, y, sizes, _, columns = io.read_labeled_csv(args.input)
-    _check_folds(args.input, y, args.folds)
+    with _labels_of(args.input):
+        check_folds(y, args.folds)
     lines = _ranking_table(rank_single_feature_predictors(
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
     ))
@@ -355,6 +369,8 @@ _REPORT_OPTIONS = {
     "lam": ("--lambda", DEFAULT_LAMBDA, ("rank-features", "accuracy-vs-k")),
     "folds": ("--folds", 10, ("rank-features", "accuracy-vs-k")),
     "group_by": ("--group-by", "category", ("groups",)),
+    "seed": ("--seed", 0, ("rank-features", "accuracy-vs-k")),
+    "threads": ("--threads", 1, ("rank-features", "accuracy-vs-k")),
 }
 
 
@@ -513,11 +529,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flags shared by several subcommands, each declared once.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
-    common.add_argument("--out-dir", default=".", help="directory for output files")
+    # Flags shared by several subcommands, each declared once. ``generate``
+    # and ``report`` take --seed and --threads without defaults, to tell a
+    # flag given from one left out and refuse one they would ignore.
+    def shared(seed: int | None, threads: int | None) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument("--seed", type=int, default=seed, help="random seed")
+        p.add_argument("--threads", type=int, default=threads, help="worker threads")
+        p.add_argument("--out-dir", default=".", help="directory for output files")
+        return p
+
+    common, no_defaults = shared(0, 1), shared(None, None)
     events = argparse.ArgumentParser(add_help=False)
     events.add_argument("--in", dest="input", required=True, help="events JSONL/CSV")
     events.add_argument("--content", help="content records JSONL")
@@ -531,12 +553,15 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--folds", type=int, default=10,
                      help="cross-validation folds (train: 0 to skip)")
 
-    def command(parent, name: str, func, help: str, *parents) -> argparse.ArgumentParser:
-        p = parent.add_parser(name, parents=[common, *parents], help=help)
+    def command(
+        parent, name: str, func, help: str, *parents, flags=common
+    ) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, parents=[flags, *parents], help=help)
         p.set_defaults(func=func)
         return p
 
-    p = command(sub, "generate", cmd_generate, "generate a synthetic graph and cascades")
+    p = command(sub, "generate", cmd_generate, "generate a synthetic graph and cascades",
+                flags=no_defaults)
     p.add_argument("--params", required=True, help="key=value config file")
     p.add_argument("--out-events", default="events.jsonl")
     p.add_argument("--out-graph", default="graph.edges")
@@ -586,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     # No defaults here: _report_options tells a given option from one left out.
-    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events)
+    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events,
+                flags=no_defaults)
     p.add_argument("kind", choices=["accuracy-vs-k", "rank-features", "groups"])
     p.add_argument("--lambda", dest="lam", type=float,
                    help=f"L2 penalty of the fits (default {DEFAULT_LAMBDA})")
@@ -607,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise BadArgumentError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except FileNotFoundError as exc:

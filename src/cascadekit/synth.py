@@ -9,13 +9,16 @@ separate future-large from future-small cascades; with it off, nothing does.
 
 Everything is deterministic given the seed; each cascade derives its own
 generator from (seed, index), so generation order and parallelism cannot
-change the output.
+change the output. Every scalar integer draw, of the graph's generator and
+of each cascade's, goes through ``_integer_draws``, which returns what
+numpy's ``Generator.integers(n)`` would, draw for draw, at a fraction of
+its per-call cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ._lazy import deferred
 from .cascade import ReshareEvent, SocialGraph, _event as _make_event
@@ -108,6 +111,43 @@ def sample_powerlaw_sizes(
     return x_min * u ** (-1.0 / (alpha - 1.0))
 
 
+def _integer_draws(rng: np.random.Generator) -> Callable[[int], int]:
+    """``draw(n)``, equal to ``int(rng.integers(n))`` for 1 <= n <= 2**32.
+
+    numpy draws these by Lemire's multiply-and-reject method (Lemire, "Fast
+    Random Integer Generation in an Interval", ACM TOMACS 29(1), 2019) over
+    32-bit halves of the bit generator's 64-bit words: the low half of a
+    fresh word first, then the high half, kept for the next draw. ``n == 1``
+    draws nothing. ``random()`` and ``exponential()`` take whole words and
+    leave the kept half alone. The kept half lives here, not in ``rng``, so
+    every scalar ``integers`` draw of ``rng`` must come through one
+    ``draw``, or none.
+    """
+    raw = rng.bit_generator.random_raw
+    kept = None
+
+    def next32() -> int:
+        nonlocal kept
+        if kept is not None:
+            half, kept = kept, None
+            return half
+        word = raw()
+        kept = word >> 32
+        return word & 0xFFFFFFFF
+
+    def draw(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (1 << 32) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = next32() * n
+        return m >> 32
+
+    return draw
+
+
 def _page_mask(params: SynthParams, seed: int) -> list[bool]:
     """Which node indices are pages; shared by graph and cascade generation."""
     rng = np.random.default_rng([seed, 1])
@@ -123,8 +163,10 @@ def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
     distribution in their favor.
     """
     rng = np.random.default_rng([seed, 0])
+    integers = _integer_draws(rng)
     pages = _page_mask(params, seed)
     n = params.n_nodes
+    ids = [str(v) for v in range(n)]
     m = params.attachment_m
     extra_int = int(params.page_degree_boost) - 1
     extra_frac = params.page_degree_boost - int(params.page_degree_boost)
@@ -142,14 +184,14 @@ def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
         attempts = 0
         while len(targets) < limit:
             if stubs and attempts < 20 * limit:
-                t = stubs[int(rng.integers(len(stubs)))]
+                t = stubs[integers(len(stubs))]
                 attempts += 1
             else:
-                t = int(rng.integers(v))
+                t = integers(v)
             if t != v:
                 targets.add(t)
         for t in sorted(targets):
-            graph.add_edge(str(v), str(t))
+            graph.add_edge(ids[v], ids[t])
             stubs.extend([v] * stub_copies(v))
             stubs.extend([t] * stub_copies(t))
     return graph
@@ -158,14 +200,20 @@ def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
 def _node_profiles(params: SynthParams, seed: int) -> dict[str, list]:
     """Stable per-node demographics so a node looks the same in every cascade.
 
-    Columns are plain lists of Python floats, bools and ints, indexed by node.
+    Columns are plain lists of Python floats, bools and ints, indexed by node;
+    a float column holds one float object per distinct value.
     """
     rng = np.random.default_rng([seed, 3])
     n = params.n_nodes
+
+    def floats(low: int, high: int) -> list[float]:
+        values = [float(v) for v in range(low, high)]
+        return [values[i] for i in (rng.integers(low, high, size=n) - low).tolist()]
+
     return {
-        "age": rng.integers(13, 80, size=n).astype(np.float64).tolist(),
-        "fb_age": rng.integers(30, 4000, size=n).astype(np.float64).tolist(),
-        "activity": rng.integers(0, 31, size=n).astype(np.float64).tolist(),
+        "age": floats(13, 80),
+        "fb_age": floats(30, 4000),
+        "activity": floats(0, 31),
         "female": (rng.random(n) < 0.5).tolist(),
         "subscribers": rng.poisson(5, size=n).tolist(),
     }
@@ -199,8 +247,8 @@ def simulate_cascades(
     node_ids = sorted(graph.adjacency)
     page_nodes = [nid for nid in node_ids if pages[int(nid)]]
     user_nodes = [nid for nid in node_ids if not pages[int(nid)]]
-    neighbor_lists = {nid: sorted(graph.adjacency[nid]) for nid in node_ids}
-    degree = {nid: len(graph.adjacency[nid]) for nid in node_ids}
+    neighbor_lists = {nid: tuple(sorted(graph.adjacency[nid])) for nid in node_ids}
+    degree = {nid: len(nbrs) for nid, nbrs in neighbor_lists.items()}
     reshare_prob = params.reshare_prob
 
     width = len(str(params.n_cascades - 1))
@@ -208,6 +256,7 @@ def simulate_cascades(
     contents: dict[str, ContentRecord] = {}
     for idx in range(params.n_cascades):
         rng = np.random.default_rng([seed, 2, idx])
+        integers = _integer_draws(rng)
         cascade_id = f"c{idx:0{width}d}"
         drawn = powerlaw_inverse_cdf(
             1.0 - rng.random(), params.target_alpha, params.x_min
@@ -217,10 +266,10 @@ def simulate_cascades(
         hazard = params.rate_boost if boosted else 1.0
 
         if page_nodes and rng.random() < params.page_fraction:
-            root = page_nodes[int(rng.integers(len(page_nodes)))]
+            root = page_nodes[integers(len(page_nodes))]
         else:
             pool = user_nodes if user_nodes else node_ids
-            root = pool[int(rng.integers(len(pool)))]
+            root = pool[integers(len(pool))]
 
         epoch = float(idx)
         events = [_event(cascade_id, root, None, epoch, pages, profiles, degree, None, None)]
@@ -248,10 +297,10 @@ def simulate_cascades(
                 if len(members) >= len(node_ids):
                     break
                 while True:
-                    node = node_ids[int(rng.integers(len(node_ids)))]
+                    node = node_ids[integers(len(node_ids))]
                     if node not in members:
                         break
-                parent = events[int(rng.integers(len(events)))].node_id
+                parent = events[integers(len(events))].node_id
             t += rng.exponential(1.0 / hazard)
             events.append(
                 _event(
@@ -278,7 +327,7 @@ def simulate_cascades(
             liwc_pos=float(rng.random()),
             liwc_neg=float(rng.random()),
             liwc_soc=float(rng.random()),
-            category=CATEGORY_LABELS[int(rng.integers(len(CATEGORY_LABELS)))],
+            category=CATEGORY_LABELS[integers(len(CATEGORY_LABELS))],
         )
     return all_events, contents
 

@@ -331,6 +331,17 @@ def test_report_rank_features(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["rank-features", "accuracy-vs-k"])
+def test_report_seed_and_threads_default_to_0_and_1(workspace, capsys, kind):
+    _, _, out = workspace
+    argv = ["report", kind, "--in", str(out / "events.jsonl"), "--folds", "2"]
+    printed = []
+    for extra in ([], ["--seed", "0", "--threads", "1"]):
+        assert main([*argv, *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 def test_evaluate_requires_an_input(capsys):
     assert main(["evaluate"]) == 2
     assert "evaluate needs" in capsys.readouterr().err
@@ -643,6 +654,18 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
      "--ks does not apply to report rank-features"),
     (["report", "accuracy-vs-k", "--k", "3", "--in", "{events}"], None,
      "--k does not apply to report accuracy-vs-k"),
+    (["report", "groups", "--seed", "5", "--in", "{events}"], None,
+     "--seed does not apply to report groups"),
+    (["report", "groups", "--threads", "2", "--in", "{events}"], None,
+     "--threads does not apply to report groups"),
+    (["report", "rank-features", "--threads", "0", "--in", "{events}"], None,
+     "--threads must be >= 1, got 0"),
+    (["generate", "--seed", "5", "--params", "{params}"], None,
+     "--seed does not apply to generate; set seed in the params file"),
+    (["generate", "--threads", "4", "--params", "{params}"], None,
+     "--threads does not apply to generate"),
+    (["generate", "--threads", "0", "--params", "{params}"], None,
+     "--threads must be >= 1, got 0"),
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
@@ -653,11 +676,14 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     "threads-0", "threads-negative", "growth-m", "structure-m",
     "groups-k", "groups-R", "groups-ks", "groups-lambda", "groups-folds",
     "rank-features-R", "rank-features-ks", "accuracy-vs-k-k",
+    "groups-seed", "groups-threads", "report-threads-0",
+    "generate-seed", "generate-threads", "generate-threads-0",
 ])
 def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
     paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",
-             "numbers": tmp_path / "numbers.txt"}
+             "numbers": tmp_path / "numbers.txt", "params": tmp_path / "params.cfg"}
     paths["events"].write_text(ROOT_EVENT + RESHARE)
+    paths["params"].write_text("n_nodes = 300\nn_cascades = 5\n")
     paths["labeled"].write_text(labeled or "")
     paths["numbers"].write_text("3\n-1\n2\n")
     argv = [arg.format(**paths) for arg in argv]
@@ -683,6 +709,19 @@ def test_class_of_one_example_names_its_file(tmp_path, capsys, command, folds):
     assert capsys.readouterr().err.splitlines() == [
         f"error: {labeled}: class 1 has 1 example; cross-validation needs >= 2 "
         "of each class"
+    ]
+    assert not (tmp_path / "model.txt").exists()
+
+
+def test_train_names_its_file_for_a_single_class(tmp_path, capsys):
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text(LABELED_HEADER + "".join(
+        f"{x}.0,0,0,{5 + x},c{x}\n" for x in range(3)
+    ))
+    assert main(["train", "--folds", "0", "--model-out", "model.txt", "--in",
+                 str(labeled), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {labeled}: labels contain a single class: [0.0]"
     ]
     assert not (tmp_path / "model.txt").exists()
 

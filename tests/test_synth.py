@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import find, given, settings, strategies as st
 
 from cascadekit.cascade import build_cascade
 from cascadekit.cli import main
@@ -11,6 +12,8 @@ from cascadekit.features import extract_features
 from cascadekit.stats import fit_powerlaw_alpha, pearson
 from cascadekit.synth import (
     SynthParams,
+    _integer_draws,
+    _node_profiles,
     generate_social_graph,
     powerlaw_inverse_cdf,
     sample_powerlaw_sizes,
@@ -221,3 +224,124 @@ def test_generate_golden_digests(tmp_path, capsys):
         for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS
+
+
+# A corpus whose exposure mostly dies out (reshare_prob 0.05), so most reshares
+# draw an outside node and a parent: its cascade generators make about 37k
+# scalar integer draws, where GOLDEN_CFG's make 556. A page_degree_boost of 2.5
+# puts the graph generator's random() draws between its integer draws.
+DIED_OUT_CFG = (
+    "n_nodes = 2000\nn_cascades = 200\nx_min = 5.0\nreshare_prob = 0.05\n"
+    "page_degree_boost = 2.5\nseed = 5\n"
+)
+DIED_OUT_DIGESTS = {
+    "events.jsonl": "a53870b13da74f8fc593cec529b77715baf202c1aec95253edba8fe8be052824",
+    "graph.edges": "772f4766506dc140bab73ed83ad77520270fda0268c4d5e67d2e3714d471628a",
+    "content.jsonl": "b18f218be089891b9471c910b7d7746465d89b2cfe2a4c4f32e2315a10e5e22d",
+}
+
+
+def test_generate_golden_digests_when_exposure_dies_out(tmp_path, capsys):
+    cfg = tmp_path / "died_out.cfg"
+    cfg.write_text(DIED_OUT_CFG)
+    assert main(["generate", "--params", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "generated 200 cascades, 7643 events, 3997 graph edges\n"
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DIED_OUT_DIGESTS
+    }
+    assert digests == DIED_OUT_DIGESTS
+
+
+def test_generator_holds_each_id_and_profile_value_once():
+    params = SynthParams(n_nodes=2000, attachment_m=2, n_cascades=1)
+    graph = generate_social_graph(params, seed=4)
+    ids = {id(u) for u in graph.adjacency}
+    ids.update(id(v) for nbrs in graph.adjacency.values() for v in nbrs)
+    assert len(ids) == len(graph.adjacency) == 2000
+    profiles = _node_profiles(params, 4)
+    for name in ("age", "fb_age", "activity"):
+        column = profiles[name]
+        assert len({id(x) for x in column}) == len(set(column)), name
+
+
+# Ops on a generator: random(), exponential() and integers(n), with n over
+# [1, 2**32] and its edges drawn more often.
+DRAW_OPS = st.lists(st.one_of(
+    st.just(("random",)),
+    st.just(("exponential",)),
+    st.tuples(st.just("integers"), st.sampled_from([1, 2, 2**31 + 11, 2**32 - 5, 2**32])
+              | st.integers(1, 2**32)),
+), max_size=40)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+def _agrees_with_numpy(make_draws, seed, ops) -> bool:
+    """Whether twin generators, one drawing integers through ``make_draws``,
+    agree on every op and on the next 8 random() draws after them."""
+    native = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    draw = make_draws(twin)
+    for op, *n in ops:
+        if op == "integers":
+            if int(native.integers(n[0])) != draw(n[0]):
+                return False
+        elif getattr(native, op)() != getattr(twin, op)():
+            return False
+    return all(native.random() == twin.random() for _ in range(8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, ops=DRAW_OPS)
+def test_integer_draws_match_numpy(seed, ops):
+    assert _agrees_with_numpy(_integer_draws, seed, ops)
+
+
+def _slipped_integer_draws(high_first: bool, draw_for_one: bool):
+    """A copy of ``_integer_draws`` that takes the high half of a word first,
+    or draws a half for n == 1."""
+
+    def make(rng):
+        raw = rng.bit_generator.random_raw
+        kept = []
+
+        def next32():
+            if kept:
+                return kept.pop()
+            low, high = (word := raw()) & 0xFFFFFFFF, word >> 32
+            kept.append(low if high_first else high)
+            return high if high_first else low
+
+        def draw(n):
+            if n == 1 and not draw_for_one:
+                return 0
+            m = next32() * n
+            if (m & 0xFFFFFFFF) < n:
+                while (m & 0xFFFFFFFF) < (1 << 32) % n:
+                    m = next32() * n
+            return m >> 32
+
+        return draw
+
+    return make
+
+
+def test_slipped_copy_agrees_where_the_slip_is_absent():
+    assert _agrees_with_numpy(_slipped_integer_draws(False, False), 7, [
+        ("integers", 3), ("random",), ("integers", 2**32), ("exponential",),
+        ("integers", 1), ("integers", 2**31 + 11),
+    ])
+
+
+@pytest.mark.parametrize("high_first, draw_for_one", [(True, False), (False, True)],
+                         ids=["high-half-first", "draws-for-one"])
+def test_integer_draws_property_catches_a_slip(high_first, draw_for_one):
+    find(
+        st.tuples(SEEDS, DRAW_OPS),
+        lambda case: not _agrees_with_numpy(
+            _slipped_integer_draws(high_first, draw_for_one), *case
+        ),
+        settings=settings(max_examples=300, deadline=None, database=None),
+    )
