@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -33,11 +32,15 @@ from .errors import (
 NODE_TYPES = ("user", "page")
 
 
+def _check_timestamp(timestamp: float) -> None:
+    if not math.isfinite(timestamp):
+        raise ValueError(f"timestamp must be finite, got {timestamp!r}")
+
+
 def _check_event(node_type: str, timestamp: float, outdeg: int) -> None:
     if node_type not in NODE_TYPES:
         raise ValueError(f"node_type must be one of {NODE_TYPES}, got {node_type!r}")
-    if not math.isfinite(timestamp):
-        raise ValueError(f"timestamp must be finite, got {timestamp!r}")
+    _check_timestamp(timestamp)
     if outdeg < 0:
         raise ValueError(f"outdeg must be >= 0, got {outdeg}")
 
@@ -91,7 +94,6 @@ EVENT_FIELDS = tuple(f.name for f in fields(ReshareEvent))
 _TIMESTAMP = EVENT_FIELDS.index("timestamp")
 _NODE_TYPE = EVENT_FIELDS.index("node_type")
 _OUTDEG = EVENT_FIELDS.index("outdeg")
-_event_values = operator.attrgetter(*EVENT_FIELDS)
 
 # ReshareEvent's slots on a class without the frozen ``__setattr__``. The two
 # lay their slots out alike, so an instance of one may become the other by
@@ -100,27 +102,39 @@ _EventSlots = type("_EventSlots", (), {"__slots__": EVENT_FIELDS})
 
 
 def _compile_event():
-    """``_event(values)``, compiled with one attribute store per field."""
+    """``_event(values)`` and ``_rebase(old, t)``, compiled with one attribute
+    store per field. ``_rebase`` is ``replace(old, timestamp=t)`` as a slot
+    copy: the other fields were checked when ``old`` was made."""
+    copies = "".join(f"\n    e.{name} = {'t' if name == 'timestamp' else 'old.' + name}"
+                     for name in EVENT_FIELDS)
     source = f"""def _event(values):
     _check_event(values[{_NODE_TYPE}], values[{_TIMESTAMP}], values[{_OUTDEG}])
     e = _new(_EventSlots)
     {", ".join(f"e.{name}" for name in EVENT_FIELDS)} = values
     e.__class__ = ReshareEvent
     return e
+
+def _rebase(old, t):
+    _check_timestamp(t)
+    e = _new(_EventSlots){copies}
+    e.__class__ = ReshareEvent
+    return e
 """
-    namespace = {"_check_event": _check_event, "_new": object.__new__,
-                 "_EventSlots": _EventSlots, "ReshareEvent": ReshareEvent}
+    namespace = {"_check_event": _check_event, "_check_timestamp": _check_timestamp,
+                 "_new": object.__new__, "_EventSlots": _EventSlots,
+                 "ReshareEvent": ReshareEvent}
     exec(compile(source, f"<{__name__}._event>", "exec"), namespace)
-    return namespace["_event"]
+    return namespace["_event"], namespace["_rebase"]
 
 
-_event = _compile_event()
+_event, _rebase = _compile_event()
 _event.__doc__ = """The event with these field values (in ``EVENT_FIELDS`` order).
 
 Runs the checks of ``__post_init__``, then fills the slots of an
 ``_EventSlots`` and makes it a ReshareEvent, skipping ``__init__``'s argument
 binding and the frozen ``__setattr__``. The package's one event constructor:
-``io`` reads rows, build_cascade re-bases and ``synth`` simulates with it.
+``io`` reads rows and ``synth`` simulates with it; build_cascade copies the
+events it re-bases with ``_rebase``.
 """
 
 
@@ -228,48 +242,32 @@ def _canonical_tree(events: Sequence[ReshareEvent]) -> CascadeTree | None:
     before it, and the reshares strictly increase in (timestamp, node_id),
     none before the root and none whose re-based time overflows. Such a log
     is its own (timestamp, node_id) order with parents first, which the heap
-    in build_cascade would reproduce, so the tree is built as the log goes.
+    in ``_general_tree`` would reproduce, so it is the order ``_tree`` takes.
     """
     root = events[0]
     if root.parent_id is not None:
         return None
     cascade_id = root.cascade_id
-    epoch = root.timestamp
-    values = list(_event_values(root))
-    values[_TIMESTAMP] = 0.0
-    rebased = [_event(values)]
-    depth = {root.node_id: 0}
-    children: dict[str, list[str]] = {root.node_id: []}
-    last_t, last_id = epoch, None
+    placed = {root.node_id}
+    last_t, last_id = root.timestamp, None
     for e in itertools.islice(events, 1, None):
-        nid, pid, t = e.node_id, e.parent_id, e.timestamp
-        d = depth.get(pid)
+        nid, t = e.node_id, e.timestamp
         if (
-            d is None
-            or nid in depth
+            e.parent_id not in placed
+            or nid in placed
             or e.cascade_id != cascade_id
             or t < last_t
             or (t == last_t and last_id is not None and nid <= last_id)
         ):
             return None
+        placed.add(nid)
         last_t, last_id = t, nid
-        values = list(_event_values(e))
-        values[_TIMESTAMP] = t - epoch
-        try:
-            rebased.append(_event(values))
-        except ValueError:
-            return None
-        depth[nid] = d + 1
-        children[nid] = []
-        children[pid].append(nid)
-    return CascadeTree(
-        cascade_id=cascade_id,
-        events=tuple(rebased),
-        parent={e.node_id: e.parent_id for e in events[1:]},
-        depth=depth,
-        children={nid: tuple(cs) for nid, cs in children.items()},
-        epoch=epoch,
-    )
+    # Re-based times grow along the log, so the last is finite only if all are.
+    try:
+        finite = math.isfinite(events[-1].timestamp - root.timestamp)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    return _tree(events, root, itertools.islice(events, 1, None)) if finite else None
 
 
 def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
@@ -283,8 +281,9 @@ def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
     ``InvalidCascadeError`` whose ``index`` is the input position of the event
     it names.
 
-    A log already in canonical order (see ``_canonical_tree``) is built in one
-    pass; any other log, faulty ones included, takes ``_general_tree``.
+    A log already in canonical order (see ``_canonical_tree``) is its own
+    order; any other log, faulty ones included, takes ``_general_tree``. Both
+    hand that order to ``_tree``, which re-bases and links the events in it.
     """
     tree = _canonical_tree(events) if events else None
     return tree if tree is not None else _general_tree(events)
@@ -336,20 +335,15 @@ def _general_tree(events: Sequence[ReshareEvent]) -> CascadeTree:
         kids[e.parent_id].append(e.node_id)
 
     # Order reshares by (timestamp, node_id), releasing a node only once its
-    # parent is placed. Siblings enter the heap together, so they pop in
-    # (timestamp, node_id) order: appended in pop order, each child list is
-    # sorted. Unreachable leftovers mean the parent pointers cycle.
+    # parent is placed. Unreachable leftovers mean the parent pointers cycle.
     order: list[ReshareEvent] = []
-    children_in_order: dict[str, list[str]] = {nid: [] for nid in kids}
     ready: list[tuple[float, str]] = [
         (by_id[c].timestamp, c) for c in kids[root.node_id]
     ]
     heapq.heapify(ready)
     while ready:
         _, nid = heapq.heappop(ready)
-        e = by_id[nid]
-        order.append(e)
-        children_in_order[e.parent_id].append(nid)
+        order.append(by_id[nid])
         for c in kids[nid]:
             heapq.heappush(ready, (by_id[c].timestamp, c))
     if len(order) != len(events) - 1:
@@ -359,41 +353,44 @@ def _general_tree(events: Sequence[ReshareEvent]) -> CascadeTree:
             f"cascade {cascade_id!r}: events unreachable from root (cycle): {stuck}",
             next(i for i, e in enumerate(events) if e.node_id not in placed),
         )
+    return _tree(events, root, order)
 
-    epoch = root.timestamp
-    values = list(_event_values(root))
-    values[_TIMESTAMP] = 0.0
-    rebased: list[ReshareEvent] = [_event(values)]
+
+def _tree(
+    events: Sequence[ReshareEvent], root: ReshareEvent, order: Iterable[ReshareEvent]
+) -> CascadeTree:
+    """The tree of ``root`` and its reshares in canonical ``order``, whose
+    maps iterate in that order; a rejection names its index in ``events``."""
+    cascade_id, epoch = root.cascade_id, root.timestamp
+    rebased = [_rebase(root, 0.0)]
+    parent: dict[str, str] = {}
+    depth = {root.node_id: 0}
+    children: dict[str, list[str]] = {root.node_id: []}
     for e in order:
+        nid, pid = e.node_id, e.parent_id
         t = e.timestamp - epoch
         if t < 0:
             raise NegativeTimestampError(
-                f"cascade {cascade_id!r}: event {e.node_id!r} at {e.timestamp} "
+                f"cascade {cascade_id!r}: event {nid!r} at {e.timestamp} "
                 f"precedes root at {epoch}",
                 _position(events, e),
             )
-        values = list(_event_values(e))
-        values[_TIMESTAMP] = t
         try:
-            rebased.append(_event(values))
-        except ValueError as exc:
+            rebased.append(_rebase(e, t))
+        except (ValueError, OverflowError) as exc:  # inf, or an int too big for a float
             raise TimestampOverflowError(
-                f"cascade {cascade_id!r}: event {e.node_id!r}: {exc}",
-                _position(events, e),
+                f"cascade {cascade_id!r}: event {nid!r}: {exc}", _position(events, e)
             ) from None
-
-    parent = {e.node_id: e.parent_id for e in rebased[1:]}
-    depth: dict[str, int] = {root.node_id: 0}
-    for e in rebased[1:]:
-        depth[e.node_id] = depth[e.parent_id] + 1
-    children = {nid: tuple(cs) for nid, cs in children_in_order.items()}
-
+        parent[nid] = pid
+        depth[nid] = depth[pid] + 1
+        children[nid] = []
+        children[pid].append(nid)
     return CascadeTree(
         cascade_id=cascade_id,
         events=tuple(rebased),
         parent=parent,
         depth=depth,
-        children=children,
+        children={nid: tuple(cs) for nid, cs in children.items()},
         epoch=epoch,
     )
 

@@ -210,13 +210,6 @@ def _cross_validate(
 # --- subcommands ------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    # The params file's seed key seeds the generator, and it runs on one thread.
-    if args.seed is not None:
-        raise BadArgumentError(
-            "--seed does not apply to generate; set seed in the params file"
-        )
-    if args.threads is not None:
-        raise BadArgumentError("--threads does not apply to generate")
     params = _synth_params(args.params, io.read_config(args.params, PARAM_TYPES))
     print(_generate(
         params,
@@ -358,35 +351,42 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# Each report option: its flag, its value when not given, and the tables that
-# read it. Given to any other table, it is refused.
-_REPORT_OPTIONS = {
-    "graph": ("--graph", None, ("rank-features", "accuracy-vs-k")),
-    "directed": ("--directed", False, ("rank-features", "accuracy-vs-k")),
-    "k": ("--k", 5, ("rank-features",)),
-    "ks": ("--ks", "5,10,25", ("accuracy-vs-k",)),
-    "R": ("--R", None, ("accuracy-vs-k",)),
-    "lam": ("--lambda", DEFAULT_LAMBDA, ("rank-features", "accuracy-vs-k")),
-    "folds": ("--folds", 10, ("rank-features", "accuracy-vs-k")),
-    "group_by": ("--group-by", "category", ("groups",)),
-    "seed": ("--seed", 0, ("rank-features", "accuracy-vs-k")),
-    "threads": ("--threads", 1, ("rank-features", "accuracy-vs-k")),
+# Each option's flag, its value when not given, and the commands that read it
+# (a report table as ``report <kind>``); any other command refuses it. generate
+# and pipeline take their seed from their config file's ``seed`` key.
+_FITS = ("report rank-features", "report accuracy-vs-k")  # the tables that fit models
+_SHARED_FLAGS = {
+    "seed": ("--seed", 0, ("label", "train", "evaluate", "rank-features", *_FITS)),
+    "threads": ("--threads", 1, ("featurize", "label", "pipeline", *_FITS)),
 }
+_REPORT_OPTIONS = {
+    "graph": ("--graph", None, _FITS),
+    "directed": ("--directed", False, _FITS),
+    "k": ("--k", 5, ("report rank-features",)),
+    "ks": ("--ks", "5,10,25", ("report accuracy-vs-k",)),
+    "R": ("--R", None, ("report accuracy-vs-k",)),
+    "lam": ("--lambda", DEFAULT_LAMBDA, _FITS),
+    "folds": ("--folds", 10, _FITS),
+    "group_by": ("--group-by", "category", ("report groups",)),
+}
+_INSTEAD = {("generate", "seed"): "; set seed in the params file"}
 
 
-def _report_options(args) -> None:
-    """Refuse an option the report table would ignore, then set each option
-    not given to its default."""
-    for dest, (flag, default, tables) in _REPORT_OPTIONS.items():
-        value = getattr(args, dest)
+def _refuse_unread(args, options, command: str) -> None:
+    """Refuse an option of ``options`` that ``command`` would ignore, then set
+    each one not given to its default."""
+    for dest, (flag, default, readers) in options.items():
+        value = getattr(args, dest, None)
         if value is None or value is False:
             setattr(args, dest, default)
-        elif args.kind not in tables:
-            raise BadArgumentError(f"{flag} does not apply to report {args.kind}")
+        elif command not in readers:
+            raise BadArgumentError(
+                f"{flag} does not apply to {command}{_INSTEAD.get((command, dest), '')}"
+            )
 
 
 def cmd_report(args) -> int:
-    _report_options(args)
+    _refuse_unread(args, _REPORT_OPTIONS, f"report {args.kind}")
     records = _load_records(args.input, args.content)
     graph = _load_graph(args)
     if args.kind == "groups":
@@ -529,17 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flags shared by several subcommands, each declared once. ``generate``
-    # and ``report`` take --seed and --threads without defaults, to tell a
-    # flag given from one left out and refuse one they would ignore.
-    def shared(seed: int | None, threads: int | None) -> argparse.ArgumentParser:
-        p = argparse.ArgumentParser(add_help=False)
-        p.add_argument("--seed", type=int, default=seed, help="random seed")
-        p.add_argument("--threads", type=int, default=threads, help="worker threads")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
-        return p
-
-    common, no_defaults = shared(0, 1), shared(None, None)
+    # Flags shared by every subcommand, each declared once. --seed and
+    # --threads have no parser default, so main can tell a flag given from one
+    # left out, and a subcommand of stats keeps one given to stats.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="random seed (default 0)")
+    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+                        help="worker threads (default 1)")
+    shared.add_argument("--out-dir", default=".", help="directory for output files")
     events = argparse.ArgumentParser(add_help=False)
     events.add_argument("--in", dest="input", required=True, help="events JSONL/CSV")
     events.add_argument("--content", help="content records JSONL")
@@ -553,15 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--folds", type=int, default=10,
                      help="cross-validation folds (train: 0 to skip)")
 
-    def command(
-        parent, name: str, func, help: str, *parents, flags=common
-    ) -> argparse.ArgumentParser:
-        p = parent.add_parser(name, parents=[flags, *parents], help=help)
+    def command(parent, name: str, func, help: str, *parents) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, parents=[shared, *parents], help=help)
         p.set_defaults(func=func)
         return p
 
-    p = command(sub, "generate", cmd_generate, "generate a synthetic graph and cascades",
-                flags=no_defaults)
+    p = command(sub, "generate", cmd_generate, "generate a synthetic graph and cascades")
     p.add_argument("--params", required=True, help="key=value config file")
     p.add_argument("--out-events", default="events.jsonl")
     p.add_argument("--out-graph", default="graph.edges")
@@ -610,9 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(stats_sub, "gini", cmd_stats, "Gini coefficient")
     p.add_argument("file")
 
-    # No defaults here: _report_options tells a given option from one left out.
-    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events,
-                flags=no_defaults)
+    # No defaults here: _refuse_unread tells a given option from one left out.
+    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events)
     p.add_argument("kind", choices=["accuracy-vs-k", "rank-features", "groups"])
     p.add_argument("--lambda", dest="lam", type=float,
                    help=f"L2 penalty of the fits (default {DEFAULT_LAMBDA})")
@@ -633,8 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise BadArgumentError(f"--threads must be >= 1, got {args.threads}")
+        command = f"report {args.kind}" if args.command == "report" else args.command
+        _refuse_unread(args, _SHARED_FLAGS, command)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)

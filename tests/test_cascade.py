@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from dataclasses import FrozenInstanceError, replace
 
@@ -11,6 +12,7 @@ from cascadekit.cascade import (
     SocialGraph,
     _canonical_tree,
     _general_tree,
+    _rebase,
     build_cascade,
     induced_subgraph,
     prefix,
@@ -300,6 +302,67 @@ def tree_orders(tree):
     )
 
 
+@given(log=event_logs(), data=st.data())
+def test_tree_maps_iterate_in_canonical_order(log, data):
+    """Every map of a tree iterates in its events' order, whatever the order
+    of the log it was built from."""
+    tree = build_cascade(log)
+    ids = [e.node_id for e in tree.events]
+    assert list(tree.parent) == ids[1:]
+    assert list(tree.depth) == list(tree.children) == ids
+    assert tree_orders(build_cascade(data.draw(st.permutations(log)))) == tree_orders(tree)
+
+
+# Finite event times: ints, floats, a negative zero and subnormals.
+EVENT_TIMES = (
+    st.integers(-10**12, 10**12) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308])
+)
+
+
+def optional(values):
+    return st.none() | values
+
+
+@st.composite
+def any_events(draw):
+    """An event whose optional fields are each None or drawn."""
+    counts, days = st.integers(0, 10**9), st.floats(0, 1e5)
+    return ReshareEvent(
+        draw(NODE_IDS), draw(NODE_IDS), draw(EVENT_TIMES),
+        parent_id=draw(optional(NODE_IDS)),
+        node_type=draw(st.sampled_from(NODE_TYPES)),
+        outdeg=draw(counts),
+        friend_count=draw(optional(counts)),
+        fan_count=draw(optional(counts)),
+        subscriber_count=draw(optional(counts)),
+        age_years=draw(optional(days)),
+        fb_age_days=draw(optional(days)),
+        activity_days=draw(optional(days)),
+        gender=draw(optional(st.sampled_from(["female", "male"]))),
+        views_orig_cum=draw(optional(counts)),
+        views_reshares_cum=draw(optional(counts)),
+    )
+
+
+@given(e=any_events(), t=EVENT_TIMES | st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_rebase_is_replace(e, t):
+    """The re-base copy is ``replace(e, timestamp=t)`` type for type, frozen,
+    and refuses a time that is not finite with ``replace``'s error."""
+    try:
+        expected = replace(e, timestamp=t)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _rebase(e, t)
+        assert str(info.value) == str(exc)
+        return
+    rebased = _rebase(e, t)
+    assert type(rebased) is ReshareEvent
+    assert typed_fields(rebased) == typed_fields(expected)
+    with pytest.raises(FrozenInstanceError):
+        rebased.timestamp = 1.0
+
+
 @given(log=event_logs())
 def test_canonical_log_builds_in_one_pass(log):
     """A tree's own order, at the log's absolute times, builds in one pass
@@ -331,8 +394,9 @@ CANONICAL_LOG = [
     ({3: {"parent_id": "zz"}}, 3, DanglingParentError),
     ({1: {"timestamp": 9.0}}, 1, NegativeTimestampError),
     ({0: {"timestamp": -1e308}, 3: {"timestamp": 1e308}}, 3, TimestampOverflowError),
+    ({0: {"timestamp": -10**308}, 3: {"timestamp": 10**308}}, 3, TimestampOverflowError),
 ], ids=["mixed-id", "duplicate-node", "second-root", "dangling-parent",
-        "negative-time", "overflow"])
+        "negative-time", "overflow", "int-overflow"])
 def test_fault_in_a_canonical_log_is_reported_at_its_index(faults, index, error):
     """One fault in a log that is otherwise canonical leaves the one-pass
     build, and the general passes report it at its input index."""

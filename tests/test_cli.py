@@ -666,6 +666,25 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
      "--threads does not apply to generate"),
     (["generate", "--threads", "0", "--params", "{params}"], None,
      "--threads must be >= 1, got 0"),
+    (["featurize", "--k", "1", "--seed", "5", "--out", "f.csv", "--in", "{events}"],
+     None, "--seed does not apply to featurize"),
+    (["train", "--threads", "2", "--model-out", "m.txt", "--in", "{labeled}"],
+     BALANCED_LABELED, "--threads does not apply to train"),
+    (["evaluate", "--threads", "2", "--in", "{labeled}"], BALANCED_LABELED,
+     "--threads does not apply to evaluate"),
+    (["rank-features", "--threads", "2", "--in", "{labeled}"], BALANCED_LABELED,
+     "--threads does not apply to rank-features"),
+    (["wiener", "--seed", "9", "{events}"], None, "--seed does not apply to wiener"),
+    (["wiener", "--threads", "2", "{events}"], None,
+     "--threads does not apply to wiener"),
+    (["stats", "--seed", "5", "gini", "{numbers}"], None,
+     "--seed does not apply to stats"),
+    (["stats", "fit-alpha", "--xmin", "1", "--threads", "2", "{numbers}"], None,
+     "--threads does not apply to stats"),
+    (["stats", "--threads", "0", "gini", "{numbers}"], None,
+     "--threads must be >= 1, got 0"),
+    (["pipeline", "--seed", "5", "--config", "{params}"], None,
+     "--seed does not apply to pipeline"),
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
@@ -678,6 +697,9 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     "rank-features-R", "rank-features-ks", "accuracy-vs-k-k",
     "groups-seed", "groups-threads", "report-threads-0",
     "generate-seed", "generate-threads", "generate-threads-0",
+    "featurize-seed", "train-threads", "evaluate-threads", "rank-features-threads",
+    "wiener-seed", "wiener-threads", "stats-seed", "stats-threads", "stats-threads-0",
+    "pipeline-seed",
 ])
 def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
     paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",
