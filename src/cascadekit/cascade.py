@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -45,7 +45,7 @@ def _check_event(node_type: str, timestamp: float, outdeg: int) -> None:
         raise ValueError(f"outdeg must be >= 0, got {outdeg}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReshareEvent:
     """One node of a cascade: who reshared, when, and from whom.
 
@@ -59,7 +59,9 @@ class ReshareEvent:
     event's time.
 
     Events are immutable and use slots, so ``vars(event)`` does not work;
-    read fields with ``getattr`` or ``dataclasses.fields``.
+    read fields with ``getattr`` or ``dataclasses.fields``. The constructor
+    is a ``__new__`` compiled from the fields (see ``_compile_event``), so a
+    subclass that lays out other slots cannot construct.
     """
 
     cascade_id: str
@@ -78,8 +80,9 @@ class ReshareEvent:
     views_orig_cum: int | None = None
     views_reshares_cum: int | None = None
 
-    def __post_init__(self) -> None:
-        _check_event(self.node_type, self.timestamp, self.outdeg)
+    def __reduce__(self):
+        # Pickle and copy through the constructor: it takes no empty instance.
+        return type(self), tuple(getattr(self, name) for name in EVENT_FIELDS)
 
     @property
     def is_root(self) -> bool:
@@ -91,9 +94,6 @@ class ReshareEvent:
 
 
 EVENT_FIELDS = tuple(f.name for f in fields(ReshareEvent))
-_TIMESTAMP = EVENT_FIELDS.index("timestamp")
-_NODE_TYPE = EVENT_FIELDS.index("node_type")
-_OUTDEG = EVENT_FIELDS.index("outdeg")
 
 # ReshareEvent's slots on a class without the frozen ``__setattr__``. The two
 # lay their slots out alike, so an instance of one may become the other by
@@ -102,40 +102,38 @@ _EventSlots = type("_EventSlots", (), {"__slots__": EVENT_FIELDS})
 
 
 def _compile_event():
-    """``_event(values)`` and ``_rebase(old, t)``, compiled with one attribute
-    store per field. ``_rebase`` is ``replace(old, timestamp=t)`` as a slot
-    copy: the other fields were checked when ``old`` was made."""
-    copies = "".join(f"\n    e.{name} = {'t' if name == 'timestamp' else 'old.' + name}"
-                     for name in EVENT_FIELDS)
-    source = f"""def _event(values):
-    _check_event(values[{_NODE_TYPE}], values[{_TIMESTAMP}], values[{_OUTDEG}])
-    e = _new(_EventSlots)
-    {", ".join(f"e.{name}" for name in EVENT_FIELDS)} = values
-    e.__class__ = ReshareEvent
+    """``ReshareEvent.__new__`` and ``_rebase(old, t)``, compiled with one
+    attribute store per field into an ``_EventSlots`` that then takes the
+    event's class, past the frozen ``__setattr__``. ``__new__`` has the
+    signature and defaults of the fields and checks its arguments with
+    ``_check_event``; ``_rebase`` is ``replace(old, timestamp=t)`` as a slot
+    copy, since the other fields were checked when ``old`` was made."""
+    def stores(value):
+        return "".join(f"\n    e.{name} = {value(name)}" for name in EVENT_FIELDS)
+
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}={f.default!r}"
+                       for f in fields(ReshareEvent))
+    source = f"""def __new__(cls, {params}):
+    _check_event(node_type, timestamp, outdeg)
+    e = _new(_EventSlots){stores(lambda name: name)}
+    e.__class__ = cls
     return e
 
 def _rebase(old, t):
     _check_timestamp(t)
-    e = _new(_EventSlots){copies}
+    e = _new(_EventSlots){stores(lambda name: 't' if name == 'timestamp' else 'old.' + name)}
     e.__class__ = ReshareEvent
     return e
 """
     namespace = {"_check_event": _check_event, "_check_timestamp": _check_timestamp,
                  "_new": object.__new__, "_EventSlots": _EventSlots,
                  "ReshareEvent": ReshareEvent}
-    exec(compile(source, f"<{__name__}._event>", "exec"), namespace)
-    return namespace["_event"], namespace["_rebase"]
+    exec(compile(source, f"<{__name__}._compile_event>", "exec"), namespace)
+    namespace["__new__"].__qualname__ = "ReshareEvent.__new__"
+    return staticmethod(namespace["__new__"]), namespace["_rebase"]
 
 
-_event, _rebase = _compile_event()
-_event.__doc__ = """The event with these field values (in ``EVENT_FIELDS`` order).
-
-Runs the checks of ``__post_init__``, then fills the slots of an
-``_EventSlots`` and makes it a ReshareEvent, skipping ``__init__``'s argument
-binding and the frozen ``__setattr__``. The package's one event constructor:
-``io`` reads rows and ``synth`` simulates with it; build_cascade copies the
-events it re-bases with ``_rebase``.
-"""
+ReshareEvent.__new__, _rebase = _compile_event()
 
 
 def _position(events: Sequence[ReshareEvent], event: ReshareEvent) -> int:

@@ -321,6 +321,8 @@ def cmd_evaluate(args) -> int:
 def cmd_rank_features(args) -> int:
     if args.top < 0:
         raise BadArgumentError(f"--top must be >= 0, got {args.top}")
+    if args.top == 0 and not args.out:
+        raise BadArgumentError("--top 0 prints no row; give --out or --top >= 1")
     X, y, sizes, _, columns = io.read_labeled_csv(args.input)
     with _labels_of(args.input):
         check_folds(y, args.folds)
@@ -352,8 +354,9 @@ def cmd_stats(args) -> int:
 
 
 # Each option's flag, its value when not given, and the commands that read it
-# (a report table as ``report <kind>``); any other command refuses it. generate
-# and pipeline take their seed from their config file's ``seed`` key.
+# (a report table as ``report <kind>``, a ranking evaluation as ``evaluate
+# --cluster``); any other command refuses it. generate and pipeline take their
+# seed from their config file's ``seed`` key.
 _FITS = ("report rank-features", "report accuracy-vs-k")  # the tables that fit models
 _SHARED_FLAGS = {
     "seed": ("--seed", 0, ("label", "train", "evaluate", "rank-features", *_FITS)),
@@ -369,6 +372,13 @@ _REPORT_OPTIONS = {
     "folds": ("--folds", 10, _FITS),
     "group_by": ("--group-by", "category", ("report groups",)),
 }
+_EVALUATE_OPTIONS = {
+    "input": ("--in", None, ("evaluate",)),
+    "metrics_out": ("--metrics-out", None, ("evaluate",)),
+    "per_fold_out": ("--per-fold-out", None, ("evaluate",)),
+    "model": ("--model", None, ("evaluate --cluster",)),
+}
+_COMMAND_OPTIONS = {"report": _REPORT_OPTIONS, "evaluate": _EVALUATE_OPTIONS}
 _INSTEAD = {("generate", "seed"): "; set seed in the params file"}
 
 
@@ -386,7 +396,14 @@ def _refuse_unread(args, options, command: str) -> None:
 
 
 def cmd_report(args) -> int:
-    _refuse_unread(args, _REPORT_OPTIONS, f"report {args.kind}")
+    if args.kind == "accuracy-vs-k":
+        try:
+            ks = [int(s) for s in args.ks.split(",")]
+        except ValueError as exc:
+            raise BadArgumentError(f"--ks: {exc}") from None
+        for i, k in enumerate(ks):
+            if k in ks[:i]:
+                raise BadArgumentError(f"--ks: k {k} is given twice")
     records = _load_records(args.input, args.content)
     graph = _load_graph(args)
     if args.kind == "groups":
@@ -403,10 +420,6 @@ def cmd_report(args) -> int:
             folds=args.folds, seed=args.seed, lam=args.lam,
         ))
     else:
-        try:
-            ks = [int(s) for s in args.ks.split(",")]
-        except ValueError as exc:
-            raise BadArgumentError(f"--ks: {exc}") from None
         lines = [(
             "k", "n", "threshold", "positive_fraction", "baseline",
             "accuracy", "accuracy_sd", "f1", "f1_sd", "auc", "auc_sd",
@@ -629,8 +642,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise BadArgumentError(f"--threads must be >= 1, got {args.threads}")
-        command = f"report {args.kind}" if args.command == "report" else args.command
-        _refuse_unread(args, _SHARED_FLAGS, command)
+        command = (f"report {args.kind}" if args.command == "report"
+                   else "evaluate --cluster" if args.command == "evaluate" and args.cluster
+                   else args.command)
+        _refuse_unread(args, {**_SHARED_FLAGS, **_COMMAND_OPTIONS.get(args.command, {})},
+                       command)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)

@@ -31,7 +31,7 @@ from typing import (
 )
 
 from ._lazy import deferred
-from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, _event
+from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph
 from .errors import BadArgumentError, ConfigInvalidError
 from .features import ContentRecord, layout_columns
 from .learner import Model
@@ -233,14 +233,14 @@ def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
-                    e = _event(_event_row_values(row, share))
+                    e = ReshareEvent(*_event_row_values(row, share))
                 except _RECORD_ERRORS as exc:
                     raise _bad_record(path, reader.line_num, exc) from None
                 yield reader.line_num, e
         return
     for lineno, line in _lines(path):
         try:
-            e = _event(_event_row_values(_json_value(line), share))
+            e = ReshareEvent(*_event_row_values(_json_value(line), share))
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         yield lineno, e

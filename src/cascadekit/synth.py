@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from ._lazy import deferred
-from .cascade import ReshareEvent, SocialGraph, _event as _make_event
+from .cascade import ReshareEvent, SocialGraph
 from .errors import AlphaOutOfRangeError, BadParamsError
 from .features import CONTENT_SCORE_NAMES, ContentRecord
 from .io import finite_float
@@ -347,14 +347,14 @@ def _event(
     i = int(node)
     deg = degree[node]
     if pages[i]:
-        return _make_event([
+        return ReshareEvent(
             cascade_id, node, timestamp, parent, "page", deg,
             None, deg, None, None, None, None, None, views_orig, views_reshares,
-        ])
+        )
     subscribers = profiles["subscribers"][i]
-    return _make_event([
+    return ReshareEvent(
         cascade_id, node, timestamp, parent, "user", deg + subscribers,
         deg, None, subscribers, profiles["age"][i], profiles["fb_age"][i],
         profiles["activity"][i], "female" if profiles["female"][i] else "male",
         views_orig, views_reshares,
-    ])
+    )

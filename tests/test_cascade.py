@@ -1,16 +1,20 @@
+import copy
 import itertools
 import math
+import pickle
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cascadekit.cascade import (
+    EVENT_FIELDS,
     NODE_TYPES,
     ReshareEvent,
     SocialGraph,
     _canonical_tree,
+    _check_event,
     _general_tree,
     _rebase,
     build_cascade,
@@ -361,6 +365,102 @@ def test_rebase_is_replace(e, t):
     assert typed_fields(rebased) == typed_fields(expected)
     with pytest.raises(FrozenInstanceError):
         rebased.timestamp = 1.0
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceEvent:
+    """``ReshareEvent`` built by the dataclass-generated ``__init__`` and
+    checked after, in ``__post_init__``: what its compiled constructor is held to."""
+
+    cascade_id: str
+    node_id: str
+    timestamp: float
+    parent_id: str | None = None
+    node_type: str = "user"
+    outdeg: int = 0
+    friend_count: int | None = None
+    fan_count: int | None = None
+    subscriber_count: int | None = None
+    age_years: float | None = None
+    fb_age_days: float | None = None
+    activity_days: float | None = None
+    gender: str | None = None
+    views_orig_cum: int | None = None
+    views_reshares_cum: int | None = None
+
+    def __post_init__(self) -> None:
+        _check_event(self.node_type, self.timestamp, self.outdeg)
+
+
+@st.composite
+def constructor_arguments(draw):
+    """Positional and keyword arguments for an event: a positional prefix of
+    the field values, then keywords for the others but a drawn set left out.
+    Some values are out of range, and some calls repeat a name or pass one
+    that is no field."""
+    counts, days = st.integers(0, 10**9), st.floats(0, 1e5)
+    values = [
+        draw(NODE_IDS), draw(NODE_IDS),
+        draw(EVENT_TIMES | st.sampled_from([math.inf, -math.inf, math.nan])),
+        draw(optional(NODE_IDS)),
+        draw(st.sampled_from([*NODE_TYPES, "bot"])),
+        draw(st.integers(-2, 10**9)),
+        *(draw(optional(counts)) for _ in range(3)),
+        *(draw(optional(days)) for _ in range(3)),
+        draw(optional(st.sampled_from(["female", "male"]))),
+        draw(optional(counts)), draw(optional(counts)),
+    ]
+    n = draw(st.integers(0, len(EVENT_FIELDS)))
+    left_out = draw(st.sets(st.sampled_from(EVENT_FIELDS[n:]))) if n < len(EVENT_FIELDS) else set()
+    keywords = {name: v for name, v in zip(EVENT_FIELDS[n:], values[n:]) if name not in left_out}
+    odd = draw(st.sampled_from([None, None, None, "repeated", "unknown"]))
+    if odd == "repeated" and n:
+        keywords[EVENT_FIELDS[0]] = values[0]
+    elif odd == "unknown":
+        keywords["tag"] = "x"
+    return tuple(values[:n]), keywords
+
+
+@given(args=constructor_arguments())
+def test_constructor_is_the_dataclass_one(args):
+    """``ReshareEvent(...)`` binds, checks and stores its arguments as the
+    dataclass ``__init__`` and ``__post_init__`` did, and its events keep
+    every dataclass protocol."""
+    positional, keywords = args
+    try:
+        expected = ReferenceEvent(*positional, **keywords)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            ReshareEvent(*positional, **keywords)
+        if type(exc) is ValueError:
+            assert str(info.value) == str(exc)
+        return
+    e = ReshareEvent(*positional, **keywords)
+    assert type(e) is ReshareEvent
+    assert typed_fields(e) == typed_fields(expected)
+    assert repr(e) == repr(expected).replace("ReferenceEvent", "ReshareEvent", 1)
+    assert e == ReshareEvent(*positional, **keywords) and hash(e) == hash(expected)
+    copies = [pickle.loads(pickle.dumps(e, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in [*copies, copy.copy(e), copy.deepcopy(e), replace(e)]:
+        assert type(c) is ReshareEvent and c == e
+        assert typed_fields(c) == typed_fields(e)
+    assert ReshareEvent.__match_args__ == ReferenceEvent.__match_args__ == EVENT_FIELDS
+    with pytest.raises(FrozenInstanceError):
+        e.outdeg = 1
+
+
+def test_subclass_with_more_fields_cannot_construct():
+    """The constructor fills ReshareEvent's own slots, so a subclass that
+    lays out more refuses to construct."""
+    @dataclass(frozen=True, slots=True)
+    class TaggedEvent(ReshareEvent):
+        tag: str = ""
+
+    with pytest.raises(TypeError):
+        TaggedEvent("c", "r", 0.0)
+    with pytest.raises(TypeError):
+        TaggedEvent("c", "r", 0.0, tag="x")
 
 
 @given(log=event_logs())
