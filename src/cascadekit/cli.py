@@ -353,39 +353,37 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# Each option's flag, its value when not given, and the commands that read it
-# (a report table as ``report <kind>``, a ranking evaluation as ``evaluate
-# --cluster``); any other command refuses it. generate and pipeline take their
-# seed from their config file's ``seed`` key.
+# Each option that some command accepts but would ignore: its flag, its value
+# when not given, and the commands that read it (a report table as ``report
+# <kind>``, a ranking evaluation as ``evaluate --cluster``); any other command
+# refuses it. generate and pipeline take their seed from their config file's
+# ``seed`` key.
 _FITS = ("report rank-features", "report accuracy-vs-k")  # the tables that fit models
-_SHARED_FLAGS = {
-    "seed": ("--seed", 0, ("label", "train", "evaluate", "rank-features", *_FITS)),
-    "threads": ("--threads", 1, ("featurize", "label", "pipeline", *_FITS)),
-}
-_REPORT_OPTIONS = {
-    "graph": ("--graph", None, _FITS),
-    "directed": ("--directed", False, _FITS),
-    "k": ("--k", 5, ("report rank-features",)),
+_CV = ("train", "evaluate", "rank-features", *_FITS)
+_GRAPH = ("featurize", "label", *_FITS)  # the commands that featurize
+_OPTIONS = {
+    "seed": ("--seed", 0, ("label", *_CV)),
+    "threads": ("--threads", 1, ("pipeline", *_GRAPH)),
+    "lam": ("--lambda", DEFAULT_LAMBDA, _CV),
+    "folds": ("--folds", 10, _CV),
+    "graph": ("--graph", None, _GRAPH),
+    "directed": ("--directed", False, _GRAPH),
+    "k": ("--k", 5, ("featurize", "label", "report rank-features")),
     "ks": ("--ks", "5,10,25", ("report accuracy-vs-k",)),
-    "R": ("--R", None, ("report accuracy-vs-k",)),
-    "lam": ("--lambda", DEFAULT_LAMBDA, _FITS),
-    "folds": ("--folds", 10, _FITS),
+    "R": ("--R", None, ("label", "report accuracy-vs-k")),
     "group_by": ("--group-by", "category", ("report groups",)),
-}
-_EVALUATE_OPTIONS = {
-    "input": ("--in", None, ("evaluate",)),
+    "input": ("--in", None, ("featurize", "label", "report groups", *_CV)),
     "metrics_out": ("--metrics-out", None, ("evaluate",)),
     "per_fold_out": ("--per-fold-out", None, ("evaluate",)),
     "model": ("--model", None, ("evaluate --cluster",)),
 }
-_COMMAND_OPTIONS = {"report": _REPORT_OPTIONS, "evaluate": _EVALUATE_OPTIONS}
 _INSTEAD = {("generate", "seed"): "; set seed in the params file"}
 
 
-def _refuse_unread(args, options, command: str) -> None:
-    """Refuse an option of ``options`` that ``command`` would ignore, then set
-    each one not given to its default."""
-    for dest, (flag, default, readers) in options.items():
+def _refuse_unread(args, command: str) -> None:
+    """Refuse an option that ``command`` would ignore, then set each one not
+    given to its default."""
+    for dest, (flag, default, readers) in _OPTIONS.items():
         value = getattr(args, dest, None)
         if value is None or value is False:
             setattr(args, dest, default)
@@ -402,6 +400,8 @@ def cmd_report(args) -> int:
         except ValueError as exc:
             raise BadArgumentError(f"--ks: {exc}") from None
         for i, k in enumerate(ks):
+            if k < 1:
+                raise BadArgumentError(f"k must be >= 1, got {k}")
             if k in ks[:i]:
                 raise BadArgumentError(f"--ks: k {k} is given twice")
     records = _load_records(args.input, args.content)
@@ -542,9 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flags shared by every subcommand, each declared once. --seed and
-    # --threads have no parser default, so main can tell a flag given from one
-    # left out, and a subcommand of stats keeps one given to stats.
+    # Flags shared by every subcommand, each declared once. No option of
+    # _OPTIONS has a parser default, so main can tell a flag given from one
+    # left out; a subcommand of stats keeps a --seed or --threads given to stats.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="random seed (default 0)")
@@ -560,9 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--k", type=int, required=True, help="reshares observed")
     window.add_argument("--centered-slopes", action="store_true")
     fit = argparse.ArgumentParser(add_help=False)
-    fit.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    fit.add_argument("--folds", type=int, default=10,
-                     help="cross-validation folds (train: 0 to skip)")
+    fit.add_argument("--lambda", dest="lam", type=float,
+                     help=f"L2 penalty of the fits (default {DEFAULT_LAMBDA})")
+    fit.add_argument("--folds", type=int,
+                     help="cross-validation folds (default 10; train: 0 to skip)")
 
     def command(parent, name: str, func, help: str, *parents) -> argparse.ArgumentParser:
         p = parent.add_parser(name, parents=[shared, *parents], help=help)
@@ -618,12 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(stats_sub, "gini", cmd_stats, "Gini coefficient")
     p.add_argument("file")
 
-    # No defaults here: _refuse_unread tells a given option from one left out.
-    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events)
+    p = command(sub, "report", cmd_report, "figure-style tables as CSV", events, fit)
     p.add_argument("kind", choices=["accuracy-vs-k", "rank-features", "groups"])
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help=f"L2 penalty of the fits (default {DEFAULT_LAMBDA})")
-    p.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
     p.add_argument("--ks", help="accuracy-vs-k: comma-separated k values (default 5,10,25)")
     p.add_argument("--k", type=int, help="rank-features: window (default 5)")
     p.add_argument("--R", type=int, help="accuracy-vs-k: fixed minimum final size variant")
@@ -645,8 +642,7 @@ def main(argv=None) -> int:
         command = (f"report {args.kind}" if args.command == "report"
                    else "evaluate --cluster" if args.command == "evaluate" and args.cluster
                    else args.command)
-        _refuse_unread(args, {**_SHARED_FLAGS, **_COMMAND_OPTIONS.get(args.command, {})},
-                       command)
+        _refuse_unread(args, command)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)

@@ -60,23 +60,34 @@ _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 # json.loads's scanner: (value, end index) of the JSON value at an index.
 _scan_json = json.JSONDecoder().scan_once
-# What turning one malformed JSONL line or CSV row into a record raises: bad
-# JSON or a bad value (ValueError), an infinite count (OverflowError), a
-# missing required field (TypeError; KeyError for a content line's
-# cascade_id), or a line that is not a JSON object (AttributeError).
-_RECORD_ERRORS = (ValueError, OverflowError, TypeError, KeyError, AttributeError)
+# What turning one malformed JSONL line or CSV row into a record raises: a bad
+# value (ValueError), an infinite count (OverflowError), or a missing required
+# field (TypeError; KeyError for a content line's cascade_id).
+_RECORD_ERRORS = (ValueError, OverflowError, TypeError, KeyError)
+# The JSON name of each type of value json.loads returns but an object.
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
 
 
-def _json_value(line: str):
-    """``json.loads(line)`` by one scan of a line that holds exactly one JSON
-    value; any other line goes to json.loads, for its value or its error."""
+def _json_object(path: str | Path, lineno: int, line: str) -> dict:
+    """The JSON object that line ``lineno`` of ``path`` holds, by one scan of a
+    line that holds exactly one JSON value; any other line goes to json.loads,
+    for its value or its error. Bad JSON, or a value that is not an object,
+    ends as an error naming the line."""
     try:
         value, end = _scan_json(line, 0)
-        if end == len(line):
-            return value
     except (StopIteration, ValueError):
-        pass
-    return json.loads(line)
+        end = None
+    if end != len(line):
+        try:
+            value = json.loads(line)
+        except ValueError as exc:
+            raise _bad_record(path, lineno, exc) from None
+    if type(value) is not dict:
+        raise ConfigInvalidError(
+            f"{path}:{lineno}: expected a JSON object, got {_JSON_TYPES[type(value)]}"
+        )
+    return value
 
 
 def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidError:
@@ -239,8 +250,9 @@ def _numbered_events(path: str | Path) -> Iterator[tuple[int, ReshareEvent]]:
                 yield reader.line_num, e
         return
     for lineno, line in _lines(path):
+        row = _json_object(path, lineno, line)
         try:
-            e = ReshareEvent(*_event_row_values(_json_value(line), share))
+            e = ReshareEvent(*_event_row_values(row, share))
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         yield lineno, e
@@ -318,8 +330,8 @@ def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord])
 def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
     out: dict[str, ContentRecord] = {}
     for lineno, line in _lines(path):
+        row = _json_object(path, lineno, line)
         try:
-            row = _json_value(line)
             cid = str(row.pop("cascade_id"))
             record = ContentRecord(**{
                 name: kind(v)

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import errno
+import itertools
 import json
 import math
 import os
@@ -723,6 +725,14 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
      "--ks: k 3 is given twice"),
     (["rank-features", "--top", "0", "--in", "{labeled}"], BALANCED_LABELED,
      "--top 0 prints no row; give --out or --top >= 1"),
+    (["evaluate", "--cluster", "{labeled}", "--model", "m.txt", "--folds", "3"], None,
+     "--folds does not apply to evaluate --cluster"),
+    (["evaluate", "--cluster", "{labeled}", "--model", "m.txt", "--lambda", "5"], None,
+     "--lambda does not apply to evaluate --cluster"),
+    (["report", "accuracy-vs-k", "--ks", "0,5", "--in", "{numbers}"], None,
+     "k must be >= 1, got 0"),
+    (["report", "accuracy-vs-k", "--ks", "5,0", "--in", "nowhere/missing.jsonl"], None,
+     "k must be >= 1, got 0"),
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
@@ -739,7 +749,8 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     "wiener-seed", "wiener-threads", "stats-seed", "stats-threads", "stats-threads-0",
     "pipeline-seed", "cluster-eval-seed", "cluster-eval-in", "cluster-eval-metrics-out",
     "cluster-eval-per-fold-out", "evaluate-model", "report-ks-repeated",
-    "rank-features-top-0",
+    "rank-features-top-0", "cluster-eval-folds", "cluster-eval-lambda",
+    "report-ks-0-before-a-non-object-input", "report-ks-0-before-a-missing-input",
 ])
 def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
     paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",
@@ -751,6 +762,103 @@ def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, mes
     argv = [arg.format(**paths) for arg in argv]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("value, kind", [
+    ("3", "number"), ("[1, 2]", "array"), ('"x"', "string"), ("null", "null"),
+])
+@pytest.mark.parametrize("reader", ["events", "content"])
+def test_non_object_json_line_is_one_error(tmp_path, capsys, reader, value, kind):
+    """A JSONL line that holds valid JSON other than an object names its line
+    and the value's JSON type, in both JSONL readers."""
+    events, bad = tmp_path / "events.jsonl", tmp_path / "bad.jsonl"
+    events.write_text(ROOT_EVENT + RESHARE)
+    if reader == "events":
+        bad.write_text(ROOT_EVENT + value + "\n")
+        argv = ["wiener", str(bad)]
+    else:
+        bad.write_text('{"cascade_id": "c"}\n' + value + "\n")
+        argv = ["featurize", "--k", "1", "--in", str(events), "--content", str(bad),
+                "--out", str(tmp_path / "features.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:2: expected a JSON object, got {kind}"
+    ]
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _command_forms():
+    """(command key, words, parser) of every form of a command that main
+    tells apart (each ``report <kind>``, ``evaluate`` with and without
+    ``--cluster``), and each task of ``label`` and subcommand of ``stats``
+    under its command's key. The words hold every positional argument; every
+    value is ``3``, which names no file."""
+    for name, parser in _subparsers(build_parser()).items():
+        nested = _subparsers(parser)
+        for sub, p in nested.items() or [(None, parser)]:
+            words = [name] if sub is None else [name, sub]
+            positionals = [a for a in p._actions if not a.option_strings
+                           and not isinstance(a, argparse._SubParsersAction)]
+            choices = [a.choices or ["3"] for a in positionals]
+            for values in itertools.product(*choices):
+                key = f"report {values[0]}" if name == "report" else name
+                yield key, [*words, *values], p
+                if name == "evaluate":
+                    yield "evaluate --cluster", [*words, "--cluster", "3"], p
+
+
+def test_every_option_is_refused_exactly_where_it_is_not_read(tmp_path, capsys,
+                                                                monkeypatch):
+    """For each command form and each option of ``cli._OPTIONS`` it declares,
+    main refuses the option exactly when the form is not one of its readers."""
+    monkeypatch.chdir(tmp_path)
+    by_flag = {flag: readers for flag, _, readers in cli._OPTIONS.values()}
+    keys, wrong = set(), []
+    for key, words, parser in _command_forms():
+        keys.add(key)
+        options = [a for a in parser._actions if a.option_strings]
+        for action in options:
+            flag = action.option_strings[0]
+            if flag not in by_flag:
+                continue
+            required = [[a.option_strings[0], "3"] for a in options
+                        if a.required and a is not action]
+            value = [] if action.nargs == 0 else ["3"]
+            main([*words, *itertools.chain(*required), flag, *value])
+            err = capsys.readouterr().err
+            refused = err.startswith(f"error: {flag} does not apply to {key}")
+            if refused == (key in by_flag[flag]):
+                wrong.append((key, flag, err))
+    assert wrong == []
+    assert {reader for readers in by_flag.values() for reader in readers} <= keys
+
+
+def _readme_option_table() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(option, default, readers) of each row of the README's option table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| option | default | read by |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda s: s.startswith("|"), lines[start:]):
+        option, default, readers = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((option.strip("`"), default.strip("`"),
+                     tuple(r.strip().strip("`") for r in readers.split(","))))
+    return rows
+
+
+def test_readme_option_table_is_the_code_table():
+    """The README's option table lists cli._OPTIONS row for row: a default of
+    None reads ``none`` and False ``off``."""
+    def shown(default) -> str:
+        return "none" if default is None else "off" if default is False else str(default)
+
+    assert _readme_option_table() == [
+        (flag, shown(default), readers) for flag, default, readers in cli._OPTIONS.values()
+    ]
 
 
 def test_rank_features_top_0_writes_only_its_csv(tmp_path, capsys):

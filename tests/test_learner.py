@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cascadekit.errors import (
     BadArgumentError,
@@ -12,7 +12,7 @@ from cascadekit.errors import (
     SingleClassError,
     TooFewExamplesError,
 )
-from cascadekit import io
+from cascadekit import io, learner
 from cascadekit.learner import (
     Model,
     _data_loss,
@@ -537,3 +537,43 @@ def test_train_golden_model_digest(tmp_path, lam):
     io.write_model(tmp_path / "model.txt", model)
     digest = hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
     assert (model.iterations, digest) == GOLDEN_MODEL_DIGESTS[lam]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=40),
+    folds=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folds_are_stratified_and_disjoint(labels, folds, seed):
+    """Every row is in exactly one fold, each class is dealt evenly across the
+    folds, and each fit of cross_validate sees exactly the rows outside its
+    fold."""
+    y = np.array(labels)
+    assume(len(y) >= folds and min(np.count_nonzero(y == 0), np.count_nonzero(y)) >= 2)
+    n = len(y)
+    assignment = stratified_folds(y, folds, seed)
+    members = [np.flatnonzero(assignment == f) for f in range(folds)]
+    assert np.array_equal(np.sort(np.concatenate(members)), np.arange(n))
+    for cls in (0.0, 1.0):
+        counts = np.bincount(assignment[y == cls], minlength=folds)
+        assert counts.size == folds and counts.max() - counts.min() <= 1
+
+    # Column 0 names each row, so a fit's rows can be read off its matrix.
+    X = np.column_stack([np.arange(n, dtype=float),
+                         np.random.default_rng(seed).normal(size=n)])
+    fits = []
+
+    def recording_train(X_fit, y_fit, **kwargs):
+        fits.append((X_fit[:, 0].astype(int), y_fit))
+        return train(X_fit, y_fit, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learner, "train", recording_train)
+        metrics = cross_validate(X, y, folds=folds, seed=seed)
+    held_out = [rows for rows in members if rows.size]
+    assert len(fits) == len(held_out) == len(metrics.fold_sizes)
+    for (rows, y_fit), test_rows, size in zip(fits, held_out, metrics.fold_sizes):
+        assert np.array_equal(rows, np.setdiff1d(np.arange(n), test_rows))
+        assert np.array_equal(y_fit, y[rows])
+        assert size == test_rows.size
