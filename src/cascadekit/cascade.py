@@ -14,6 +14,7 @@ import heapq
 import itertools
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -148,16 +149,37 @@ class CascadeTree:
     ``events[0]`` is the root; ``events[1:]`` are the reshares in canonical
     time order (ties broken by node_id), with timestamps re-based so the
     root is at 0. ``epoch`` keeps the root's original timestamp so cascades
-    remain comparable on absolute upload time. Instances are immutable and
-    safe to share across threads.
+    remain comparable on absolute upload time. ``parent``, ``depth`` and
+    ``children`` are computed from the events on first read, each in one
+    pass, and iterate in event order. Instances are immutable and safe to
+    share across threads: each map is a pure function of the frozen events,
+    so threads that race to compute it compute equal maps.
     """
 
     cascade_id: str
     events: tuple[ReshareEvent, ...]
-    parent: Mapping[str, str]
-    depth: Mapping[str, int]
-    children: Mapping[str, tuple[str, ...]]
     epoch: float = 0.0
+
+    @cached_property
+    def parent(self) -> Mapping[str, str]:
+        """Each reshare's parent id."""
+        return {e.node_id: e.parent_id for e in self.events[1:]}
+
+    @cached_property
+    def depth(self) -> Mapping[str, int]:
+        """Each node's distance from the root; parents precede children."""
+        depth: dict[str, int] = {}
+        for e in self.events:
+            depth[e.node_id] = 0 if e.parent_id is None else depth[e.parent_id] + 1
+        return depth
+
+    @cached_property
+    def children(self) -> Mapping[str, tuple[str, ...]]:
+        """Each node's children, in event order."""
+        children: dict[str, list[str]] = {e.node_id: [] for e in self.events}
+        for e in self.events[1:]:
+            children[e.parent_id].append(e.node_id)
+        return {nid: tuple(cs) for nid, cs in children.items()}
 
     @property
     def root(self) -> ReshareEvent:
@@ -281,7 +303,7 @@ def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
 
     A log already in canonical order (see ``_canonical_tree``) is its own
     order; any other log, faulty ones included, takes ``_general_tree``. Both
-    hand that order to ``_tree``, which re-bases and links the events in it.
+    hand that order to ``_tree``, which re-bases the events in it.
     """
     tree = _canonical_tree(events) if events else None
     return tree if tree is not None else _general_tree(events)
@@ -357,16 +379,12 @@ def _general_tree(events: Sequence[ReshareEvent]) -> CascadeTree:
 def _tree(
     events: Sequence[ReshareEvent], root: ReshareEvent, order: Iterable[ReshareEvent]
 ) -> CascadeTree:
-    """The tree of ``root`` and its reshares in canonical ``order``, whose
-    maps iterate in that order; a rejection names its index in ``events``."""
+    """The tree of ``root`` and its reshares in canonical ``order``, each
+    re-based so the root sits at 0; a rejection names its index in ``events``."""
     cascade_id, epoch = root.cascade_id, root.timestamp
     rebased = [_rebase(root, 0.0)]
-    parent: dict[str, str] = {}
-    depth = {root.node_id: 0}
-    children: dict[str, list[str]] = {root.node_id: []}
     for e in order:
-        nid, pid = e.node_id, e.parent_id
-        t = e.timestamp - epoch
+        nid, t = e.node_id, e.timestamp - epoch
         if t < 0:
             raise NegativeTimestampError(
                 f"cascade {cascade_id!r}: event {nid!r} at {e.timestamp} "
@@ -379,25 +397,15 @@ def _tree(
             raise TimestampOverflowError(
                 f"cascade {cascade_id!r}: event {nid!r}: {exc}", _position(events, e)
             ) from None
-        parent[nid] = pid
-        depth[nid] = depth[pid] + 1
-        children[nid] = []
-        children[pid].append(nid)
-    return CascadeTree(
-        cascade_id=cascade_id,
-        events=tuple(rebased),
-        parent=parent,
-        depth=depth,
-        children={nid: tuple(cs) for nid, cs in children.items()},
-        epoch=epoch,
-    )
+    return CascadeTree(cascade_id, tuple(rebased), epoch)
 
 
 def prefix(tree: CascadeTree, k: int) -> CascadeTree:
     """Subtree induced by the root plus the first k reshares in time order.
 
     Parents always precede their children in the canonical order, so the
-    prefix is closed under the parent map by construction.
+    first k+1 events are closed under the parent map and are the prefix
+    tree's events; its maps are computed from them when read.
     """
     if k < 1:
         raise BadArgumentError(f"k must be >= 1, got {k}")
@@ -405,22 +413,7 @@ def prefix(tree: CascadeTree, k: int) -> CascadeTree:
         raise KTooLargeError(f"k={k} exceeds cascade size {tree.size}")
     if k == tree.size:
         return tree
-    events = tree.events[: k + 1]
-    keep = {e.node_id for e in events}
-    parent = {e.node_id: tree.parent[e.node_id] for e in events[1:]}
-    depth = {e.node_id: tree.depth[e.node_id] for e in events}
-    children = {
-        nid: tuple(c for c in tree.children.get(nid, ()) if c in keep)
-        for nid in keep
-    }
-    return CascadeTree(
-        cascade_id=tree.cascade_id,
-        events=events,
-        parent=parent,
-        depth=depth,
-        children=children,
-        epoch=tree.epoch,
-    )
+    return CascadeTree(tree.cascade_id, tree.events[: k + 1], tree.epoch)
 
 
 def induced_subgraph(tree: CascadeTree, graph: SocialGraph, k: int) -> SocialGraph:

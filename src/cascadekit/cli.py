@@ -643,6 +643,12 @@ def main(argv=None) -> int:
                    else "evaluate --cluster" if args.command == "evaluate" and args.cluster
                    else args.command)
         _refuse_unread(args, command)
+        if args.k < 1:
+            raise BadArgumentError(f"k must be >= 1, got {args.k}")
+        if getattr(args, "m", None) is not None and args.m < 1:
+            raise BadArgumentError(f"m must be >= 1, got {args.m}")
+        if args.folds < 2 and not (command == "train" and args.folds == 0):
+            raise BadArgumentError(f"folds must be >= 2, got {args.folds}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)

@@ -252,6 +252,7 @@ def extract_features(
     p = prefix(tree, k)
     root = p.root
     reshares = p.reshares
+    depth, children = p.depth, p.children
     slope = centered_slope if centered_slopes else slope_through_origin
 
     # A name left out of raw, or mapped to None, is missing.
@@ -301,7 +302,7 @@ def extract_features(
     # -- structural --------------------------------------------------------
     for i, e in enumerate(p.events):
         raw[f"node_outdeg_{i}"] = float(e.outdeg)
-        raw[f"tree_outdeg_{i}"] = float(len(p.children.get(e.node_id, ())))
+        raw[f"tree_outdeg_{i}"] = float(len(children[e.node_id]))
     if graph is not None:
         sub = induced_subgraph(tree, graph, k)
         participants = [e.node_id for e in p.events]
@@ -326,10 +327,10 @@ def extract_features(
             any(not graph.has_edge(root.node_id, e.node_id) for e in reshares)
         )
     else:
-        raw["did_leave"] = float(any(p.depth[e.node_id] >= 2 for e in reshares))
+        raw["did_leave"] = float(any(depth[e.node_id] >= 2 for e in reshares))
         meta["did_leave_approximate"] = True
 
-    depths = [float(p.depth[e.node_id]) for e in reshares]
+    depths = [float(depth[e.node_id]) for e in reshares]
     raw["depth_slope"] = slope(depths)
     raw["depths_avg"] = _mean(depths)
     raw["depths_90p"] = percentile_90(depths)

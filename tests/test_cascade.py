@@ -3,7 +3,7 @@ import itertools
 import math
 import pickle
 import re
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from cascadekit.cascade import (
     EVENT_FIELDS,
     NODE_TYPES,
+    CascadeTree,
     ReshareEvent,
     SocialGraph,
     _canonical_tree,
@@ -536,3 +537,33 @@ def test_prefix_of_prefix_is_prefix_and_closed(log, data):
         assert p.depth[child] == p.depth[parent] + 1
         assert child in p.children[parent]
     assert all(set(kids) <= kept for kids in p.children.values())
+
+
+def reference_maps(events):
+    """parent, depth and children of a tree's events, filled in one loop over
+    them in canonical order, as the tree build once stored them."""
+    root = events[0].node_id
+    parent, depth, children = {}, {root: 0}, {root: []}
+    for e in events[1:]:
+        nid, pid = e.node_id, e.parent_id
+        parent[nid] = pid
+        depth[nid] = depth[pid] + 1
+        children[nid] = []
+        children[pid].append(nid)
+    return parent, depth, {nid: tuple(cs) for nid, cs in children.items()}
+
+
+@given(log=event_logs())
+def test_maps_of_every_prefix_are_the_reference_maps(log):
+    """A tree holds only its events; each map, of the tree and of its prefix
+    at every k, equals the reference map item for item, in iteration order
+    and value type, and a second read returns the object the first did."""
+    assert [f.name for f in fields(CascadeTree)] == ["cascade_id", "events", "epoch"]
+    tree = build_cascade(log)
+    for p in [prefix(tree, k) for k in range(1, tree.size + 1)] or [tree]:
+        maps = (p.parent, p.depth, p.children)
+        expected = reference_maps(p.events)
+        assert [[(key, type(v), v) for key, v in m.items()] for m in maps] == [
+            [(key, type(v), v) for key, v in m.items()] for m in expected
+        ]
+        assert all(a is b for a, b in zip((p.parent, p.depth, p.children), maps))

@@ -120,9 +120,9 @@ def test_every_missing_input_is_one_error(tmp_path, capsys, flag):
                                 ("x_missing",), 0.01, 0, 1, 0.0, True))
     argv = {
         "events": ["wiener", missing],
-        "content": ["featurize", "--k", "0", "--in", str(events), "--content",
+        "content": ["featurize", "--k", "1", "--in", str(events), "--content",
                     missing, "--out", "features.csv"],
-        "graph": ["featurize", "--k", "0", "--in", str(events), "--graph", missing,
+        "graph": ["featurize", "--k", "1", "--in", str(events), "--graph", missing,
                   "--out", "features.csv"],
         "params": ["generate", "--params", missing],
         "config": ["pipeline", "--config", missing],
@@ -558,9 +558,9 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
         "model": ["evaluate", "--cluster", str(clusters), "--model", str(bad)],
         "events": ["wiener", str(bad)],
         "events.csv": ["wiener", str(bad)],
-        "content": ["featurize", "--k", "0", "--in", str(events), "--content",
+        "content": ["featurize", "--k", "1", "--in", str(events), "--content",
                     str(bad), "--out", str(tmp_path / "features.csv")],
-        "graph": ["featurize", "--k", "0", "--in", str(events), "--graph",
+        "graph": ["featurize", "--k", "1", "--in", str(events), "--graph",
                   str(bad), "--out", str(tmp_path / "features.csv")],
         "params": ["generate", "--params", str(bad), "--out-dir", str(tmp_path)],
         "config": ["pipeline", "--config", str(bad), "--out-dir", str(tmp_path)],
@@ -733,6 +733,16 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
      "k must be >= 1, got 0"),
     (["report", "accuracy-vs-k", "--ks", "5,0", "--in", "nowhere/missing.jsonl"], None,
      "k must be >= 1, got 0"),
+    (["featurize", "--k", "0", "--out", "f.csv", "--in", "nowhere/missing.jsonl"], None,
+     "k must be >= 1, got 0"),
+    (["report", "rank-features", "--k", "0", "--in", "nowhere/missing.jsonl"], None,
+     "k must be >= 1, got 0"),
+    (["label", "cluster", "--k", "1", "--m", "0", "--out", "c.csv", "--in",
+      "nowhere/missing.jsonl"], None, "m must be >= 1, got 0"),
+    (["train", "--folds", "1", "--model-out", "m.txt", "--in", "nowhere/missing.csv"],
+     None, "folds must be >= 2, got 1"),
+    (["train", "--folds", "-1", "--model-out", "m.txt", "--in", "nowhere/missing.csv"],
+     None, "folds must be >= 2, got -1"),
 ], ids=[
     "featurize-k-0", "label-k-0", "report-ks-0", "report-ks-not-int",
     "train-folds-1", "evaluate-folds-1", "rank-features-folds-1",
@@ -751,6 +761,9 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     "cluster-eval-per-fold-out", "evaluate-model", "report-ks-repeated",
     "rank-features-top-0", "cluster-eval-folds", "cluster-eval-lambda",
     "report-ks-0-before-a-non-object-input", "report-ks-0-before-a-missing-input",
+    "featurize-k-0-before-a-missing-input", "rank-features-k-0-before-a-missing-input",
+    "cluster-m-0-before-a-missing-input", "train-folds-1-before-a-missing-input",
+    "train-folds-negative-before-a-missing-input",
 ])
 def test_out_of_range_argument_is_one_error(tmp_path, capsys, argv, labeled, message):
     paths = {"events": tmp_path / "events.jsonl", "labeled": tmp_path / "labeled.csv",

@@ -157,9 +157,6 @@ class TestFeatureBookkeeping:
                 dataclasses.replace(e, timestamp=e.timestamp + 7.0)
                 for e in tree.events
             ),
-            parent=tree.parent,
-            depth=tree.depth,
-            children=tree.children,
             epoch=0.0,
         )
         with pytest.raises(TimeNotNormalizedError):
@@ -338,3 +335,40 @@ def test_vector_row_is_its_batch_row(case, with_graph, with_content):
     assert columns == layout_columns(fv.names)
     assert X[1].tolist() == list(fv.row)
     assert X[0].tolist() == list(extract_features(other, k, graph=graph).row)
+
+
+@given(hub_graph_cascades(), st.data())
+def test_row_reads_only_the_first_k_reshares(case, data):
+    """The row at k is a function of the log's first k+1 events: changing,
+    dropping or appending later reshares, children of prefix nodes among
+    them, leaves it as it is, with a graph and content given."""
+    tree, k, graph = case
+    content = ContentRecord(score_food=0.25, is_en=True, liwc_pos=0.5)
+    log = list(tree.events[: k + 1])
+    t_k = log[-1].timestamp
+    placed = [e.node_id for e in log]
+    later = st.integers(1, 20).map(lambda dt: t_k + dt)
+    details = st.fixed_dictionaries({
+        "outdeg": st.integers(0, 50), "node_type": st.sampled_from(["user", "page"]),
+        "gender": st.none() | st.just("female"), "friend_count": st.integers(0, 99),
+        "views_orig_cum": st.integers(0, 99), "views_reshares_cum": st.integers(0, 99),
+    })
+    for e in tree.events[k + 1 :]:
+        fate = data.draw(st.sampled_from(["keep", "change", "drop"]))
+        if fate == "drop" or e.parent_id not in placed:
+            continue
+        if fate == "change":
+            e = dataclasses.replace(e, timestamp=data.draw(later),
+                                    parent_id=data.draw(st.sampled_from(placed)),
+                                    **data.draw(details))
+        log.append(e)
+        placed.append(e.node_id)
+    for i in range(data.draw(st.integers(0, 5))):
+        log.append(event(tree.cascade_id, f"new{i}", data.draw(later),
+                         data.draw(st.sampled_from(placed)), **data.draw(details)))
+        placed.append(f"new{i}")
+    changed = build_cascade(data.draw(st.permutations(log)))
+    assert changed.events[: k + 1] == tree.events[: k + 1]
+    expected = extract_features(tree, k, graph=graph, content=content).row
+    assert extract_features(changed, k, graph=graph, content=content).row == expected
+    assert extract_features(prefix(tree, k), k, graph=graph, content=content).row == expected

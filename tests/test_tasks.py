@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cascadekit.errors import (
     EmptyDatasetError,
@@ -24,7 +25,7 @@ from cascadekit.tasks import (
 )
 from cascadekit.virality import wiener_index_exact
 
-from conftest import path_tree, random_tree, star_tree
+from conftest import path_tree, random_tree, star_tree, tree_from_parents
 
 
 def records_with_sizes(sizes, content=None, prefix_id="c"):
@@ -216,6 +217,39 @@ class TestClusterTask:
         records = clustered_records(rng, n_clusters=1, members=5)
         with pytest.raises(NoQualifyingClustersError):
             build_cluster_task(records, k=4, m=10, seed=0)
+
+
+@st.composite
+def tied_clusters(draw):
+    """Star cascades in one to three clusters of m to m+3 members, with final
+    sizes and epochs drawn from small sets so that both tie often; returns
+    the records and m."""
+    m = draw(st.integers(1, 4))
+    records = []
+    for c in range(draw(st.integers(1, 3))):
+        ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=m,
+                            max_size=m + 3, unique=True))
+        for cid in ids:
+            size = draw(st.integers(1, 3))
+            epoch = draw(st.sampled_from([0.0, 5.0, 10.0]))
+            tree = tree_from_parents([0] * size, times=[epoch + i for i in range(size + 1)],
+                                     cascade_id=f"{c}{cid}")
+            records.append(CascadeRecord(tree, ContentRecord(cluster_id=f"cl{c}")))
+    return records, m
+
+
+@given(tied_clusters(), st.integers(0, 3))
+def test_cluster_winner_is_largest_then_earliest_then_smallest_id(case, seed):
+    records, m = case
+    by_id = {r.cascade_id: r for r in records}
+    for inst in build_cluster_task(records, k=1, m=m, seed=seed):
+        members = [by_id[cid] for cid in inst.members]
+        top = max(r.final_size for r in members)
+        largest = [r for r in members if r.final_size == top]
+        first = min(r.tree.epoch for r in largest)
+        expected = min(r.cascade_id for r in largest if r.tree.epoch == first)
+        assert inst.members[inst.winner_index] == expected
+        assert inst.final_sizes[inst.winner_index] == top
 
 
 class TestGroupSummaries:
