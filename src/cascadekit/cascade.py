@@ -418,9 +418,4 @@ def prefix(tree: CascadeTree, k: int) -> CascadeTree:
 
 def induced_subgraph(tree: CascadeTree, graph: SocialGraph, k: int) -> SocialGraph:
     """Social-graph subgraph restricted to the root and first k resharers."""
-    if k < 1:
-        raise BadArgumentError(f"k must be >= 1, got {k}")
-    if k > tree.size:
-        raise KTooLargeError(f"k={k} exceeds cascade size {tree.size}")
-    participants = [e.node_id for e in tree.events[: k + 1]]
-    return graph.induced(participants)
+    return graph.induced(e.node_id for e in prefix(tree, k).events)

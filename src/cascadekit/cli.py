@@ -174,12 +174,13 @@ def _label(
 
 
 @contextmanager
-def _labels_of(path: str) -> Iterator[None]:
-    """Blame the labeled CSV at ``path`` for a class with too few examples to
-    fit or to cross-validate, as the body finds it."""
+def _blame(path: str, error: type[CascadeKitError]) -> Iterator[None]:
+    """Blame the input at ``path`` for an ``error`` the body raises: a labeled
+    CSV for a class with too few examples to fit or to cross-validate, an
+    event log for a feature that is not finite."""
     try:
         yield
-    except SingleClassError as exc:
+    except error as exc:
         raise ConfigInvalidError(f"{path}: {exc}") from None
 
 
@@ -226,10 +227,11 @@ def cmd_featurize(args) -> int:
     usable = [(r.tree, r.content) for r in records if r.tree.size >= args.k]
     if not usable:
         raise ConfigInvalidError(f"no cascades with >= {args.k} reshares")
-    ids, X, columns = extract_features_batch(
-        usable, args.k, graph=graph,
-        centered_slopes=args.centered_slopes, threads=args.threads,
-    )
+    with _blame(args.input, NonFiniteInputError):
+        ids, X, columns = extract_features_batch(
+            usable, args.k, graph=graph,
+            centered_slopes=args.centered_slopes, threads=args.threads,
+        )
     io.write_features_csv(_resolve(args.out_dir, args.out), ids, X, columns)
     print(f"featurized {len(ids)} cascades at k={args.k}")
     return 0
@@ -245,16 +247,18 @@ def cmd_label(args) -> int:
     )
     if args.task == "cluster":
         m = CLUSTER_M if args.m is None else args.m
-        instances = build_cluster_task(records, args.k, m=m, seed=args.seed, **common)
+        with _blame(args.input, NonFiniteInputError):
+            instances = build_cluster_task(records, args.k, m=m, seed=args.seed, **common)
         io.write_cluster_csv(out_path, instances)
         meta = {"task": "cluster", "k": args.k, "m": m, "seed": args.seed,
                 "n_instances": len(instances)}
         print(f"wrote {len(instances)} cluster instances to {out_path}")
     else:
-        dataset, meta = _label(
-            records, args.task, args.k, R=args.R, quartiles=args.quartiles,
-            seed=args.seed, **common,
-        )
+        with _blame(args.input, NonFiniteInputError):
+            dataset, meta = _label(
+                records, args.task, args.k, R=args.R, quartiles=args.quartiles,
+                seed=args.seed, **common,
+            )
         io.write_labeled_csv(out_path, dataset)
         print(f"wrote {len(dataset.examples)} examples to {out_path} "
               f"(threshold {dataset.threshold})")
@@ -265,7 +269,7 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     X, y, _, _, columns = io.read_labeled_csv(args.input)
-    with _labels_of(args.input):
+    with _blame(args.input, SingleClassError):
         model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
         if args.folds > 0:
             check_folds(y, args.folds)
@@ -308,7 +312,7 @@ def cmd_evaluate(args) -> int:
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
     X, y, _, _, columns = io.read_labeled_csv(args.input)
-    with _labels_of(args.input):
+    with _blame(args.input, SingleClassError):
         check_folds(y, args.folds)
     _print_metrics(_cross_validate(
         args, X, y, columns,
@@ -324,7 +328,7 @@ def cmd_rank_features(args) -> int:
     if args.top == 0 and not args.out:
         raise BadArgumentError("--top 0 prints no row; give --out or --top >= 1")
     X, y, sizes, _, columns = io.read_labeled_csv(args.input)
-    with _labels_of(args.input):
+    with _blame(args.input, SingleClassError):
         check_folds(y, args.folds)
     lines = _ranking_table(rank_single_feature_predictors(
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
@@ -414,7 +418,8 @@ def cmd_report(args) -> int:
             for r in rows
         ]
     elif args.kind == "rank-features":
-        dataset, _ = _label(records, "growth", args.k, graph=graph, threads=args.threads)
+        with _blame(args.input, NonFiniteInputError):
+            dataset, _ = _label(records, "growth", args.k, graph=graph, threads=args.threads)
         lines = _ranking_table(rank_single_feature_predictors(
             dataset.X, dataset.y, dataset.final_sizes, dataset.columns,
             folds=args.folds, seed=args.seed, lam=args.lam,
@@ -425,9 +430,10 @@ def cmd_report(args) -> int:
             "accuracy", "accuracy_sd", "f1", "f1_sd", "auc", "auc_sd",
         )]
         for k in ks:
-            dataset, _ = _label(
-                records, "growth", k, R=args.R, graph=graph, threads=args.threads
-            )
+            with _blame(args.input, NonFiniteInputError):
+                dataset, _ = _label(
+                    records, "growth", k, R=args.R, graph=graph, threads=args.threads
+                )
             metrics = _cross_validate(args, dataset.X, dataset.y, dataset.columns)
             lines.append((str(k), str(len(dataset.examples)), *map(io.fmt, (
                 dataset.threshold, metrics.positive_fraction, metrics.majority_baseline,

@@ -26,8 +26,8 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from ._lazy import deferred
-from .cascade import CascadeTree, SocialGraph, induced_subgraph, prefix
-from .errors import EmptyInputError, TimeNotNormalizedError
+from .cascade import CascadeTree, SocialGraph, prefix
+from .errors import EmptyInputError, NonFiniteInputError, TimeNotNormalizedError
 
 np = deferred("numpy", globals(), "np")
 
@@ -80,7 +80,8 @@ class FeatureVector:
 
     ``row`` is laid out as ``layout_columns(names)``: each feature's value,
     then its missing flag (1.0 when the feature is missing, its value then
-    0.0). A name ``raw`` lacks or maps to None is missing.
+    0.0). A name ``raw`` lacks or maps to None is missing; a value that is
+    not finite, or does not convert to a float, is refused.
     """
 
     __slots__ = ("names", "row", "meta")
@@ -99,9 +100,14 @@ class FeatureVector:
                 row.append(0.0)
                 row.append(1.0)
             else:
-                v = float(v)
+                try:
+                    v = float(v)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise NonFiniteInputError(
+                        f"feature {name!r} does not convert to a float: {exc}"
+                    ) from None
                 if not math.isfinite(v):
-                    raise ValueError(f"feature {name!r} is not finite: {v}")
+                    raise NonFiniteInputError(f"feature {name!r} is not finite: {v}")
                 row.append(v)
                 row.append(0.0)
         self.row = tuple(row)
@@ -244,12 +250,34 @@ def extract_features(
 
     ``centered_slopes`` switches the pacing/depth trends from the
     through-origin regression to an ordinary (intercept) regression.
+
+    A feature that is not finite, or an input too large for a float, ends
+    as ``NonFiniteInputError`` naming the cascade.
     """
     if tree.root.timestamp != 0.0:
         raise TimeNotNormalizedError(
             f"root timestamp is {tree.root.timestamp}, expected 0"
         )
     p = prefix(tree, k)
+    try:
+        return FeatureVector(
+            feature_names(k), *_prefix_features(p, graph, content, centered_slopes)
+        )
+    # An input that is not finite makes a feature that is not (or fsum
+    # refuses its inf + -inf), and an int too large for a float overflows.
+    except (ValueError, OverflowError) as exc:
+        raise NonFiniteInputError(f"cascade {tree.cascade_id!r}: {exc}") from None
+
+
+def _prefix_features(
+    p: CascadeTree,
+    graph: SocialGraph | None,
+    content: ContentRecord | None,
+    centered_slopes: bool,
+) -> tuple[dict[str, float | None], dict[str, object]]:
+    """The raw values and meta of ``extract_features`` on the k-prefix tree
+    ``p``, which holds the first k reshares and nothing after them."""
+    k = p.size
     root = p.root
     reshares = p.reshares
     depth, children = p.depth, p.children
@@ -304,11 +332,11 @@ def extract_features(
         raw[f"node_outdeg_{i}"] = float(e.outdeg)
         raw[f"tree_outdeg_{i}"] = float(len(children[e.node_id]))
     if graph is not None:
-        sub = induced_subgraph(tree, graph, k)
-        participants = [e.node_id for e in p.events]
-        member = set(participants)
-        for i, nid in enumerate(participants):
-            raw[f"induced_outdeg_{i}"] = float(sub.degree(nid))
+        nbrs = [graph.neighbors(e.node_id) for e in p.events]
+        member = {e.node_id for e in p.events}
+        induced = [len(s & member) for s in nbrs]
+        for i, d in enumerate(induced):
+            raw[f"induced_outdeg_{i}"] = float(d)
         raw["root_connections"] = float(
             sum(graph.has_edge(root.node_id, e.node_id) for e in reshares)
         )
@@ -317,12 +345,12 @@ def extract_features(
         # The frontier is counted around the largest neighbour set (a hub
         # can hold thousands) without copying it: set - set walks only its
         # left operand, so each step costs the small sets or the k+1 members.
-        nbr_sets = sorted(map(graph.neighbors, participants), key=len)
+        nbr_sets = sorted(nbrs, key=len)
         hub = nbr_sets.pop()
         rest = set().union(*nbr_sets)
         raw["border_nodes"] = float(len(hub) - len(member & hub) + len(rest - hub - member))
         raw["border_edges"] = float(len(hub) + sum(map(len, nbr_sets)))
-        raw["subgraph_edges"] = float(sub.edge_count())
+        raw["subgraph_edges"] = float(sum(induced) if graph.directed else sum(induced) // 2)
         raw["did_leave"] = float(
             any(not graph.has_edge(root.node_id, e.node_id) for e in reshares)
         )
@@ -354,7 +382,7 @@ def extract_features(
     if t_k > 0 and kth.views_reshares_cum is not None:
         raw["reshare_views_rate"] = kth.views_reshares_cum / t_k
 
-    return FeatureVector(feature_names(k), raw, meta)
+    return raw, meta
 
 
 def extract_features_batch(

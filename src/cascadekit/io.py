@@ -9,9 +9,10 @@ as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
 ``path:line``; a missing one raises ``FileNotFoundError``, and an output
 path in a directory that does not exist raises ``BadArgumentError``.
 Each format's reader owns all of its format's checks and names a fault's
-line from the lines it has read. The event and edge-list readers hold equal
-strings once per file: one dict, kept for that read only, hands out the
-first string equal to each id, so repeated ids cost one object. Event lines
+line from the lines it has read. Event and content lines share one field
+converter, and their readers and the edge-list reader hold equal strings
+once per file: one dict, kept for that read only, hands out the first
+string equal to each id, so repeated ids cost one object. Event lines
 are written by code generated from the ``ReshareEvent`` fields, byte for
 byte what ``json.dumps(..., sort_keys=True)`` writes; a value that is not an
 exact str, int or finite float takes the json encoder.
@@ -52,9 +53,6 @@ def _field_types(cls: type) -> dict[str, type]:
 
 
 _EVENT_TYPES = _field_types(ReshareEvent)
-_CONTENT_TYPES = _field_types(ContentRecord)
-# The field values of a row that sets no field; MISSING marks a required one.
-_EVENT_DEFAULTS = [f.default for f in fields(ReshareEvent)]
 _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
 # The encoder json.dumps(obj, sort_keys=True) would build on every call.
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
@@ -62,8 +60,8 @@ _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 _scan_json = json.JSONDecoder().scan_once
 # What turning one malformed JSONL line or CSV row into a record raises: a bad
 # value (ValueError), an infinite count (OverflowError), or a missing required
-# field (TypeError; KeyError for a content line's cascade_id).
-_RECORD_ERRORS = (ValueError, OverflowError, TypeError, KeyError)
+# field (TypeError).
+_RECORD_ERRORS = (ValueError, OverflowError, TypeError)
 # The JSON name of each type of value json.loads returns but an object.
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
                bool: "boolean", type(None): "null"}
@@ -164,40 +162,66 @@ def event_to_dict(event: ReshareEvent) -> dict:
     return {k: v for k in EVENT_FIELDS if (v := getattr(event, k)) is not None}
 
 
-def _compile_event_row_values():
-    """``_event_row_values(row, share)``: the field values (in
-    ``EVENT_FIELDS`` order) of the event one JSONL object or CSV row
-    describes, compiled with one expression per field. Unknown keys are
-    ignored and ``None`` or ``""`` means absent; a value of its field's type
-    is taken as is, any other is converted with ``int``, ``float`` or
-    ``str``. Each str value ``s``, a default included, becomes ``share(s,
-    s)``: a reader passes the ``setdefault`` of one dict per file, so equal
-    strings of one file are one object. A row with several faults raises the
-    error of its first faulty field."""
+def _to_int(v, name: str) -> int:
+    """``int(v)`` of a value that is not an int; a bool, or a finite float
+    with a fraction, is refused rather than rounded."""
+    if type(v) is bool or type(v) is float and math.isfinite(v) and not v.is_integer():
+        raise ValueError(f"{name} must be an integer, got {json.dumps(v)}")
+    return int(v)
+
+
+def _to_float(v, name: str) -> float:
+    """``float(v)`` of a value that is not a float; a bool is refused."""
+    if type(v) is bool:
+        raise ValueError(f"{name} must be a number, got {json.dumps(v)}")
+    return float(v)
+
+
+def _to_bool(v, name: str) -> bool:
+    """The bool the int 0 or 1 stands for; any other value is refused."""
+    if type(v) is int and 0 <= v <= 1:
+        return v == 1
+    raise ValueError(f"{name} must be true, false, 0 or 1, got {json.dumps(v)}")
+
+
+def _compile_row_values(cls: type, key: str | None = None):
+    """``row_values(row, share)``: the field values (in ``fields(cls)``
+    order, after the value of ``key`` if one is given, a required str) of
+    the record one JSONL object or CSV row describes, compiled with one
+    expression per field. Unknown keys are ignored and ``None`` or ``""``
+    means absent; a value of its field's type is taken as is, any other is
+    converted by ``str``, ``_to_int``, ``_to_float`` or ``_to_bool``. Each
+    str value ``s``, a default included, becomes ``share(s, s)``: a reader
+    passes the ``setdefault`` of one dict per file, so equal strings of one
+    file are one object. A row with several faults raises the error of its
+    first faulty field."""
 
     def absent(name: str):
         raise TypeError(f"missing required field {name!r}")
 
-    lines = ["def _event_row_values(row, share):", "    get = row.get"]
-    for i, (name, default) in enumerate(zip(EVENT_FIELDS, _EVENT_DEFAULTS)):
-        kind = _EVENT_TYPES[name].__name__
+    types = _field_types(cls)
+    specs = [(key, "str", MISSING)] if key else []
+    specs += [(f.name, types[f.name].__name__, f.default) for f in fields(cls)]
+    lines = ["def row_values(row, share):", "    get = row.get"]
+    for i, (name, kind, default) in enumerate(specs):
         # Only a value of the field's type is taken as is, and of those only
         # a str can be "".
         taken = f"type(v := get({name!r})) is {kind}" + (" and v" if kind == "str" else "")
         fill = f"_absent({name!r})" if default is MISSING else repr(default)
-        value, convert = "v", f"{kind}(v)"
+        value, convert = "v", f"_to_{kind}(v, {name!r})"
         if kind == "str":
             value, convert = "share(v, v)", "share(s := str(v), s)"
             if isinstance(default, str):
                 fill = f"share({fill}, {fill})"
         lines.append(f'    v{i} = {value} if {taken} else {fill} if v is None or v == "" else {convert}')
-    lines.append(f"    return [{', '.join(f'v{i}' for i in range(len(EVENT_FIELDS)))}]")
-    namespace = {"_absent": absent}
-    exec(compile("\n".join(lines), f"<{__name__}._event_row_values>", "exec"), namespace)
-    return namespace["_event_row_values"]
+    lines.append(f"    return [{', '.join(f'v{i}' for i in range(len(specs)))}]")
+    namespace = {"_absent": absent, "_to_int": _to_int, "_to_float": _to_float, "_to_bool": _to_bool}
+    exec(compile("\n".join(lines), f"<{__name__}.{cls.__name__}_row_values>", "exec"), namespace)
+    return namespace["row_values"]
 
 
-_event_row_values = _compile_event_row_values()
+_event_row_values = _compile_row_values(ReshareEvent)
+_content_row_values = _compile_row_values(ContentRecord, key="cascade_id")
 
 
 def _compile_event_line():
@@ -329,15 +353,12 @@ def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord])
 
 def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
     out: dict[str, ContentRecord] = {}
+    share = {}.setdefault
     for lineno, line in _lines(path):
         row = _json_object(path, lineno, line)
         try:
-            cid = str(row.pop("cascade_id"))
-            record = ContentRecord(**{
-                name: kind(v)
-                for name, kind in _CONTENT_TYPES.items()
-                if (v := row.get(name)) is not None
-            })
+            cid, *values = _content_row_values(row, share)
+            record = ContentRecord(*values)
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         if cid in out:

@@ -573,6 +573,82 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
     assert err[0].startswith(f"error: {bad}:{where}: ")
 
 
+@pytest.mark.parametrize("kind, text, reason", [
+    ("events", RESHARE.replace('"user"', '"user", "outdeg": 2.7'),
+     "ValueError: outdeg must be an integer, got 2.7"),
+    ("events", RESHARE.replace('"user"', '"user", "friend_count": 3.9'),
+     "ValueError: friend_count must be an integer, got 3.9"),
+    ("events", RESHARE.replace("1.0", "true"),
+     "ValueError: timestamp must be a number, got true"),
+    ("events", RESHARE.replace('"user"', '"user", "outdeg": true'),
+     "ValueError: outdeg must be an integer, got true"),
+    ("content", '{"cascade_id": "c", "is_en": "false"}\n',
+     'ValueError: is_en must be true, false, 0 or 1, got "false"'),
+    ("content", '{"cascade_id": "c", "has_caption": 2}\n',
+     "ValueError: has_caption must be true, false, 0 or 1, got 2"),
+    ("content", '{"cascade_id": "c", "score_food": true}\n',
+     "ValueError: score_food must be a number, got true"),
+    ("content", '{"cascade_id": null, "score_food": 0.5}\n',
+     "TypeError: missing required field 'cascade_id'"),
+    ("content", '{"cascade_id": "", "score_food": 0.5}\n',
+     "TypeError: missing required field 'cascade_id'"),
+], ids=["fraction-for-int", "fraction-for-count", "bool-for-timestamp", "bool-for-int",
+        "string-for-flag", "two-for-flag", "bool-for-score", "null-cascade-id",
+        "empty-cascade-id"])
+def test_lossy_json_value_is_one_error_line(tmp_path, capsys, kind, text, reason):
+    """A JSON value that converting to its field's type would lose (a bool
+    for a number, a fraction for an int, anything but a boolean, 0 or 1 for a
+    flag) or a content line without a cascade_id is refused, naming its line."""
+    events = tmp_path / "events.jsonl"
+    events.write_text(ROOT_EVENT + (text if kind == "events" else ""))
+    content = tmp_path / "content.jsonl"
+    content.write_text(text)
+    argv = {
+        "events": ["wiener", str(events)],
+        "content": ["featurize", "--k", "1", "--in", str(events), "--content",
+                    str(content), "--out", str(tmp_path / "features.csv")],
+    }[kind]
+    bad, line = (events, 2) if kind == "events" else (content, 1)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{line}: {reason}\n"
+
+
+NONFINITE_FEATURE_EVENTS = {
+    "nan-age": (RESHARE.replace('"user"', '"user", "age_years": NaN'),
+                "feature 'ages_avg' is not finite: nan"),
+    "infinite-age": (RESHARE.replace('"user"', '"user", "age_years": Infinity'),
+                     "feature 'ages_avg' is not finite: inf"),
+    "csv-nan-age": ("c,a,1.0,r,user,nan\n", "feature 'ages_avg' is not finite: nan"),
+    "huge-views": (RESHARE.replace('"user"', '"user", "views_orig_cum": ' + "9" * 400),
+                   "int too large to convert to float"),
+    "views-rate-overflows": (RESHARE.replace("1.0", "5e-324").replace(
+        '"user"', '"user", "views_orig_cum": 10'),
+        "feature 'root_views_rate' is not finite: inf"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["featurize", "--k", "1", "--out", "features.csv"],
+    ["label", "growth", "--k", "1", "--out", "labeled.csv"],
+    ["report", "rank-features", "--k", "1"],
+    ["report", "accuracy-vs-k", "--ks", "1"],
+], ids=["featurize", "label", "rank-features", "accuracy-vs-k"])
+@pytest.mark.parametrize("case", list(NONFINITE_FEATURE_EVENTS))
+def test_non_finite_feature_is_one_error_line(tmp_path, capsys, argv, case):
+    """Events that make a feature not finite, or too large for a float, end
+    each featurizing command as one line naming the events file and cascade."""
+    line, reason = NONFINITE_FEATURE_EVENTS[case]
+    if case.startswith("csv"):
+        events = tmp_path / "events.csv"
+        events.write_text(EVENTS_CSV_HEADER.replace("\n", ",age_years\n")
+                          + "c,r,0.0,,user,\n" + line)
+    else:
+        events = tmp_path / "events.jsonl"
+        events.write_text(ROOT_EVENT + line)
+    assert main([*argv, "--in", str(events), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {events}: cascade 'c': {reason}\n"
+
+
 @pytest.mark.parametrize("line", [
     RESHARE.rstrip("\n") + " x",
     RESHARE.rstrip("\n") * 2,
@@ -1160,12 +1236,24 @@ RAW_ROWS = st.fixed_dictionaries(
 )
 
 
+def _lossless(name, v):
+    """``CONVERT[name](v)``; a bool for a number, or a finite float with a
+    fraction for an int, is refused, since the conversion would lose it."""
+    kind = CONVERT[name]
+    if kind is not str and type(v) is bool or (
+        kind is int and type(v) is float and math.isfinite(v) and not v.is_integer()
+    ):
+        raise ValueError(f"{name}: {v!r} does not convert to {kind.__name__}")
+    return kind(v)
+
+
 @given(row=RAW_ROWS)
 def test_read_events_matches_constructor(tmp_path_factory, row):
     """Each reader's event equals ``ReshareEvent(**kw)`` over the row's
-    converted non-empty fields, field for field and type for type; a row the
-    constructor rejects fails with the constructor's own error; events are
-    frozen."""
+    losslessly converted non-empty fields, field for field and type for
+    type; a row whose conversion would lose a value, or that the constructor
+    rejects, fails with a ValueError or the constructor's own error; events
+    are frozen."""
     root = tmp_path_factory.mktemp("rows")
     jsonl, csv_file = root / "events.jsonl", root / "events.csv"
     jsonl.write_text(json.dumps(row) + "\n")
@@ -1175,7 +1263,7 @@ def test_read_events_matches_constructor(tmp_path_factory, row):
     for path, source in ((jsonl, row), (csv_file, cells)):
         try:
             kw = {
-                name: CONVERT[name](v)
+                name: _lossless(name, v)
                 for name, v in source.items()
                 if name in CONVERT and v is not None and v != ""
             }

@@ -1,8 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cascadekit.errors import (
     EmptyDatasetError,
@@ -103,6 +104,58 @@ class TestLabelGrowth:
         top = {s for s, label in zip(ds.final_sizes, ds.y) if label == 1}
         bottom = {s for s, label in zip(ds.final_sizes, ds.y) if label == 0}
         assert min(top) > max(bottom)
+
+
+def assert_balanced(y, values):
+    """Ties go positive, so at least ceil(n/2) of the n labels are 1, and
+    exactly ceil(n/2) when the labeled values are distinct: criterion 7's
+    positive fraction in [0.5, 0.5 + 1/n]."""
+    n, positives = len(y), int(sum(y))
+    assert positives >= (n + 1) // 2
+    if len(set(values)) == n:
+        assert positives == (n + 1) // 2
+
+
+@settings(deadline=None)
+@given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=12), R=st.integers(1, 8))
+def test_growth_labels_are_balanced(sizes, R):
+    """Over drawn size multisets: plain and fixed-R growth labels are
+    balanced up to ties, and the quartile variant keeps n//4 of each class."""
+    records = records_with_sizes(sizes)
+    n = len(sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-equal sizes warn of a degenerate set
+        plain = label_growth(records, k=1)
+        fixed = label_growth_fixed_R(records, k=1, R=R) if R <= max(sizes) else None
+    assert_balanced(plain.y, plain.final_sizes)
+    if fixed is not None:
+        assert len(fixed.y) == sum(s >= R for s in sizes)
+        assert_balanced(fixed.y, fixed.final_sizes)
+    if n >= 4:
+        quartiles = label_growth(records, k=1, quartiles=True)
+        assert (len(quartiles.y), int(sum(quartiles.y))) == (2 * (n // 4), n // 4)
+
+
+@st.composite
+def tree_shapes(draw):
+    """A parent-index list of a tree with 1 to 5 reshares."""
+    return [draw(st.integers(0, i)) for i in range(draw(st.integers(1, 5)))]
+
+
+@settings(deadline=None)
+@given(shapes=st.lists(tree_shapes(), min_size=1, max_size=8))
+def test_structure_labels_are_balanced(shapes):
+    """Over drawn tree shapes, structure labels are balanced up to ties of
+    the Wiener index."""
+    records = [
+        CascadeRecord(tree=tree_from_parents(parents, cascade_id=f"t{i}"))
+        for i, parents in enumerate(shapes)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ds = label_structure(records, k=1)
+    wiener = {r.cascade_id: wiener_index_exact(r.tree) for r in records}
+    assert_balanced(ds.y, [wiener[cid] for cid in ds.examples])
 
 
 class TestLabelGrowthFixedR:
