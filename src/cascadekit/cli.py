@@ -228,11 +228,11 @@ def cmd_featurize(args) -> int:
     if not usable:
         raise ConfigInvalidError(f"no cascades with >= {args.k} reshares")
     with _blame(args.input, NonFiniteInputError):
-        ids, X, columns = extract_features_batch(
+        ids, rows, columns = extract_features_batch(
             usable, args.k, graph=graph,
             centered_slopes=args.centered_slopes, threads=args.threads,
         )
-    io.write_features_csv(_resolve(args.out_dir, args.out), ids, X, columns)
+    io.write_features_csv(_resolve(args.out_dir, args.out), ids, rows, columns)
     print(f"featurized {len(ids)} cascades at k={args.k}")
     return 0
 

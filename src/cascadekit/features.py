@@ -15,21 +15,21 @@ configured k only; vectors for different k must not be mixed in a dataset.
 ``layout_columns`` is the one column layout, shared by the CSV files and
 the design matrix: each value column followed by its ``<name>_missing``
 indicator. A ``FeatureVector``'s ``row`` is one row in that layout, and
-``extract_features_batch`` writes the rows of a batch into one matrix.
+``extract_features_batch`` writes the rows of a batch into one flat
+``array("d")`` buffer, which numpy views as the design matrix without a
+copy; featurizing never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._lazy import deferred
 from .cascade import CascadeTree, SocialGraph, prefix
 from .errors import EmptyInputError, NonFiniteInputError, TimeNotNormalizedError
-
-np = deferred("numpy", globals(), "np")
 
 MISSING_SUFFIX = "_missing"
 
@@ -100,15 +100,7 @@ class FeatureVector:
                 row.append(0.0)
                 row.append(1.0)
             else:
-                try:
-                    v = float(v)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise NonFiniteInputError(
-                        f"feature {name!r} does not convert to a float: {exc}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise NonFiniteInputError(f"feature {name!r} is not finite: {v}")
-                row.append(v)
+                row.append(_finite(name, v))
                 row.append(0.0)
         self.row = tuple(row)
         self.meta = dict(meta or {})
@@ -118,6 +110,20 @@ class FeatureVector:
 
     def is_missing(self, name: str) -> bool:
         return self.row[2 * self.names.index(name) + 1] == 1.0
+
+
+def _finite(name: str, v: object) -> float:
+    """``float(v)``; a value that is not finite, or does not convert to a
+    float, ends as ``NonFiniteInputError`` naming feature ``name``."""
+    try:
+        v = float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NonFiniteInputError(
+            f"feature {name!r} does not convert to a float: {exc}"
+        ) from None
+    if not math.isfinite(v):
+        raise NonFiniteInputError(f"feature {name!r} is not finite: {v}")
+    return v
 
 
 def layout_columns(names: Iterable[str]) -> list[str]:
@@ -296,7 +302,7 @@ def _prefix_features(
     kth = reshares[-1]
     raw["root_views"] = kth.views_orig_cum
     raw["root_is_page"] = float(root.is_page)
-    raw["root_outdeg"] = float(root.outdeg)
+    raw["root_outdeg"] = root.outdeg
     raw["root_age"] = root.age_years
     raw["root_gender"] = _gender_code(root.gender)
     raw["root_fb_age"] = root.fb_age_days
@@ -329,7 +335,7 @@ def _prefix_features(
 
     # -- structural --------------------------------------------------------
     for i, e in enumerate(p.events):
-        raw[f"node_outdeg_{i}"] = float(e.outdeg)
+        raw[f"node_outdeg_{i}"] = e.outdeg
         raw[f"tree_outdeg_{i}"] = float(len(children[e.node_id]))
     if graph is not None:
         nbrs = [graph.neighbors(e.node_id) for e in p.events]
@@ -377,10 +383,11 @@ def _prefix_features(
     if gaps:
         raw["gap_slope"] = slope(gaps)
     t_k = times[-1]
-    if t_k > 0 and kth.views_orig_cum is not None:
-        raw["root_views_rate"] = kth.views_orig_cum / t_k
-    if t_k > 0 and kth.views_reshares_cum is not None:
-        raw["reshare_views_rate"] = kth.views_reshares_cum / t_k
+    for name in ("root_views", "reshare_views"):
+        if t_k > 0 and raw[name] is not None:
+            # The count is made a float first (as dividing it would), so a
+            # count too large for one names its feature.
+            raw[f"{name}_rate"] = _finite(name, raw[name]) / t_k
 
     return raw, meta
 
@@ -392,18 +399,23 @@ def extract_features_batch(
     *,
     centered_slopes: bool = False,
     threads: int = 1,
-) -> tuple[list[str], np.ndarray, list[str]]:
-    """Features of many cascades as ``(cascade_ids, X, columns)``.
+) -> tuple[list[str], array, list[str]]:
+    """Features of many cascades as ``(cascade_ids, rows, columns)``.
 
-    Rows of ``X`` are in cascade_id order and its columns are
-    ``layout_columns(feature_names(k))``, so an empty batch still has its
-    columns. Each row is written into ``X`` as it is extracted, so no list
-    of rows is held. Extraction is pure per cascade and ``pool.map`` keeps
-    input order, so the thread pool changes throughput only.
+    ``rows`` is one flat float64 ``array("d")``: the row of cascade i, in
+    cascade_id order, is ``rows[i * w : (i + 1) * w]`` with ``w =
+    len(columns)``, and ``columns`` is ``layout_columns(feature_names(k))``,
+    so an empty batch still has its columns. ``np.frombuffer(rows)
+    .reshape(-1, w)`` views it as the design matrix without a copy. The
+    buffer is allocated once and each row written into it as it is
+    extracted, so no list of rows is held. Extraction is pure per cascade
+    and ``pool.map`` keeps input order, so the thread pool changes
+    throughput only.
     """
     pairs = sorted(items, key=lambda pair: pair[0].cascade_id)
     columns = layout_columns(feature_names(k))
-    X = np.empty((len(pairs), len(columns)), dtype=np.float64)
+    width = len(columns)
+    rows = array("d", [0.0]) * (len(pairs) * width)
 
     def row(pair: tuple[CascadeTree, ContentRecord | None]) -> tuple[float, ...]:
         tree, content = pair
@@ -411,11 +423,13 @@ def extract_features_batch(
             tree, k, graph=graph, content=content, centered_slopes=centered_slopes
         ).row
 
+    def fill(values: Iterator[tuple[float, ...]]) -> None:
+        for i, value in enumerate(values):
+            rows[i * width : (i + 1) * width] = array("d", value)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, values in enumerate(pool.map(row, pairs)):
-                X[i] = values
+            fill(pool.map(row, pairs))
     else:
-        for i, pair in enumerate(pairs):
-            X[i] = row(pair)
-    return [tree.cascade_id for tree, _ in pairs], X, columns
+        fill(map(row, pairs))
+    return [tree.cascade_id for tree, _ in pairs], rows, columns

@@ -162,6 +162,14 @@ def event_to_dict(event: ReshareEvent) -> dict:
     return {k: v for k in EVENT_FIELDS if (v := getattr(event, k)) is not None}
 
 
+def _to_str(v, name: str) -> str:
+    """``str(v)`` of a JSON number, so an id written as ``17`` reads as
+    ``"17"``; a boolean, an array or an object is refused."""
+    if type(v) is not int and type(v) is not float:
+        raise ValueError(f"{name} must be a string or a number, got {json.dumps(v)}")
+    return str(v)
+
+
 def _to_int(v, name: str) -> int:
     """``int(v)`` of a value that is not an int; a bool, or a finite float
     with a fraction, is refused rather than rounded."""
@@ -190,7 +198,8 @@ def _compile_row_values(cls: type, key: str | None = None):
     the record one JSONL object or CSV row describes, compiled with one
     expression per field. Unknown keys are ignored and ``None`` or ``""``
     means absent; a value of its field's type is taken as is, any other is
-    converted by ``str``, ``_to_int``, ``_to_float`` or ``_to_bool``. Each
+    converted by ``_to_str``, ``_to_int``, ``_to_float`` or ``_to_bool``
+    (a str field takes a number as its text, nothing else). Each
     str value ``s``, a default included, becomes ``share(s, s)``: a reader
     passes the ``setdefault`` of one dict per file, so equal strings of one
     file are one object. A row with several faults raises the error of its
@@ -210,12 +219,13 @@ def _compile_row_values(cls: type, key: str | None = None):
         fill = f"_absent({name!r})" if default is MISSING else repr(default)
         value, convert = "v", f"_to_{kind}(v, {name!r})"
         if kind == "str":
-            value, convert = "share(v, v)", "share(s := str(v), s)"
+            value, convert = "share(v, v)", f"share(s := {convert}, s)"
             if isinstance(default, str):
                 fill = f"share({fill}, {fill})"
         lines.append(f'    v{i} = {value} if {taken} else {fill} if v is None or v == "" else {convert}')
     lines.append(f"    return [{', '.join(f'v{i}' for i in range(len(specs)))}]")
-    namespace = {"_absent": absent, "_to_int": _to_int, "_to_float": _to_float, "_to_bool": _to_bool}
+    namespace = {"_absent": absent, "_to_str": _to_str, "_to_int": _to_int,
+                 "_to_float": _to_float, "_to_bool": _to_bool}
     exec(compile("\n".join(lines), f"<{__name__}.{cls.__name__}_row_values>", "exec"), namespace)
     return namespace["row_values"]
 
@@ -369,11 +379,14 @@ def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
 
 # --- feature / labeled CSVs ---------------------------------------------------
 
-def _layout_cells(X: np.ndarray) -> Iterator[list[str]]:
-    """The rows of a ``layout_columns`` matrix as CSV cells, converted one
-    row at a time."""
-    for values in X:
-        row = values.tolist()
+def _layout_cells(flat: Sequence[float], n: int) -> Iterator[list[str]]:
+    """The ``n`` rows of a flat ``layout_columns`` matrix (an ``array("d")``
+    or a raveled ndarray, row after row) as CSV cells, converted one row at
+    a time. The row count, not the width, is given, so rows of no columns
+    are still rows."""
+    width = len(flat) // n if n else 0
+    for i in range(n):
+        row = flat[i * width : (i + 1) * width].tolist()
         cells = row[:]
         cells[0::2] = map(fmt, row[0::2])
         cells[1::2] = ["1" if flag else "0" for flag in row[1::2]]
@@ -428,13 +441,14 @@ def read_numbers(path: str | Path) -> list[float]:
 
 
 def write_features_csv(
-    path: str | Path, ids: Sequence[str], X: np.ndarray, columns: Sequence[str]
+    path: str | Path, ids: Sequence[str], rows: Sequence[float], columns: Sequence[str]
 ) -> None:
-    """Feature rows keyed by cascade_id, in the given (cascade_id) order."""
+    """Feature rows keyed by cascade_id, in the given (cascade_id) order;
+    ``rows`` is flat, as ``extract_features_batch`` returns it."""
     if not ids:
         raise ConfigInvalidError("no feature rows to write")
-    rows = ([cid] + cells for cid, cells in zip(ids, _layout_cells(X)))
-    write_csv(path, ["cascade_id", *columns], rows)
+    lines = ([cid] + cells for cid, cells in zip(ids, _layout_cells(rows, len(ids))))
+    write_csv(path, ["cascade_id", *columns], lines)
 
 
 def write_labeled_csv(path: str | Path, dataset: TaskDataset) -> None:
@@ -444,7 +458,8 @@ def write_labeled_csv(path: str | Path, dataset: TaskDataset) -> None:
     rows = (
         cells + [str(int(label)), str(size), cid]
         for cells, label, size, cid in zip(
-            _layout_cells(dataset.X), dataset.y, dataset.final_sizes, dataset.examples
+            _layout_cells(dataset.rows, len(dataset.examples)),
+            dataset.labels, dataset.final_sizes, dataset.examples,
         )
     )
     write_csv(path, [*dataset.columns, "label", "final_size", "cascade_id"], rows)
@@ -489,7 +504,8 @@ def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) ->
         + cells
         for inst in instances
         for idx, (cid, size, cells) in enumerate(
-            zip(inst.members, inst.final_sizes, _layout_cells(inst.X))
+            zip(inst.members, inst.final_sizes,
+                _layout_cells(inst.X.ravel(), len(inst.members)))
         )
     )
     write_csv(path, [*_CLUSTER_KEYS, *instances[0].columns], rows)

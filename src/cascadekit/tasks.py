@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from ._lazy import deferred
@@ -69,18 +71,32 @@ class ClusterInstance:
 class TaskDataset:
     """A labeled design matrix plus the provenance needed to reproduce it.
 
-    Row i of ``X`` and ``y`` belongs to cascade ``examples[i]`` with final
-    size ``final_sizes[i]``; rows are in cascade_id order.
+    ``rows`` holds the matrix as ``extract_features_batch`` writes it: one
+    flat float64 ``array("d")`` of ``len(columns)`` values per example.
+    Row i and ``labels[i]`` (0 or 1) belong to cascade ``examples[i]`` with
+    final size ``final_sizes[i]``; rows are in cascade_id order. ``X`` and
+    ``y`` are the float64 ndarrays of the rows and labels, made on first
+    read; ``X`` views ``rows`` without a copy, so a dataset that is only
+    labeled and written never loads numpy.
     """
 
     examples: tuple[str, ...]
     final_sizes: tuple[int, ...]
-    X: np.ndarray
-    y: np.ndarray
+    rows: array
+    labels: tuple[int, ...]
     columns: list[str]
     k: int
     threshold: float
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        flat = np.frombuffer(self.rows, dtype=np.float64)
+        return flat.reshape(len(self.examples), len(self.columns))
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return np.array(self.labels, dtype=np.float64)
 
 
 def _retained(records: Sequence[CascadeRecord], size: int) -> list[CascadeRecord]:
@@ -126,14 +142,14 @@ def _dataset(
     else:
         chosen, labels = retained, [int(v >= threshold) for v in values]
     by_id = {r.cascade_id: (label, r.final_size) for r, label in zip(chosen, labels)}
-    ids, X, columns = extract_features_batch(
+    ids, rows, columns = extract_features_batch(
         [(r.tree, r.content) for r in chosen],
         k,
         graph=graph,
         centered_slopes=centered_slopes,
         threads=threads,
     )
-    y = [by_id[cid][0] for cid in ids]
+    y = tuple(by_id[cid][0] for cid in ids)
     if not quartiles:
         if len(set(y)) < 2:
             warnings.warn(
@@ -145,8 +161,8 @@ def _dataset(
     return TaskDataset(
         examples=tuple(ids),
         final_sizes=tuple(by_id[cid][1] for cid in ids),
-        X=X,
-        y=np.array(y, dtype=np.float64),
+        rows=rows,
+        labels=y,
         columns=columns,
         k=k,
         threshold=threshold,
@@ -259,13 +275,14 @@ def build_cluster_task(
         members_all = sorted(qualifying[cid], key=lambda r: r.cascade_id)
         chosen_idx = rng.choice(len(members_all), size=m, replace=False)
         chosen = [members_all[i] for i in sorted(chosen_idx)]
-        ids, X, columns = extract_features_batch(
+        ids, rows, columns = extract_features_batch(
             [(r.tree, r.content) for r in chosen],
             k,
             graph=graph,
             centered_slopes=centered_slopes,
             threads=threads,
         )
+        X = np.frombuffer(rows, dtype=np.float64).reshape(m, len(columns))
         # ``chosen`` is in cascade_id order, as the rows of X are.
         winner_index = min(
             range(m),

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError, replace
 from io import StringIO
@@ -592,9 +593,20 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
      "TypeError: missing required field 'cascade_id'"),
     ("content", '{"cascade_id": "", "score_food": 0.5}\n',
      "TypeError: missing required field 'cascade_id'"),
+    ("events", RESHARE.replace('"user"', '"user", "gender": [1, 2]'),
+     "ValueError: gender must be a string or a number, got [1, 2]"),
+    ("events", RESHARE.replace('"a"', "true"),
+     "ValueError: node_id must be a string or a number, got true"),
+    ("events", RESHARE.replace('"r"', '{"id": "r"}'),
+     'ValueError: parent_id must be a string or a number, got {"id": "r"}'),
+    ("content", '{"cascade_id": "c", "category": false}\n',
+     "ValueError: category must be a string or a number, got false"),
+    ("content", '{"cascade_id": ["c"]}\n',
+     'ValueError: cascade_id must be a string or a number, got ["c"]'),
 ], ids=["fraction-for-int", "fraction-for-count", "bool-for-timestamp", "bool-for-int",
         "string-for-flag", "two-for-flag", "bool-for-score", "null-cascade-id",
-        "empty-cascade-id"])
+        "empty-cascade-id", "array-for-str", "bool-for-id", "object-for-parent",
+        "bool-for-label", "array-for-cascade-id"])
 def test_lossy_json_value_is_one_error_line(tmp_path, capsys, kind, text, reason):
     """A JSON value that converting to its field's type would lose (a bool
     for a number, a fraction for an int, anything but a boolean, 0 or 1 for a
@@ -620,7 +632,19 @@ NONFINITE_FEATURE_EVENTS = {
                      "feature 'ages_avg' is not finite: inf"),
     "csv-nan-age": ("c,a,1.0,r,user,nan\n", "feature 'ages_avg' is not finite: nan"),
     "huge-views": (RESHARE.replace('"user"', '"user", "views_orig_cum": ' + "9" * 400),
+                   "feature 'root_views' does not convert to a float: "
                    "int too large to convert to float"),
+    "huge-views-at-zero": (RESHARE.replace("1.0", "0.0").replace(
+        '"user"', '"user", "views_orig_cum": ' + "9" * 400),
+        "feature 'root_views' does not convert to a float: "
+        "int too large to convert to float"),
+    "huge-reshare-views": (RESHARE.replace(
+        '"user"', '"user", "views_reshares_cum": ' + "9" * 400),
+        "feature 'reshare_views' does not convert to a float: "
+        "int too large to convert to float"),
+    "huge-outdeg": (RESHARE.replace('"user"', '"user", "outdeg": ' + "9" * 400),
+                    "feature 'node_outdeg_1' does not convert to a float: "
+                    "int too large to convert to float"),
     "views-rate-overflows": (RESHARE.replace("1.0", "5e-324").replace(
         '"user"', '"user", "views_orig_cum": 10'),
         "feature 'root_views_rate' is not finite: inf"),
@@ -1219,7 +1243,7 @@ CONVERT = {
 }
 TEXT = st.text(alphabet='ab1 ,"', min_size=1, max_size=4)
 RAW = {
-    str: TEXT | st.integers(-5, 5),
+    str: TEXT | st.integers(-5, 5) | st.booleans(),
     int: st.integers(-3, 2**70) | st.integers(-3, 99).map(str)
     | st.floats(-1e3, 1e3) | st.booleans(),
     float: st.floats() | st.integers(-10**6, 10**6)
@@ -1237,10 +1261,10 @@ RAW_ROWS = st.fixed_dictionaries(
 
 
 def _lossless(name, v):
-    """``CONVERT[name](v)``; a bool for a number, or a finite float with a
-    fraction for an int, is refused, since the conversion would lose it."""
+    """``CONVERT[name](v)``; a bool, or a finite float with a fraction for
+    an int, is refused, since the conversion would lose it."""
     kind = CONVERT[name]
-    if kind is not str and type(v) is bool or (
+    if type(v) is bool or (
         kind is int and type(v) is float and math.isfinite(v) and not v.is_integer()
     ):
         raise ValueError(f"{name}: {v!r} does not convert to {kind.__name__}")
@@ -1464,8 +1488,8 @@ def datasets(draw):
     return TaskDataset(
         examples=tuple(draw(st.lists(CSV_IDS, min_size=n, max_size=n, unique=True))),
         final_sizes=tuple(draw(st.lists(SIZES, min_size=n, max_size=n))),
-        X=draw(layout_rows(n)),
-        y=np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))),
+        rows=array("d", draw(layout_rows(n)).ravel()),
+        labels=tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))),
         columns=LAYOUT,
         k=1,
         threshold=0.5,
@@ -1523,7 +1547,7 @@ CONTENT_CONVERT = {
 CONTENT_RAW = {
     float: st.floats(0.0, 1.0) | st.integers(0, 1),
     bool: st.booleans() | st.integers(0, 1),
-    str: TEXT | st.integers(-5, 5),
+    str: TEXT | st.integers(-5, 5) | st.booleans(),
 }
 CONTENT_ROWS = st.fixed_dictionaries({}, optional={
     name: st.none() | CONTENT_RAW[kind] for name, kind in CONTENT_CONVERT.items()
@@ -1533,12 +1557,18 @@ CONTENT_ROWS = st.fixed_dictionaries({}, optional={
 @given(rows=st.dictionaries(IDS, CONTENT_ROWS, max_size=4))
 def test_content_jsonl_roundtrip_property(tmp_path_factory, rows):
     """Each content line reads as ``ContentRecord(**kw)`` over its converted
-    non-null fields, type for type; what the writer writes reads back the same."""
+    non-null fields, type for type, and one with a boolean for a label is
+    refused; what the writer writes reads back the same."""
     root = tmp_path_factory.mktemp("content")
     raw, written = root / "raw.jsonl", root / "written.jsonl"
     raw.write_text("".join(
         json.dumps({"cascade_id": cid, **row}) + "\n" for cid, row in rows.items()
     ))
+    if any(CONTENT_CONVERT[name] is str and type(v) is bool
+           for row in rows.values() for name, v in row.items()):
+        with pytest.raises(ConfigInvalidError, match=": ValueError: .* must be a string"):
+            io.read_content_jsonl(raw)
+        return
     expected = {
         cid: ContentRecord(**{
             name: CONTENT_CONVERT[name](v) for name, v in row.items() if v is not None

@@ -1,4 +1,5 @@
 import dataclasses
+from array import array
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ from cascadekit.features import (
 )
 
 from conftest import event, random_tree, star_tree, tree_from_parents
+
+
+def batch(*args, **kwargs):
+    """``extract_features_batch`` with its flat float64 ``array("d")`` of
+    rows viewed as the matrix, one row per cascade."""
+    ids, rows, columns = extract_features_batch(*args, **kwargs)
+    assert type(rows) is array and rows.typecode == "d"
+    assert len(rows) == len(ids) * len(columns)
+    return ids, np.frombuffer(rows, dtype=np.float64).reshape(-1, len(columns)), columns
 
 
 class TestSlopeThroughOrigin:
@@ -255,8 +265,8 @@ class TestFeatureProperties:
         trees = [random_tree(rng, int(rng.integers(5, 25)), cascade_id=f"c{i:03d}")
                  for i in range(150)]
         items = [(t, None) for t in reversed(trees[:12])]
-        seq_ids, seq_X, seq_columns = extract_features_batch(items, 3, threads=1)
-        par_ids, par_X, par_columns = extract_features_batch(items, 3, threads=4)
+        seq_ids, seq_X, seq_columns = batch(items, 3, threads=1)
+        par_ids, par_X, par_columns = batch(items, 3, threads=4)
         assert seq_ids == sorted(t.cascade_id for t in trees[:12])
         assert par_ids == seq_ids
         assert par_columns == seq_columns
@@ -267,7 +277,7 @@ class TestFeatureProperties:
             rows = [extract_features(t, 3).row for t in trees[:n]]
             expected = np.array(rows, dtype=np.float64).reshape(n, len(seq_columns))
             for threads in (1, 2):
-                ids, X, columns = extract_features_batch(
+                ids, X, columns = batch(
                     [(t, None) for t in reversed(trees[:n])], 3, threads=threads
                 )
                 assert ids == [t.cascade_id for t in trees[:n]]
@@ -328,9 +338,7 @@ def test_vector_row_is_its_batch_row(case, with_graph, with_content):
     content = ContentRecord(score_food=0.25, is_en=True) if with_content else None
     other = tree_from_parents([0] * k, cascade_id="a")
     fv = extract_features(tree, k, graph=graph, content=content)
-    ids, X, columns = extract_features_batch(
-        [(tree, content), (other, None)], k, graph=graph
-    )
+    ids, X, columns = batch([(tree, content), (other, None)], k, graph=graph)
     assert ids == ["a", "t"]
     assert columns == layout_columns(fv.names)
     assert X[1].tolist() == list(fv.row)

@@ -38,23 +38,31 @@ def _loaded_after(tmp_path, *argvs):
 
 
 def test_wiener_and_stats_never_load_numpy(tmp_path):
-    """``build_parser()``, ``wiener`` and ``stats`` leave numpy and hashlib
-    unloaded; ``label`` loads numpy once it computes."""
-    events =tmp_path / "events.jsonl"
+    """``build_parser()``, ``wiener``, ``stats``, ``featurize`` and the growth
+    and structure labels leave numpy and hashlib unloaded; cluster labels
+    load numpy, to sample members, and hashlib with ``numpy.random``."""
+    events = tmp_path / "events.jsonl"
     events.write_text(
         '{"cascade_id": "c", "node_id": "r", "timestamp": 0.0}\n'
         '{"cascade_id": "c", "node_id": "a", "parent_id": "r", "timestamp": 1.0}\n'
     )
+    content = tmp_path / "content.jsonl"
+    content.write_text('{"cascade_id": "c", "cluster_id": "g"}\n')
     numbers = tmp_path / "numbers.txt"
     numbers.write_text("1\n2\n5\n9\n")
+    window = ["--k", "1", "--in", str(events)]
     loaded = _loaded_after(
         tmp_path,
         ["wiener", str(events)],
         ["stats", "gini", str(numbers)],
         ["stats", "fit-alpha", "--xmin", "1", str(numbers)],
-        ["label", "growth", "--k", "1", "--in", str(events), "--out", "l.csv"],
+        ["featurize", *window, "--out", "f.csv"],
+        ["label", "growth", *window, "--out", "l.csv"],
+        ["label", "structure", *window, "--out", "s.csv"],
+        ["label", "cluster", *window, "--m", "1", "--content", str(content),
+         "--out", "c.csv"],
     )
-    assert loaded == [[], [], [], ["numpy"]]
+    assert loaded == [[], [], [], [], [], [], ["hashlib", "numpy"]]
 
 
 def test_first_touches_from_threads_import_once(tmp_path, monkeypatch):

@@ -12,11 +12,12 @@ from cascadekit.errors import (
     SingleClassError,
     UnknownFieldError,
 )
-from cascadekit.features import ContentRecord
+from cascadekit.features import ContentRecord, extract_features, extract_features_batch
 from cascadekit.stats import median
 from cascadekit.synth import sample_powerlaw_sizes
 from cascadekit.tasks import (
     CascadeRecord,
+    TaskDataset,
     build_cluster_task,
     group_summaries,
     label_growth,
@@ -140,6 +141,41 @@ def test_growth_labels_are_balanced(sizes, R):
 def tree_shapes(draw):
     """A parent-index list of a tree with 1 to 5 reshares."""
     return [draw(st.integers(0, i)) for i in range(draw(st.integers(1, 5)))]
+
+
+@settings(deadline=None)
+@given(shapes=st.lists(tree_shapes(), max_size=8), k=st.integers(1, 3),
+       threads=st.sampled_from([1, 2]))
+def test_dataset_matrix_views_its_rows(shapes, k, threads):
+    """Over drawn batches, a dataset's ``X`` is the float64 matrix of its
+    vectors' rows and a writable view of its stored rows, made once; ``y``
+    is its labels as float64; an empty batch keeps its columns."""
+    trees = [tree_from_parents(parents, cascade_id=f"t{i}")
+             for i, parents in enumerate(shapes)]
+    trees = [t for t in trees if t.size >= k]
+    ids, rows, columns = extract_features_batch(
+        [(t, None) for t in reversed(trees)], k, threads=threads
+    )
+    expected = np.array(
+        [extract_features(t, k).row for t in trees], dtype=np.float64
+    ).reshape(len(trees), len(columns))
+    datasets = [TaskDataset(
+        examples=tuple(ids), final_sizes=tuple(t.size for t in trees), rows=rows,
+        labels=tuple(i % 2 for i in range(len(ids))), columns=columns, k=k, threshold=1.0,
+    )]
+    if trees:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # all-equal sizes warn of a degenerate set
+            datasets.append(label_growth(
+                [CascadeRecord(tree=t) for t in trees], k, threads=threads
+            ))
+    for ds in datasets:
+        assert ds.X is ds.X
+        assert ds.X.dtype == np.float64 and ds.X.flags.writeable
+        assert ds.X.shape == (len(trees), len(columns))
+        assert np.array_equal(ds.X, expected)
+        assert not trees or np.shares_memory(ds.X, np.frombuffer(ds.rows))
+        assert ds.y.dtype == np.float64 and ds.y.tolist() == list(ds.labels)
 
 
 @settings(deadline=None)
