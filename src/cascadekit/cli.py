@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+import warnings
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -130,21 +130,6 @@ def _generate(
             f"{social.edge_count()} graph edges")
 
 
-def _task_options(
-    task: str, R: int | None, quartiles: bool, m: int | None = None
-) -> None:
-    """Refuse an option the task would ignore: ``R`` and ``quartiles`` shape
-    growth labels only, ``m`` cluster instances only, and fixed-R growth
-    labels have no quartiles."""
-    if task != "growth" and (R is not None or quartiles):
-        name = "R" if R is not None else "quartiles"
-        raise BadArgumentError(f"{name} applies to growth labels only, not {task}")
-    if task != "cluster" and m is not None:
-        raise BadArgumentError(f"m applies to cluster labels only, not {task}")
-    if R is not None and quartiles:
-        raise BadArgumentError("quartiles does not apply to fixed-R growth labels")
-
-
 def _label(
     records: list[CascadeRecord],
     task: str,
@@ -171,17 +156,6 @@ def _label(
     if graph is None:
         meta["did_leave_approximate"] = True
     return dataset, meta
-
-
-@contextmanager
-def _blame(path: str, error: type[CascadeKitError]) -> Iterator[None]:
-    """Blame the input at ``path`` for an ``error`` the body raises: a labeled
-    CSV for a class with too few examples to fit or to cross-validate, an
-    event log for a feature that is not finite."""
-    try:
-        yield
-    except error as exc:
-        raise ConfigInvalidError(f"{path}: {exc}") from None
 
 
 def _cross_validate(
@@ -227,18 +201,18 @@ def cmd_featurize(args) -> int:
     usable = [(r.tree, r.content) for r in records if r.tree.size >= args.k]
     if not usable:
         raise ConfigInvalidError(f"no cascades with >= {args.k} reshares")
-    with _blame(args.input, NonFiniteInputError):
-        ids, rows, columns = extract_features_batch(
-            usable, args.k, graph=graph,
-            centered_slopes=args.centered_slopes, threads=args.threads,
-        )
+    ids, rows, columns = extract_features_batch(
+        usable, args.k, graph=graph,
+        centered_slopes=args.centered_slopes, threads=args.threads,
+    )
     io.write_features_csv(_resolve(args.out_dir, args.out), ids, rows, columns)
     print(f"featurized {len(ids)} cascades at k={args.k}")
     return 0
 
 
 def cmd_label(args) -> int:
-    _task_options(args.task, args.R, args.quartiles, args.m)
+    if args.R is not None and args.quartiles:
+        raise BadArgumentError("quartiles does not apply to fixed-R growth labels")
     records = _load_records(args.input, args.content)
     graph = _load_graph(args)
     out_path = _resolve(args.out_dir, args.out)
@@ -246,19 +220,16 @@ def cmd_label(args) -> int:
         graph=graph, centered_slopes=args.centered_slopes, threads=args.threads
     )
     if args.task == "cluster":
-        m = CLUSTER_M if args.m is None else args.m
-        with _blame(args.input, NonFiniteInputError):
-            instances = build_cluster_task(records, args.k, m=m, seed=args.seed, **common)
+        instances = build_cluster_task(records, args.k, m=args.m, seed=args.seed, **common)
         io.write_cluster_csv(out_path, instances)
-        meta = {"task": "cluster", "k": args.k, "m": m, "seed": args.seed,
+        meta = {"task": "cluster", "k": args.k, "m": args.m, "seed": args.seed,
                 "n_instances": len(instances)}
         print(f"wrote {len(instances)} cluster instances to {out_path}")
     else:
-        with _blame(args.input, NonFiniteInputError):
-            dataset, meta = _label(
-                records, args.task, args.k, R=args.R, quartiles=args.quartiles,
-                seed=args.seed, **common,
-            )
+        dataset, meta = _label(
+            records, args.task, args.k, R=args.R, quartiles=args.quartiles,
+            seed=args.seed, **common,
+        )
         io.write_labeled_csv(out_path, dataset)
         print(f"wrote {len(dataset.examples)} examples to {out_path} "
               f"(threshold {dataset.threshold})")
@@ -269,10 +240,9 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     X, y, _, _, columns = io.read_labeled_csv(args.input)
-    with _blame(args.input, SingleClassError):
-        model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
-        if args.folds > 0:
-            check_folds(y, args.folds)
+    model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
+    if args.folds > 0:
+        check_folds(y, args.folds)
     io.write_model(_resolve(args.out_dir, args.model_out), model)
     if model.converged:
         status = "converged"
@@ -312,8 +282,7 @@ def cmd_evaluate(args) -> int:
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
     X, y, _, _, columns = io.read_labeled_csv(args.input)
-    with _blame(args.input, SingleClassError):
-        check_folds(y, args.folds)
+    check_folds(y, args.folds)
     _print_metrics(_cross_validate(
         args, X, y, columns,
         args.metrics_out and _resolve(args.out_dir, args.metrics_out),
@@ -328,8 +297,7 @@ def cmd_rank_features(args) -> int:
     if args.top == 0 and not args.out:
         raise BadArgumentError("--top 0 prints no row; give --out or --top >= 1")
     X, y, sizes, _, columns = io.read_labeled_csv(args.input)
-    with _blame(args.input, SingleClassError):
-        check_folds(y, args.folds)
+    check_folds(y, args.folds)
     lines = _ranking_table(rank_single_feature_predictors(
         X, y, sizes, columns, folds=args.folds, seed=args.seed, lam=args.lam
     ))
@@ -358,25 +326,28 @@ def cmd_stats(args) -> int:
 
 
 # Each option that some command accepts but would ignore: its flag, its value
-# when not given, and the commands that read it (a report table as ``report
-# <kind>``, a ranking evaluation as ``evaluate --cluster``); any other command
-# refuses it. generate and pipeline take their seed from their config file's
-# ``seed`` key.
+# when not given, and the command forms that read it (a task dataset as
+# ``label <task>``, a report table as ``report <kind>``, a ranking evaluation
+# as ``evaluate --cluster``); any other form refuses it. generate and pipeline
+# take their seed from their config file's ``seed`` key.
+_LABEL = ("label growth", "label structure", "label cluster")
 _FITS = ("report rank-features", "report accuracy-vs-k")  # the tables that fit models
 _CV = ("train", "evaluate", "rank-features", *_FITS)
-_GRAPH = ("featurize", "label", *_FITS)  # the commands that featurize
+_GRAPH = ("featurize", *_LABEL, *_FITS)  # the commands that featurize
 _OPTIONS = {
-    "seed": ("--seed", 0, ("label", *_CV)),
+    "seed": ("--seed", 0, (*_LABEL, *_CV)),
     "threads": ("--threads", 1, ("pipeline", *_GRAPH)),
     "lam": ("--lambda", DEFAULT_LAMBDA, _CV),
     "folds": ("--folds", 10, _CV),
     "graph": ("--graph", None, _GRAPH),
     "directed": ("--directed", False, _GRAPH),
-    "k": ("--k", 5, ("featurize", "label", "report rank-features")),
+    "k": ("--k", 5, ("featurize", *_LABEL, "report rank-features")),
     "ks": ("--ks", "5,10,25", ("report accuracy-vs-k",)),
-    "R": ("--R", None, ("label", "report accuracy-vs-k")),
+    "R": ("--R", None, ("label growth", "report accuracy-vs-k")),
+    "quartiles": ("--quartiles", False, ("label growth",)),
+    "m": ("--m", CLUSTER_M, ("label cluster",)),
     "group_by": ("--group-by", "category", ("report groups",)),
-    "input": ("--in", None, ("featurize", "label", "report groups", *_CV)),
+    "input": ("--in", None, ("featurize", *_LABEL, "report groups", *_CV)),
     "metrics_out": ("--metrics-out", None, ("evaluate",)),
     "per_fold_out": ("--per-fold-out", None, ("evaluate",)),
     "model": ("--model", None, ("evaluate --cluster",)),
@@ -418,8 +389,7 @@ def cmd_report(args) -> int:
             for r in rows
         ]
     elif args.kind == "rank-features":
-        with _blame(args.input, NonFiniteInputError):
-            dataset, _ = _label(records, "growth", args.k, graph=graph, threads=args.threads)
+        dataset, _ = _label(records, "growth", args.k, graph=graph, threads=args.threads)
         lines = _ranking_table(rank_single_feature_predictors(
             dataset.X, dataset.y, dataset.final_sizes, dataset.columns,
             folds=args.folds, seed=args.seed, lam=args.lam,
@@ -430,10 +400,9 @@ def cmd_report(args) -> int:
             "accuracy", "accuracy_sd", "f1", "f1_sd", "auc", "auc_sd",
         )]
         for k in ks:
-            with _blame(args.input, NonFiniteInputError):
-                dataset, _ = _label(
-                    records, "growth", k, R=args.R, graph=graph, threads=args.threads
-                )
+            dataset, _ = _label(
+                records, "growth", k, R=args.R, graph=graph, threads=args.threads
+            )
             metrics = _cross_validate(args, dataset.X, dataset.y, dataset.columns)
             lines.append((str(k), str(len(dataset.examples)), *map(io.fmt, (
                 dataset.threshold, metrics.positive_fraction, metrics.majority_baseline,
@@ -499,11 +468,10 @@ def cmd_pipeline(args) -> int:
         key: parse(cfg[key]) if key in cfg else default
         for key, (parse, default) in PIPELINE_KEYS.items()
     }
-    try:
-        _task_options(opts["task"], None, opts["quartiles"])
-    except BadArgumentError as exc:
+    if opts["quartiles"] and opts["task"] != "growth":
         line = io.config_line(args.config, ["quartiles"])
-        raise ConfigInvalidError(f"{args.config}:{line}: {exc}") from None
+        raise ConfigInvalidError(f"{args.config}:{line}: quartiles applies to growth "
+                                 f"labels only, not {opts['task']}")
     paths = {name: _resolve(args.out_dir, name) for name in PIPELINE_OUTPUTS}
 
     _generate(params, paths["events.jsonl"], paths["graph.edges"], paths["content.jsonl"])
@@ -640,22 +608,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _on_input(args, message) -> str:
+    """``message`` after the ``--in`` path of ``args``, when it has one."""
+    return f"{args.input}: {message}" if args.input else str(message)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise BadArgumentError(f"--threads must be >= 1, got {args.threads}")
         command = (f"report {args.kind}" if args.command == "report"
+                   else f"label {args.task}" if args.command == "label"
                    else "evaluate --cluster" if args.command == "evaluate" and args.cluster
                    else args.command)
         _refuse_unread(args, command)
         if args.k < 1:
             raise BadArgumentError(f"k must be >= 1, got {args.k}")
-        if getattr(args, "m", None) is not None and args.m < 1:
+        if args.m < 1:
             raise BadArgumentError(f"m must be >= 1, got {args.m}")
         if args.folds < 2 and not (command == "train" and args.folds == 0):
             raise BadArgumentError(f"folds must be >= 2, got {args.folds}")
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {_on_input(args, message)}", file=sys.stderr
+            )
+            return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 2
@@ -668,6 +646,10 @@ def main(argv=None) -> int:
         # a failed write to a stream that has no path (a full disk on stdout).
         where = "" if exc.filename is None else f": {exc.filename}"
         print(f"error: {exc.strerror}{where}", file=sys.stderr)
+        return 2
+    except (NonFiniteInputError, SingleClassError) as exc:
+        # Data that cannot be fitted or featurized: its input is to blame.
+        print(f"error: {_on_input(args, exc)}", file=sys.stderr)
         return 2
     except CascadeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

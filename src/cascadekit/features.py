@@ -225,11 +225,18 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def _avg_and_90p(values: Sequence[float]) -> tuple[float | None, float | None]:
-    """Mean and nearest-rank 90th percentile, or (None, None) when empty."""
+def _avg_and_90p(raw: dict[str, float | None], name: str, values: Sequence[float]) -> None:
+    """Set ``<name>_avg`` and ``<name>_90p`` in ``raw`` to the mean and the
+    nearest-rank 90th percentile of ``values``, or leave both missing when
+    there are none. A sum that fsum refuses (too large for a float, or
+    inf + -inf) ends as ``NonFiniteInputError`` naming ``<name>_avg``."""
     if not values:
-        return None, None
-    return _mean(values), percentile_90(values)
+        return
+    try:
+        raw[f"{name}_avg"] = _mean(values)
+    except (ValueError, OverflowError) as exc:
+        raise NonFiniteInputError(f"feature '{name}_avg' is not finite: {exc}") from None
+    raw[f"{name}_90p"] = percentile_90(values)
 
 
 def _gender_code(gender: str | None) -> float | None:
@@ -313,24 +320,22 @@ def _prefix_features(
     raw["pages_count"] = float(sum(e.is_page for e in p.events))
     users = [e for e in reshares if not e.is_page]
     pages = [e for e in reshares if e.is_page]
-    raw["friends_avg"], raw["friends_90p"] = _avg_and_90p(
-        [e.friend_count for e in users if e.friend_count is not None]
+    _avg_and_90p(
+        raw, "friends", [e.friend_count for e in users if e.friend_count is not None]
     )
-    raw["fans_avg"], raw["fans_90p"] = _avg_and_90p(
-        [e.fan_count for e in pages if e.fan_count is not None]
+    _avg_and_90p(raw, "fans", [e.fan_count for e in pages if e.fan_count is not None])
+    _avg_and_90p(
+        raw, "subscribers",
+        [e.subscriber_count for e in users if e.subscriber_count is not None],
     )
-    raw["subscribers_avg"], raw["subscribers_90p"] = _avg_and_90p(
-        [e.subscriber_count for e in users if e.subscriber_count is not None]
+    _avg_and_90p(
+        raw, "fb_ages", [e.fb_age_days for e in reshares if e.fb_age_days is not None]
     )
-    raw["fb_ages_avg"], raw["fb_ages_90p"] = _avg_and_90p(
-        [e.fb_age_days for e in reshares if e.fb_age_days is not None]
+    _avg_and_90p(
+        raw, "activities",
+        [e.activity_days for e in reshares if e.activity_days is not None],
     )
-    raw["activities_avg"], raw["activities_90p"] = _avg_and_90p(
-        [e.activity_days for e in reshares if e.activity_days is not None]
-    )
-    raw["ages_avg"], raw["ages_90p"] = _avg_and_90p(
-        [e.age_years for e in reshares if e.age_years is not None]
-    )
+    _avg_and_90p(raw, "ages", [e.age_years for e in reshares if e.age_years is not None])
     raw["female_count"] = float(sum(e.gender == "female" for e in reshares))
 
     # -- structural --------------------------------------------------------

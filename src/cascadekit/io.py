@@ -465,11 +465,21 @@ def write_labeled_csv(path: str | Path, dataset: TaskDataset) -> None:
     write_csv(path, [*dataset.columns, "label", "final_size", "cascade_id"], rows)
 
 
+def _bad_flag_or_count(flags: np.ndarray, counts: np.ndarray) -> int | None:
+    """Index of the first row whose flag is not 0 or 1, or whose count is not
+    a whole number >= 0; None when every row holds both."""
+    bad = np.flatnonzero(
+        ((flags != 0.0) & (flags != 1.0)) | (counts < 0.0) | (counts != np.floor(counts))
+    )
+    return int(bad[0]) if bad.size else None
+
+
 def read_labeled_csv(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
     """Returns (X, y, final_sizes, cascade_ids, feature_columns); each label
-    is 0 or 1, each final size a count >= 0, and each cascade_id on one row."""
+    is 0 or 1, each final size a whole number >= 0, and each cascade_id on
+    one row."""
     header, rows = _read_rows(path)
     if header[-3:] != ["label", "final_size", "cascade_id"]:
         raise ConfigInvalidError(
@@ -478,12 +488,12 @@ def read_labeled_csv(
     table = np.array(
         [_numbers(path, lineno, row[:-1]) for lineno, row in rows], dtype=np.float64
     ).reshape(len(rows), len(header) - 1)
-    bad = np.flatnonzero(~np.isin(table[:, -2], (0.0, 1.0)) | (table[:, -1] < 0))
-    if bad.size:
-        lineno, row = rows[bad[0]]
+    bad = _bad_flag_or_count(table[:, -2], table[:, -1])
+    if bad is not None:
+        lineno, row = rows[bad]
         raise ConfigInvalidError(
-            f"{path}:{lineno}: label must be 0 or 1 and final_size >= 0, "
-            f"got {row[-3]} and {row[-2]}"
+            f"{path}:{lineno}: label must be 0 or 1 and final_size a whole number "
+            f">= 0, got {row[-3]} and {row[-2]}"
         )
     seen: set[str] = set()
     for lineno, row in rows:
@@ -512,7 +522,8 @@ def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) ->
 
 
 def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
-    """The instances ``write_cluster_csv`` wrote, in file order."""
+    """The instances ``write_cluster_csv`` wrote, in file order; each
+    final size is a whole number >= 0, and each is_winner 0 or 1."""
     header, rows = _read_rows(path)
     columns = header[4:]
     if tuple(header[:4]) != _CLUSTER_KEYS or layout_columns(columns[0::2]) != columns:
@@ -528,6 +539,13 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
         table = np.array(
             [_numbers(path, lineno, row[2:]) for lineno, row in group], dtype=np.float64
         )
+        bad = _bad_flag_or_count(table[:, 1], table[:, 0])
+        if bad is not None:
+            lineno, row = group[bad]
+            raise ConfigInvalidError(
+                f"{path}:{lineno}: final_size must be a whole number >= 0 and "
+                f"is_winner 0 or 1, got {row[2]} and {row[3]}"
+            )
         winners = np.flatnonzero(table[:, 1] == 1.0)
         if len(winners) != 1:
             raise ConfigInvalidError(

@@ -157,12 +157,16 @@ def train(
     if not set(classes.tolist()) <= {0.0, 1.0}:
         raise BadArgumentError(f"labels must be binary 0/1, got {classes.tolist()}")
 
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)
     # A column of equal values can have a computed std of float noise (0.1
     # repeated has one): it is dropped as constant. A column whose std
-    # underflows to 0.0 cannot be standardized and is dropped too.
-    keep = (X != X[0]).any(axis=0) & (stds > 0.0)
+    # underflows to 0.0, or whose mean or std overflows, cannot be
+    # standardized and is dropped too.
+    keep = (
+        (X != X[0]).any(axis=0) & (stds > 0.0) & np.isfinite(means) & np.isfinite(stds)
+    )
     kept_names = tuple(n for n, flag in zip(names, keep) if flag)
     dropped = tuple(n for n, flag in zip(names, keep) if not flag)
     Xs = (X[:, keep] - means[keep]) / stds[keep]

@@ -23,6 +23,7 @@ from .errors import (
     EmptyDatasetError,
     KExceedsRError,
     NoQualifyingClustersError,
+    NonFiniteInputError,
     UnknownFieldError,
     ZeroVarianceError,
 )
@@ -367,7 +368,8 @@ def rank_single_feature_predictors(
 
     Every column except the ``<name>_missing`` indicators is ranked. Sorted
     by accuracy descending, ties broken by feature name. Constant features
-    fall back to the majority-class rate and an undefined (NaN) correlation.
+    fall back to the majority-class rate and an undefined (NaN) correlation;
+    a column whose squared deviations overflow is a NonFiniteInputError.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
@@ -394,6 +396,10 @@ def rank_single_feature_predictors(
             r = pearson(column.tolist(), log_sizes)
         except ZeroVarianceError:
             r = float("nan")
+        except OverflowError:
+            raise NonFiniteInputError(
+                f"feature {name!r} is too large to correlate with log final size"
+            ) from None
         rows.append(FeatureRanking(name, metrics.accuracy, r))
     rows.sort(key=lambda row: (-row.accuracy, row.feature))
     return rows

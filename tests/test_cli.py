@@ -510,6 +510,10 @@ CYCLE = (
         ("config", "task = structure\nn_nodes = 300\nquartiles = TRUE\n", 3),
         ("labeled", "a b,a b_missing,label,final_size,cascade_id\n1.0,0,1,5,a\n", 1),
         ("cluster", CLUSTER_HEADER.replace("x", "x\ty") + "g0,a,5,1,1.0,0\n", 1),
+        ("cluster", CLUSTER_HEADER + "g0,a,3.7,1,1.0,0\ng0,b,5,0,2.0,0\n", 2),
+        ("cluster", CLUSTER_HEADER + "g0,a,3,1,1.0,0\ng0,b,-5,0,2.0,0\n", 3),
+        ("cluster", CLUSTER_HEADER + "g0,a,3,1,1.0,0\ng0,b,5,2,2.0,0\n", 3),
+        ("labeled", LABELED_HEADER + "1.0,0,1,3.5,a\n", 2),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -541,6 +545,8 @@ CYCLE = (
         "model-feature-after-dropped", "repeated-content-cascade-id",
         "repeated-labeled-cascade-id", "pipeline-quartiles-for-structure",
         "labeled-column-whitespace", "cluster-column-whitespace",
+        "fractional-cluster-final-size", "negative-cluster-final-size",
+        "non-bit-is-winner", "fractional-final-size",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -673,6 +679,29 @@ def test_non_finite_feature_is_one_error_line(tmp_path, capsys, argv, case):
     assert capsys.readouterr().err == f"error: {events}: cascade 'c': {reason}\n"
 
 
+@pytest.mark.parametrize("field, value, node_type, feature", [
+    ("friend_count", "1" + "0" * 308, "user", "friends_avg"),
+    ("fan_count", "1" + "0" * 308, "page", "fans_avg"),
+    ("subscriber_count", "1" + "0" * 308, "user", "subscribers_avg"),
+    ("fb_age_days", "1e308", "user", "fb_ages_avg"),
+    ("activity_days", "1e308", "user", "activities_avg"),
+    ("age_years", "1e308", "user", "ages_avg"),
+], ids=["friends", "fans", "subscribers", "fb-ages", "activities", "ages"])
+def test_mean_that_overflows_names_its_feature(tmp_path, capsys, field, value,
+                                                node_type, feature):
+    """Two finite values whose sum is too large for a float end featurize as
+    one line naming the mean's feature."""
+    events = tmp_path / "events.jsonl"
+    reshare = RESHARE.replace('"user"', f'"{node_type}", "{field}": {value}')
+    events.write_text(ROOT_EVENT + reshare + reshare.replace('"a"', '"b"'))
+    assert main(["featurize", "--k", "2", "--in", str(events), "--out",
+                 str(tmp_path / "features.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {events}: cascade 'c': feature '{feature}' is not finite: "
+        "intermediate overflow in fsum\n"
+    )
+
+
 @pytest.mark.parametrize("line", [
     RESHARE.rstrip("\n") + " x",
     RESHARE.rstrip("\n") * 2,
@@ -740,15 +769,15 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     (["rank-features", "--top", "-3", "--in", "{labeled}"], BALANCED_LABELED,
      "--top must be >= 0, got -3"),
     (["label", "structure", "--k", "1", "--quartiles", "--out", "l.csv", "--in",
-      "{events}"], None, "quartiles applies to growth labels only, not structure"),
+      "{events}"], None, "--quartiles does not apply to label structure"),
     (["label", "structure", "--k", "1", "--R", "50", "--out", "l.csv", "--in",
-      "{events}"], None, "R applies to growth labels only, not structure"),
+      "{events}"], None, "--R does not apply to label structure"),
     (["label", "growth", "--k", "1", "--R", "10", "--quartiles", "--out", "l.csv",
       "--in", "{events}"], None, "quartiles does not apply to fixed-R growth labels"),
     (["label", "cluster", "--k", "1", "--R", "10", "--out", "c.csv", "--in",
-      "{events}"], None, "R applies to growth labels only, not cluster"),
+      "{events}"], None, "--R does not apply to label cluster"),
     (["label", "cluster", "--k", "1", "--quartiles", "--out", "c.csv", "--in",
-      "{events}"], None, "quartiles applies to growth labels only, not cluster"),
+      "{events}"], None, "--quartiles does not apply to label cluster"),
     (["rank-features", "--folds", "2", "--in", "{labeled}"],
      BALANCED_LABELED.replace(",5,c0", ",0,c0"),
      "final sizes must be >= 1, got 0.0"),
@@ -761,9 +790,9 @@ BALANCED_LABELED = LABELED_HEADER + "".join(
     (["label", "growth", "--k", "1", "--threads", "-1", "--out", "l.csv", "--in",
       "{events}"], None, "--threads must be >= 1, got -1"),
     (["label", "growth", "--k", "1", "--m", "3", "--out", "l.csv", "--in", "{events}"],
-     None, "m applies to cluster labels only, not growth"),
+     None, "--m does not apply to label growth"),
     (["label", "structure", "--k", "1", "--m", "3", "--out", "l.csv", "--in",
-      "{events}"], None, "m applies to cluster labels only, not structure"),
+      "{events}"], None, "--m does not apply to label structure"),
     (["report", "groups", "--k", "3", "--in", "{events}"], None,
      "--k does not apply to report groups"),
     (["report", "groups", "--R", "10", "--in", "{events}"], None,
@@ -906,10 +935,10 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
 
 def _command_forms():
     """(command key, words, parser) of every form of a command that main
-    tells apart (each ``report <kind>``, ``evaluate`` with and without
-    ``--cluster``), and each task of ``label`` and subcommand of ``stats``
-    under its command's key. The words hold every positional argument; every
-    value is ``3``, which names no file."""
+    tells apart (each ``label <task>``, each ``report <kind>``, ``evaluate``
+    with and without ``--cluster``), and each subcommand of ``stats`` under
+    its command's key. The words hold every positional argument; every value
+    is ``3``, which names no file."""
     for name, parser in _subparsers(build_parser()).items():
         nested = _subparsers(parser)
         for sub, p in nested.items() or [(None, parser)]:
@@ -918,7 +947,7 @@ def _command_forms():
                            and not isinstance(a, argparse._SubParsersAction)]
             choices = [a.choices or ["3"] for a in positionals]
             for values in itertools.product(*choices):
-                key = f"report {values[0]}" if name == "report" else name
+                key = f"{name} {values[0]}" if name in ("label", "report") else name
                 yield key, [*words, *values], p
                 if name == "evaluate":
                     yield "evaluate --cluster", [*words, "--cluster", "3"], p
@@ -1016,6 +1045,58 @@ def test_train_names_its_file_for_a_single_class(tmp_path, capsys):
         f"error: {labeled}: labels contain a single class: [0.0]"
     ]
     assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_column_too_large_to_correlate_names_its_feature(tmp_path, capsys):
+    """A column whose squares overflow is dropped from each fit and ends
+    rank-features as one line naming it, with no traceback or warning."""
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text(LABELED_HEADER + "".join(
+        f"{1e300 if x < 2 else x},0,{x % 2},{5 + x},c{x}\n" for x in range(8)
+    ))
+    assert main(["rank-features", "--folds", "2", "--in", str(labeled)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {labeled}: feature 'x' is too large to correlate with log final size"
+    ]
+
+
+def _equal_cascades(path: Path) -> Path:
+    """12 cascades of three reshares each, so every growth label is 1."""
+    path.write_text("".join(
+        ROOT_EVENT.replace('"c"', f'"c{i}"') + "".join(
+            RESHARE.replace('"c"', f'"c{i}"').replace('"a"', f'"a{j}"')
+            .replace("1.0", f"{j + 1}.0")
+            for j in range(3)
+        )
+        for i in range(12)
+    ))
+    return path
+
+
+DEGENERATE = "label_growth: all labels identical (1); dataset is degenerate"
+
+
+def test_warning_is_one_line_naming_its_input(tmp_path, capsys):
+    """A library warning prints as one line after the --in path, and the
+    command still writes its dataset."""
+    events = _equal_cascades(tmp_path / "events.jsonl")
+    assert main(["label", "growth", "--k", "2", "--in", str(events), "--out",
+                 "labeled.csv", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: {events}: {DEGENERATE}"]
+    assert (tmp_path / "labeled.csv").exists()
+
+
+@pytest.mark.parametrize("kind", [
+    ["accuracy-vs-k", "--ks", "2"], ["rank-features", "--k", "2"],
+])
+def test_single_class_report_names_its_events_file(tmp_path, capsys, kind):
+    events = _equal_cascades(tmp_path / "events.jsonl")
+    assert main(["report", *kind, "--folds", "2", "--in", str(events)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {events}: {DEGENERATE}",
+        f"error: {events}: cross_validate needs both classes",
+    ]
 
 
 @pytest.mark.parametrize("command", [

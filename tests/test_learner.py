@@ -96,6 +96,16 @@ class TestTrain:
         model = train(np.hstack([X, tiny]), y, feature_names=["signal", "tiny"])
         assert model.dropped == ("tiny",)
 
+    @pytest.mark.filterwarnings("error")
+    def test_column_whose_mean_or_std_overflows_dropped(self, rng):
+        X, y = separable_1d(rng, n=40)
+        wide = np.array([[1e300]] * 5 + [[100.0]] * 35)  # its squares overflow
+        huge = np.array([[1e308], [1.5e308]] * 20)  # its sum overflows
+        model = train(np.hstack([X, wide, huge]), y, feature_names=["signal", "wide", "huge"])
+        alone = train(X, y, feature_names=["signal"])
+        assert model.dropped == ("wide", "huge")
+        assert model.weights == pytest.approx(alone.weights, rel=1e-9)
+
     def test_deterministic_regardless_of_seed(self, rng):
         X, y = separable_1d(rng, n=100)
         a = train(X, y, seed=1)
@@ -336,6 +346,32 @@ def test_train_drops_exactly_the_constant_columns(problem):
     assert model.dropped == dropped
     assert model.feature_names == tuple(n for n in names if n not in dropped)
     assert all(s > 0.0 for s in model.stds.values())
+
+
+# Column values of every magnitude a float holds, from the smallest
+# subnormal to the largest powers of ten, of either sign.
+EXTREME_VALUES = st.floats(-1e308, 1e308) | st.sampled_from(
+    [5e-324, -5e-324, 1e-300, 1e300, -1e300, 1e308, -1e308]
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(
+    columns=st.lists(st.lists(EXTREME_VALUES, min_size=6, max_size=6), min_size=1,
+                     max_size=3),
+    lam=st.sampled_from([0.0, 0.01, 1.0]),
+)
+def test_model_of_extreme_columns_reads_back_equal(tmp_path_factory, columns, lam):
+    """Whatever the magnitudes of its columns, train warns of nothing and
+    writes a model that read_model reads back to an equal Model: a column
+    whose mean or std is not finite is dropped."""
+    X = np.array(columns).T
+    model = train(X, np.array([0.0, 1.0] * 3), lam=lam,
+                  feature_names=[f"c{j}" for j in range(X.shape[1])])
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    io.write_model(path, model)
+    assert io.read_model(path) == model
 
 
 # Small integer scores tie often; the floats cover distinct scores.
