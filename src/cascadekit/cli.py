@@ -159,12 +159,15 @@ def _label(
 
 
 def _cross_validate(
-    args, X, y, columns, metrics_out: Path | None = None, per_fold_out: Path | None = None
+    args, X, y, columns, ids,
+    metrics_out: Path | None = None, per_fold_out: Path | None = None,
 ) -> Metrics:
     """Cross-validate at the folds, lambda and seed of ``args``; write the
-    metrics table and the per-fold table where a path is given."""
+    metrics table and the per-fold table where a path is given. ``ids``
+    name the rows' cascades."""
     metrics = cross_validate(
-        X, y, folds=args.folds, lam=args.lam, seed=args.seed, feature_names=columns
+        X, y, folds=args.folds, lam=args.lam, seed=args.seed, feature_names=columns,
+        ids=ids,
     )
     if metrics_out:
         io.write_csv(metrics_out, ["metric", "mean", "sd"], [
@@ -239,7 +242,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    X, y, _, _, columns = io.read_labeled_csv(args.input)
+    X, y, _, ids, columns = io.read_labeled_csv(args.input)
     model = train(X, y, lam=args.lam, seed=args.seed, feature_names=columns)
     if args.folds > 0:
         check_folds(y, args.folds)
@@ -256,7 +259,7 @@ def cmd_train(args) -> int:
         f"({status}), loss {model.final_loss:.6f}"
     )
     if args.folds > 0:
-        _print_metrics(_cross_validate(args, X, y, columns))
+        _print_metrics(_cross_validate(args, X, y, columns, ids))
     return 0
 
 
@@ -281,10 +284,10 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.input:
         raise ConfigInvalidError("evaluate needs --in (labeled CSV) or --cluster")
-    X, y, _, _, columns = io.read_labeled_csv(args.input)
+    X, y, _, ids, columns = io.read_labeled_csv(args.input)
     check_folds(y, args.folds)
     _print_metrics(_cross_validate(
-        args, X, y, columns,
+        args, X, y, columns, ids,
         args.metrics_out and _resolve(args.out_dir, args.metrics_out),
         args.per_fold_out and _resolve(args.out_dir, args.per_fold_out),
     ))
@@ -403,7 +406,9 @@ def cmd_report(args) -> int:
             dataset, _ = _label(
                 records, "growth", k, R=args.R, graph=graph, threads=args.threads
             )
-            metrics = _cross_validate(args, dataset.X, dataset.y, dataset.columns)
+            metrics = _cross_validate(
+                args, dataset.X, dataset.y, dataset.columns, dataset.examples
+            )
             lines.append((str(k), str(len(dataset.examples)), *map(io.fmt, (
                 dataset.threshold, metrics.positive_fraction, metrics.majority_baseline,
                 metrics.accuracy, metrics.accuracy_sd, metrics.f1, metrics.f1_sd,
@@ -486,12 +491,12 @@ def cmd_pipeline(args) -> int:
     io.write_labeled_csv(paths["labeled.csv"], dataset)
     io.write_manifest(paths["task_meta.json"], meta)
 
-    X, y, _, _, columns = io.read_labeled_csv(paths["labeled.csv"])
+    X, y, _, ids, columns = io.read_labeled_csv(paths["labeled.csv"])
     model = train(X, y, lam=opts["lambda"], seed=params.seed, feature_names=columns)
     io.write_model(paths["model.txt"], model)
     fit = argparse.Namespace(folds=opts["folds"], lam=opts["lambda"], seed=params.seed)
     metrics = _cross_validate(
-        fit, X, y, columns, paths["metrics.csv"], paths["per_fold.csv"]
+        fit, X, y, columns, ids, paths["metrics.csv"], paths["per_fold.csv"]
     )
 
     manifest = {

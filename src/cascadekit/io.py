@@ -24,6 +24,7 @@ import csv
 import itertools
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -38,6 +39,7 @@ from .features import ContentRecord, layout_columns
 from .learner import Model
 from .tasks import ClusterInstance, TaskDataset
 
+decimal = deferred("decimal", globals(), "decimal")
 hashlib = deferred("hashlib", globals(), "hashlib")
 np = deferred("numpy", globals(), "np")
 
@@ -465,13 +467,21 @@ def write_labeled_csv(path: str | Path, dataset: TaskDataset) -> None:
     write_csv(path, [*dataset.columns, "label", "final_size", "cascade_id"], rows)
 
 
-def _bad_flag_or_count(flags: np.ndarray, counts: np.ndarray) -> int | None:
-    """Index of the first row whose flag is not 0 or 1, or whose count is not
-    a whole number >= 0; None when every row holds both."""
-    bad = np.flatnonzero(
-        ((flags != 0.0) & (flags != 1.0)) | (counts < 0.0) | (counts != np.floor(counts))
-    )
-    return int(bad[0]) if bad.size else None
+def _count(flag: float, text: str) -> int | None:
+    """The exact whole number >= 0 that a row's count cell ``text`` holds
+    (``3`` and ``3.0`` hold 3), when the row's flag is 0 or 1 too; None for
+    any other row (``3.7``, ``-5``). ``text`` already reads as a finite
+    float."""
+    if flag != 0.0 and flag != 1.0:
+        return None
+    try:
+        count = int(text)
+    except ValueError:
+        exact = decimal.Decimal(text)
+        count = int(exact)
+        if count != exact:
+            return None
+    return count if count >= 0 else None
 
 
 def read_labeled_csv(
@@ -479,30 +489,35 @@ def read_labeled_csv(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
     """Returns (X, y, final_sizes, cascade_ids, feature_columns); each label
     is 0 or 1, each final size a whole number >= 0, and each cascade_id on
-    one row."""
+    one row. ``X`` views the one ``array("d")`` its rows are read into."""
     header, rows = _read_rows(path)
     if header[-3:] != ["label", "final_size", "cascade_id"]:
         raise ConfigInvalidError(
             f"{path}:1: expected trailing label,final_size,cascade_id columns"
         )
-    table = np.array(
-        [_numbers(path, lineno, row[:-1]) for lineno, row in rows], dtype=np.float64
-    ).reshape(len(rows), len(header) - 1)
-    bad = _bad_flag_or_count(table[:, -2], table[:, -1])
-    if bad is not None:
-        lineno, row = rows[bad]
-        raise ConfigInvalidError(
-            f"{path}:{lineno}: label must be 0 or 1 and final_size a whole number "
-            f">= 0, got {row[-3]} and {row[-2]}"
-        )
+    width = len(header) - 3
+    flat = array("d")
+    labels: list[float] = []
+    sizes: list[float] = []
+    for lineno, row in rows:
+        flat.extend(_numbers(path, lineno, row[:width]))
+        label, size = _numbers(path, lineno, row[width:-1])
+        labels.append(label)
+        sizes.append(size)
+    for (lineno, row), label in zip(rows, labels):
+        if _count(label, row[-2]) is None:
+            raise ConfigInvalidError(
+                f"{path}:{lineno}: label must be 0 or 1 and final_size a whole "
+                f"number >= 0, got {row[-3]} and {row[-2]}"
+            )
     seen: set[str] = set()
     for lineno, row in rows:
         if row[-1] in seen:
             raise ConfigInvalidError(f"{path}:{lineno}: cascade_id {row[-1]!r} appears twice")
         seen.add(row[-1])
     ids = [row[-1] for _, row in rows]
-    X = np.ascontiguousarray(table[:, :-2])
-    return X, table[:, -2].copy(), table[:, -1].copy(), ids, header[:-3]
+    X = np.frombuffer(flat, dtype=np.float64).reshape(len(rows), width)
+    return X, np.array(labels), np.array(sizes), ids, header[:-3]
 
 
 def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) -> None:
@@ -515,7 +530,7 @@ def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) ->
         for inst in instances
         for idx, (cid, size, cells) in enumerate(
             zip(inst.members, inst.final_sizes,
-                _layout_cells(inst.X.ravel(), len(inst.members)))
+                _layout_cells(inst.rows, len(inst.members)))
         )
     )
     write_csv(path, [*_CLUSTER_KEYS, *instances[0].columns], rows)
@@ -523,7 +538,8 @@ def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) ->
 
 def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
     """The instances ``write_cluster_csv`` wrote, in file order; each
-    final size is a whole number >= 0, and each is_winner 0 or 1."""
+    final size is a whole number >= 0, read exactly, and each is_winner 0
+    or 1. Each instance's rows are read into one ``array("d")``."""
     header, rows = _read_rows(path)
     columns = header[4:]
     if tuple(header[:4]) != _CLUSTER_KEYS or layout_columns(columns[0::2]) != columns:
@@ -536,17 +552,21 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
         groups.setdefault(row[0], []).append((lineno, row))
     instances = []
     for cluster_id, group in groups.items():
-        table = np.array(
-            [_numbers(path, lineno, row[2:]) for lineno, row in group], dtype=np.float64
-        )
-        bad = _bad_flag_or_count(table[:, 1], table[:, 0])
-        if bad is not None:
-            lineno, row = group[bad]
-            raise ConfigInvalidError(
-                f"{path}:{lineno}: final_size must be a whole number >= 0 and "
-                f"is_winner 0 or 1, got {row[2]} and {row[3]}"
-            )
-        winners = np.flatnonzero(table[:, 1] == 1.0)
+        flat = array("d")
+        flags: list[float] = []
+        for lineno, row in group:
+            flags.append(_numbers(path, lineno, row[2:4])[1])
+            flat.extend(_numbers(path, lineno, row[4:]))
+        sizes: list[int] = []
+        for (lineno, row), flag in zip(group, flags):
+            size = _count(flag, row[2])
+            if size is None:
+                raise ConfigInvalidError(
+                    f"{path}:{lineno}: final_size must be a whole number >= 0 and "
+                    f"is_winner 0 or 1, got {row[2]} and {row[3]}"
+                )
+            sizes.append(size)
+        winners = [i for i, flag in enumerate(flags) if flag == 1.0]
         if len(winners) != 1:
             raise ConfigInvalidError(
                 f"{path}:{group[0][0]}: cluster {cluster_id!r} has "
@@ -556,10 +576,10 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
             ClusterInstance(
                 cluster_id,
                 members=tuple(row[1] for _, row in group),
-                final_sizes=tuple(int(size) for size in table[:, 0]),
-                X=np.ascontiguousarray(table[:, 2:]),
+                final_sizes=tuple(sizes),
+                rows=flat,
                 columns=columns,
-                winner_index=int(winners[0]),
+                winner_index=winners[0],
             )
         )
     return instances

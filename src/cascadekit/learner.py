@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._lazy import deferred
 from .errors import (
@@ -230,19 +230,58 @@ def train(
     )
 
 
-def _scores_from_matrix(
-    model: Model, X: np.ndarray, feature_names: Sequence[str]
-) -> np.ndarray:
-    index = {n: i for i, n in enumerate(feature_names)}
-    for n in model.feature_names:
-        if n not in index:
-            raise MissingFeatureError(f"matrix lacks feature {n!r}")
-    cols = [index[n] for n in model.feature_names]
-    mu = np.array([model.means[n] for n in model.feature_names])
-    sd = np.array([model.stds[n] for n in model.feature_names])
-    w = np.array([model.weights[n] for n in model.feature_names])
-    Xs = (np.asarray(X, dtype=np.float64)[:, cols] - mu) / sd
-    return _sigmoid(Xs @ w + model.bias)
+def _margin(terms: list[float], bias: float) -> float:
+    """``fsum(terms) + bias``: exact in the sum, so it does not depend on the
+    terms' order, and NaN when the terms hold an infinity of each sign."""
+    try:
+        try:
+            return math.fsum(terms) + bias
+        except OverflowError:
+            # Partial sums left the float range. Scaled by 2**-64 they stay
+            # in it, and scaling their sum back gives it or its infinity.
+            return math.fsum([t * 2.0**-64 for t in terms]) * 2.0**64 + bias
+    except ValueError:
+        return math.nan
+
+
+def _score_rows(
+    model: Model,
+    rows: Sequence[float],
+    columns: Sequence[str],
+    n: int,
+    name: Callable[[int], str],
+) -> list[float]:
+    """Probability of the positive class for each of the ``n`` rows of
+    ``rows``, which holds ``len(columns)`` values per row, row after row.
+
+    The margin of a row is ``fsum((x - mean) / std * weight) + bias`` over
+    the model's features, and its score the sigmoid of that margin, in the
+    two branches of ``_sigmoid``. An infinite margin scores 1.0 or 0.0; a
+    NaN one (``inf * 0``, or an infinite term of each sign) is a
+    NonFiniteInputError naming ``name(i)``, the row's description.
+    """
+    index = {c: i for i, c in enumerate(columns)}
+    for feature in model.feature_names:
+        if feature not in index:
+            raise MissingFeatureError(f"matrix lacks feature {feature!r}")
+    params = [
+        (index[f], model.means[f], model.stds[f], model.weights[f])
+        for f in model.feature_names
+    ]
+    width = len(columns)
+    bias = model.bias
+    scores = []
+    for i in range(n):
+        row = rows[i * width : (i + 1) * width]
+        z = _margin([(row[c] - mu) / sd * w for c, mu, sd, w in params], bias)
+        if z != z:
+            raise NonFiniteInputError(
+                f"the model scores {name(i)} as NaN: its margin overflows"
+            )
+        e = math.exp(-abs(z))
+        d = 1.0 + e
+        scores.append(1.0 / d if z >= 0 else e / d)
+    return scores
 
 
 def predict_proba(model: Model, x) -> float:
@@ -255,15 +294,14 @@ def predict_proba(model: Model, x) -> float:
         for name in model.feature_names:
             if name not in x:
                 raise MissingFeatureError(f"input lacks feature {name!r}")
-        row = [x[name] for name in model.feature_names]
+        row = [float(x[name]) for name in model.feature_names]
     else:
-        row = np.asarray(x, dtype=np.float64).ravel()
-        if row.shape[0] != len(model.feature_names):
+        row = np.asarray(x, dtype=np.float64).ravel().tolist()
+        if len(row) != len(model.feature_names):
             raise MissingFeatureError(
-                f"expected {len(model.feature_names)} values, got {row.shape[0]}"
+                f"expected {len(model.feature_names)} values, got {len(row)}"
             )
-    X = np.asarray(row, dtype=np.float64).reshape(1, -1)
-    return float(_scores_from_matrix(model, X, model.feature_names)[0])
+    return _score_rows(model, row, model.feature_names, 1, lambda i: "the example")[0]
 
 
 def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -305,12 +343,15 @@ def cross_validate(
     lam: float = DEFAULT_LAMBDA,
     seed: int = 0,
     feature_names: Sequence[str] | None = None,
+    ids: Sequence[str] | None = None,
 ) -> Metrics:
     """Stratified k-fold cross-validation of the classifier.
 
     Standardization is fitted inside each training split (train() does it),
     so no information leaks from held-out folds. Labels ``check_folds``
-    refuses are refused before any fit.
+    refuses are refused before any fit. A held-out row that its fold's model
+    scores as NaN is a NonFiniteInputError naming its cascade, ``ids[i]``
+    for row i (its row number without ``ids``).
     """
     X, y, names = _problem(X, y, feature_names)
     check_folds(y, folds)
@@ -326,7 +367,12 @@ def cross_validate(
         if test.sum() == 0:
             continue
         model = train(X[train_mask], y[train_mask], lam=lam, seed=seed, feature_names=names)
-        scores = _scores_from_matrix(model, X[test], names)
+        held_out = np.flatnonzero(test)
+        scores = np.array(_score_rows(
+            model, X[test].ravel().tolist(), names, held_out.size,
+            lambda i: (f"held-out row {held_out[i]}" if ids is None
+                       else f"held-out cascade {ids[held_out[i]]!r}"),
+        ))
         y_test = y[test]
         predictions = (scores >= 0.5).astype(np.float64)
         accs.append(float(np.mean(predictions == y_test)))
@@ -401,7 +447,7 @@ def evaluate_cluster(model: Model, instances: Sequence) -> tuple[float, float]:
     """Score same-content ranking instances: (top-1 accuracy, MRR).
 
     Each instance is a ``tasks.ClusterInstance``: member cascade ids, their
-    feature matrix ``X`` with its ``columns``, and ``winner_index``. Members
+    feature ``rows`` with its ``columns``, and ``winner_index``. Members
     are ranked by predicted probability descending, ties broken by
     cascade_id ascending; the rank of the true winner feeds both metrics.
     A member that scores NaN, because its margin overflows, is a
@@ -412,16 +458,12 @@ def evaluate_cluster(model: Model, instances: Sequence) -> tuple[float, float]:
     hits = 0
     ranks: list[int] = []
     for inst in instances:
-        with np.errstate(all="ignore"):
-            scores = _scores_from_matrix(model, inst.X, inst.columns)
-        if np.isnan(scores).any():
-            member = inst.members[int(np.argmax(np.isnan(scores)))]
-            raise NonFiniteInputError(
-                f"the model scores cascade {member!r} of cluster "
-                f"{inst.cluster_id!r} as NaN: its margin overflows"
-            )
+        scores = _score_rows(
+            model, inst.rows, inst.columns, len(inst.members),
+            lambda i: f"cascade {inst.members[i]!r} of cluster {inst.cluster_id!r}",
+        )
         scored = [
-            (-float(score), cascade_id, idx)
+            (-score, cascade_id, idx)
             for idx, (score, cascade_id) in enumerate(zip(scores, inst.members))
         ]
         scored.sort()

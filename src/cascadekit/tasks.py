@@ -57,15 +57,24 @@ class CascadeRecord:
 @dataclass(frozen=True, eq=False)
 class ClusterInstance:
     """One same-content ranking instance: its members' cascade ids, final
-    sizes and feature rows (``X`` in the ``columns`` layout), and which
-    member ended up the largest."""
+    sizes and feature rows, and which member ended up the largest.
+
+    ``rows`` is one flat float64 ``array("d")`` of ``len(columns)`` values
+    per member, in ``members`` order, as ``extract_features_batch`` writes
+    it. ``X`` is the float64 ndarray that views it, made on first read.
+    """
 
     cluster_id: str
     members: tuple[str, ...]
     final_sizes: tuple[int, ...]
-    X: np.ndarray
+    rows: array
     columns: list[str]
     winner_index: int
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        flat = np.frombuffer(self.rows, dtype=np.float64)
+        return flat.reshape(len(self.members), len(self.columns))
 
 
 @dataclass(eq=False)
@@ -283,15 +292,14 @@ def build_cluster_task(
             centered_slopes=centered_slopes,
             threads=threads,
         )
-        X = np.frombuffer(rows, dtype=np.float64).reshape(m, len(columns))
-        # ``chosen`` is in cascade_id order, as the rows of X are.
+        # ``chosen`` is in cascade_id order, as ``rows`` is.
         winner_index = min(
             range(m),
             key=lambda i: (-chosen[i].final_size, chosen[i].tree.epoch, ids[i]),
         )
         sizes = tuple(r.final_size for r in chosen)
         instances.append(
-            ClusterInstance(cid, tuple(ids), sizes, X, columns, winner_index)
+            ClusterInstance(cid, tuple(ids), sizes, rows, columns, winner_index)
         )
     return instances
 

@@ -8,6 +8,7 @@ datasets; everything is seeded, so results are reproducible bit for bit.
 import dataclasses
 import math
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -279,8 +280,8 @@ def test_criterion_08_metric_identities():
     # evaluate_cluster examples
     def instance(values, winner):
         members = tuple(f"m{i}" for i in range(len(values)))
-        X = np.array([[v, 0.0] for v in values])
-        return ClusterInstance("c", members, (5,) * len(values), X,
+        rows = array("d", [c for v in values for c in (v, 0.0)])
+        return ClusterInstance("c", members, (5,) * len(values), rows,
                                ["x", "x_missing"], winner)
 
     picker = Model(("x",), {"x": 1.0}, 0.0, {"x": 0.0}, {"x": 1.0},

@@ -740,6 +740,26 @@ def test_cluster_scores_never_rank_by_nan(tmp_path, capsys, weight, ok):
                        "'g0' as NaN: its margin overflows\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["evaluate", "--folds", "2"],
+                                     ["train", "--folds", "2", "--model-out", "m.txt"]])
+def test_cross_validation_never_scores_by_nan(tmp_path, capsys, command):
+    """A held-out row whose margin is inf - inf is one error line naming its
+    cascade; no warning precedes it."""
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text("a,b,label,final_size,cascade_id\n" + "".join(
+        f"{a},{b},{label},5,c{i}\n" for i, (a, b, label) in enumerate([
+            (0.0, 0.0, 0), (0.1, 0.2, 0), (0.2, 0.1, 0), (0.3, 0.3, 0),
+            (1.0, 1.1, 1), (1.1, 1.0, 1), (1.2, 1.2, 1), (1e308, -1e308, 1),
+        ])
+    ))
+    assert main([*command, "--in", str(labeled), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labeled}: the model scores held-out cascade 'c7' as NaN: "
+        "its margin overflows\n"
+    )
+
+
 BALANCED_LABELED = LABELED_HEADER + "".join(
     f"{x}.0,0,{x % 2},{5 + x},c{x}\n" for x in range(8)
 )
@@ -1544,6 +1564,9 @@ def test_event_row_with_one_fault_reports_its_error(tmp_path_factory, row):
 # Two features in the layout: each value column, then its missing indicator.
 LAYOUT = ["a", "a_missing", "b", "b_missing"]
 SIZES = st.integers(min_value=0, max_value=10**6)
+# Cluster-CSV sizes are read exactly, past float64's integers too; a
+# labeled CSV's sizes are float64 by contract.
+CLUSTER_SIZES = SIZES | st.sampled_from([2**53 + 1, 10**300])
 CSV_IDS = IDS | st.sampled_from(["c,1", 'c"2"', "c03\r", "\rc", "c\r\n4"])
 
 
@@ -1586,8 +1609,8 @@ def cluster_instances(draw):
         instances.append(ClusterInstance(
             cluster_id,
             members=tuple(draw(st.lists(CSV_IDS, min_size=m, max_size=m))),
-            final_sizes=tuple(draw(st.lists(SIZES, min_size=m, max_size=m))),
-            X=draw(layout_rows(m)),
+            final_sizes=tuple(draw(st.lists(CLUSTER_SIZES, min_size=m, max_size=m))),
+            rows=array("d", draw(layout_rows(m)).ravel()),
             columns=LAYOUT,
             winner_index=draw(st.integers(min_value=0, max_value=m - 1)),
         ))
@@ -1604,6 +1627,7 @@ def test_labeled_csv_roundtrip_property(tmp_path_factory, ds):
     assert y.tolist() == ds.y.tolist()
     assert columns == LAYOUT
     assert X.tolist() == ds.X.tolist()
+    assert X.dtype == np.float64 and X.flags.c_contiguous and X.flags.writeable
 
 
 @given(instances=cluster_instances())
@@ -1618,6 +1642,25 @@ def test_cluster_csv_roundtrip_property(tmp_path_factory, instances):
         (i.cluster_id, i.members, i.final_sizes, i.winner_index, i.columns, i.X.tolist())
         for i in instances
     ]
+
+
+@pytest.mark.parametrize("cell, size", [
+    ("3.0", 3), ("1e3", 1000), ("-0.0", 0), ("1" + "0" * 300 + ".0", 10**300),
+    ("1e-400", None),
+])
+def test_cluster_final_size_is_read_exactly(tmp_path, cell, size):
+    """A count cell in another form than the writer's digits is read
+    exactly too, and refused unless it is a whole number."""
+    path = tmp_path / "clusters.csv"
+    path.write_text(CLUSTER_HEADER + f"g0,a,{cell},1,1.0,0\n")
+    if size is None:
+        with pytest.raises(ConfigInvalidError, match=(
+            f"^{re.escape(str(path))}:2: final_size must be a whole number >= 0 "
+            f"and is_winner 0 or 1, got {re.escape(cell)} and 1$"
+        )):
+            io.read_cluster_csv(path)
+    else:
+        assert io.read_cluster_csv(path)[0].final_sizes == (size,)
 
 
 # How the content reader converts each field, as ContentRecord(**kw) takes it.

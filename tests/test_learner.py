@@ -1,4 +1,6 @@
 import hashlib
+import math
+from array import array
 
 import numpy as np
 import pytest
@@ -283,6 +285,30 @@ class TestCrossValidate:
         with pytest.raises(BadArgumentError, match="X has 10 rows but y has 12"):
             cross_validate(X, y, folds=2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_far_outside_its_training_range_scores_without_warning(self, seed):
+        # Held out, 1e308 standardizes to inf: its margin saturates, and
+        # nothing warns of the overflow.
+        X = np.array([[0.0], [0.5], [1.0], [1.5], [0.2], [0.7], [1.2], [1e308]])
+        y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        metrics = cross_validate(X, y, folds=2, seed=seed)
+        assert all(np.isfinite([metrics.accuracy, metrics.f1, metrics.auc]))
+
+    @pytest.mark.parametrize("ids, name", [
+        (None, "held-out row 7"), ([f"c{i}" for i in range(8)], "held-out cascade 'c7'"),
+    ])
+    def test_nan_margin_names_its_held_out_row(self, ids, name):
+        # Row 7 standardizes to +inf in one column and -inf in the other,
+        # both weighted up: its margin is inf - inf.
+        X = np.array([[0.0, 0.0], [0.1, 0.2], [0.2, 0.1], [0.3, 0.3],
+                      [1.0, 1.1], [1.1, 1.0], [1.2, 1.2], [1e308, -1e308]])
+        y = np.array([0.0] * 4 + [1.0] * 4)
+        with pytest.raises(NonFiniteInputError, match=(
+            f"^the model scores {name} as NaN: its margin overflows$"
+        )):
+            cross_validate(X, y, folds=2, seed=0, ids=ids)
+
     def test_stratified_assignment_balance(self, rng):
         y = np.array([1.0] * 30 + [0.0] * 70)
         assignment = stratified_folds(y, 10, seed=4)
@@ -426,7 +452,7 @@ def _instance(cluster_id, member_values, winner_index):
         cluster_id,
         members=tuple(f"{cluster_id}m{i}" for i in range(n)),
         final_sizes=tuple(10 if i == winner_index else 5 for i in range(n)),
-        X=np.array([[v, 0.0] for v in member_values]),
+        rows=array("d", [c for v in member_values for c in (v, 0.0)]),
         columns=["x", "x_missing"],
         winner_index=winner_index,
     )
@@ -478,6 +504,95 @@ class TestEvaluateCluster:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             evaluate_cluster(_model_weight_on_x(1.0), [])
+
+
+def _model(weights, means=None, stds=None, bias=0.0):
+    names = tuple(weights)
+    return Model(
+        feature_names=names,
+        weights=dict(weights),
+        bias=bias,
+        means=means or dict.fromkeys(names, 0.0),
+        stds=stds or dict.fromkeys(names, 1.0),
+        dropped=(),
+        lam=0.01,
+        seed=0,
+        iterations=1,
+        final_loss=0.0,
+        converged=True,
+    )
+
+
+def _scores(model, row):
+    return learner._score_rows(model, row, model.feature_names, 1, lambda i: f"row {i}")
+
+
+class TestScoreRows:
+    def test_infinite_margin_saturates(self):
+        model = _model({"a": 1.0, "b": 1.0})
+        assert _scores(model, [1e308, 1e308]) == [1.0]  # fsum overflows
+        assert _scores(model, [-1e308, -1e308]) == [0.0]
+        assert _scores(_model({"a": 1.0}, stds={"a": 5e-324}), [1.0]) == [1.0]
+
+    def test_margin_is_the_exact_sum_of_its_terms(self):
+        # Partial sums overflow, the exact sum is 0.5, in any order.
+        model = _model(dict.fromkeys("abcde", 1.0))
+        for row in ([1e308, 1e308, -1e308, -1e308, 0.5],
+                    [0.5, -1e308, 1e308, -1e308, 1e308]):
+            assert _scores(model, row) == [1.0 / (1.0 + math.exp(-0.5))]
+
+    @pytest.mark.parametrize("model, row", [
+        (_model({"a": 0.0}, stds={"a": 5e-324}), [1.0]),  # inf * 0
+        (_model({"a": 1.0, "b": 1.0}), [np.inf, -np.inf]),  # inf - inf
+        (_model(dict.fromkeys("abcd", 1.0)), [np.inf, 1e308, 1e308, -np.inf]),
+    ])
+    def test_nan_margin_is_an_error_naming_its_row(self, model, row):
+        with pytest.raises(NonFiniteInputError, match=r"^the model scores row 0 as NaN"):
+            _scores(model, row)
+
+    def test_model_without_features_scores_every_row_by_its_bias(self):
+        model = _model({}, bias=2.0)
+        assert learner._score_rows(model, [], [], 3, str) == [1.0 / (1.0 + math.exp(-2.0))] * 3
+
+
+@st.composite
+def scoring_problems(draw):
+    """A model over some of a matrix's columns, in any order, and the
+    matrix; terms stay within 100 in magnitude, so summation order moves a
+    margin by far less than 1e-12."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    values = st.floats(-10.0, 10.0)
+    X = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    columns = [f"c{j}" for j in range(d)]
+    names = draw(st.permutations(columns))[: draw(st.integers(0, d))]
+    model = _model(
+        {name: draw(st.floats(-2.5, 2.5)) for name in names},
+        means={name: draw(values) for name in names},
+        stds={name: draw(st.floats(0.5, 10.0)) for name in names},
+        bias=draw(st.floats(-5.0, 5.0)),
+    )
+    return model, X, columns
+
+
+@given(problem=scoring_problems())
+def test_score_rows_agrees_with_the_matrix_form(problem):
+    model, X, columns = problem
+    names = model.feature_names
+    cols = [columns.index(name) for name in names]
+    mu = np.array([model.means[name] for name in names])
+    sd = np.array([model.stds[name] for name in names])
+    w = np.array([model.weights[name] for name in names])
+    expected = _sigmoid(((X[:, cols] - mu) / sd) @ w + model.bias)
+    scores = learner._score_rows(model, array("d", X.ravel()), columns, len(X), str)
+    assert len(scores) == len(X)
+    for got, want in zip(scores, expected):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for i in range(len(X)):
+        for j in range(len(X)):
+            if abs(expected[i] - expected[j]) > 1e-9:
+                assert (scores[i] > scores[j]) == (expected[i] > expected[j])
 
 
 # The masked and ``np.mean`` forms the fit loop used before it was written

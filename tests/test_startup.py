@@ -38,9 +38,10 @@ def _loaded_after(tmp_path, *argvs):
 
 
 def test_wiener_and_stats_never_load_numpy(tmp_path):
-    """``build_parser()``, ``wiener``, ``stats``, ``featurize`` and the growth
-    and structure labels leave numpy and hashlib unloaded; cluster labels
-    load numpy, to sample members, and hashlib with ``numpy.random``."""
+    """``build_parser()``, ``wiener``, ``stats``, ``featurize``, the growth
+    and structure labels and ``evaluate --cluster`` leave numpy and hashlib
+    unloaded; cluster labels load numpy, to sample members, and hashlib with
+    ``numpy.random``."""
     events = tmp_path / "events.jsonl"
     events.write_text(
         '{"cascade_id": "c", "node_id": "r", "timestamp": 0.0}\n'
@@ -50,6 +51,12 @@ def test_wiener_and_stats_never_load_numpy(tmp_path):
     content.write_text('{"cascade_id": "c", "cluster_id": "g"}\n')
     numbers = tmp_path / "numbers.txt"
     numbers.write_text("1\n2\n5\n9\n")
+    model = tmp_path / "model.txt"
+    model.write_text("lambda 0.01\nseed 0\nbias 0.5\niterations 1\n"
+                     "final_loss 0.5\nconverged 1\nfeature x 2.0 1.0 0.5\n")
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,cascade_id,final_size,is_winner,x,x_missing\n"
+                        "g,a,3,0,1.0,0\ng,b,9,1,2.0,0\n")
     window = ["--k", "1", "--in", str(events)]
     loaded = _loaded_after(
         tmp_path,
@@ -59,10 +66,11 @@ def test_wiener_and_stats_never_load_numpy(tmp_path):
         ["featurize", *window, "--out", "f.csv"],
         ["label", "growth", *window, "--out", "l.csv"],
         ["label", "structure", *window, "--out", "s.csv"],
+        ["evaluate", "--cluster", str(clusters), "--model", str(model)],
         ["label", "cluster", *window, "--m", "1", "--content", str(content),
          "--out", "c.csv"],
     )
-    assert loaded == [[], [], [], [], [], [], ["hashlib", "numpy"]]
+    assert loaded == [[], [], [], [], [], [], [], ["hashlib", "numpy"]]
 
 
 def test_first_touches_from_threads_import_once(tmp_path, monkeypatch):
