@@ -1,102 +1,58 @@
-"""cascadekit: reshare-cascade analytics and growth prediction."""
+"""cascadekit: reshare-cascade analytics and growth prediction.
 
-from .cascade import (
-    CascadeTree,
-    ReshareEvent,
-    SocialGraph,
-    build_cascade,
-    induced_subgraph,
-    prefix,
-)
-from .features import (
-    ContentRecord,
-    FeatureVector,
-    extract_features,
-    feature_names,
-    percentile_90,
-    slope_through_origin,
-)
-from .learner import (
-    Metrics,
-    Model,
-    auc,
-    cross_validate,
-    evaluate_cluster,
-    f1,
-    mrr,
-    predict_proba,
-    train,
-)
-from .stats import (
-    PowerLawSpec,
-    fisher_z_compare,
-    fit_powerlaw_alpha,
-    gini,
-    pearson,
-    powerlaw_median,
-)
-from .synth import (
-    SynthParams,
-    generate_social_graph,
-    sample_powerlaw_sizes,
-    simulate_cascades,
-)
-from .tasks import (
-    CascadeRecord,
-    ClusterInstance,
-    TaskDataset,
-    build_cluster_task,
-    group_summaries,
-    label_growth,
-    label_growth_fixed_R,
-    label_structure,
-    rank_single_feature_predictors,
-)
-from .virality import wiener_index_bruteforce, wiener_index_exact
+Each name below is imported from its submodule when it is first read
+(PEP 562), so ``import cascadekit`` loads no submodule, and a program that
+uses only some of the names loads only their modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CascadeRecord",
-    "CascadeTree",
-    "ClusterInstance",
-    "ContentRecord",
-    "FeatureVector",
-    "Metrics",
-    "Model",
-    "PowerLawSpec",
-    "ReshareEvent",
-    "SocialGraph",
-    "SynthParams",
-    "TaskDataset",
-    "auc",
-    "build_cascade",
-    "build_cluster_task",
-    "cross_validate",
-    "evaluate_cluster",
-    "extract_features",
-    "f1",
-    "feature_names",
-    "fisher_z_compare",
-    "fit_powerlaw_alpha",
-    "generate_social_graph",
-    "gini",
-    "group_summaries",
-    "induced_subgraph",
-    "label_growth",
-    "label_growth_fixed_R",
-    "label_structure",
-    "mrr",
-    "pearson",
-    "percentile_90",
-    "powerlaw_median",
-    "predict_proba",
-    "prefix",
-    "rank_single_feature_predictors",
-    "sample_powerlaw_sizes",
-    "simulate_cascades",
-    "slope_through_origin",
-    "train",
-    "wiener_index_bruteforce",
-    "wiener_index_exact",
-]
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "cascade": (
+            "CascadeTree", "ReshareEvent", "SocialGraph", "build_cascade",
+            "induced_subgraph", "prefix",
+        ),
+        "features": (
+            "ContentRecord", "FeatureVector", "extract_features", "feature_names",
+            "percentile_90", "slope_through_origin",
+        ),
+        "learner": (
+            "Metrics", "Model", "auc", "cross_validate", "evaluate_cluster", "f1",
+            "mrr", "predict_proba", "train",
+        ),
+        "stats": (
+            "PowerLawSpec", "fisher_z_compare", "fit_powerlaw_alpha", "gini",
+            "pearson", "powerlaw_median",
+        ),
+        "synth": (
+            "SynthParams", "generate_social_graph", "sample_powerlaw_sizes",
+            "simulate_cascades",
+        ),
+        "tasks": (
+            "CascadeRecord", "ClusterInstance", "TaskDataset", "build_cluster_task",
+            "group_summaries", "label_growth", "label_growth_fixed_R",
+            "label_structure", "rank_single_feature_predictors",
+        ),
+        "virality": ("wiener_index_bruteforce", "wiener_index_exact"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,7 +3,10 @@
 A cascade starts at one root post and grows by reshares, each of which
 names an explicit parent. This module validates raw event sequences into
 immutable :class:`CascadeTree` objects and provides the prefix/ordering
-primitives every downstream computation relies on.
+primitives every downstream computation relies on. It also holds the
+design-matrix column layout, ``layout_columns``, which ``features`` writes
+and ``io`` and ``tasks`` read: all three load this module, and importing
+``io`` or ``tasks`` does not load ``features``.
 
 Cascade size counts reshares; the root is not a reshare.
 """
@@ -419,3 +422,13 @@ def prefix(tree: CascadeTree, k: int) -> CascadeTree:
 def induced_subgraph(tree: CascadeTree, graph: SocialGraph, k: int) -> SocialGraph:
     """Social-graph subgraph restricted to the root and first k resharers."""
     return graph.induced(e.node_id for e in prefix(tree, k).events)
+
+
+# --- the design-matrix layout -------------------------------------------------
+
+MISSING_SUFFIX = "_missing"
+
+
+def layout_columns(names: Iterable[str]) -> list[str]:
+    """Each feature name followed by its ``<name>_missing`` indicator."""
+    return [column for name in names for column in (name, name + MISSING_SUFFIX)]

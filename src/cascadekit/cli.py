@@ -5,6 +5,11 @@ label cascades, train and evaluate the classifier, rank single features,
 and compute standalone statistics. ``pipeline`` chains the core steps from
 one config file and writes a manifest with digests of every output, so a
 run can be reproduced and verified byte for byte.
+
+Importing this module loads only ``io``, ``cascade``, ``errors`` and
+``learner``. The other modules a command runs (``synth``, ``features``,
+``tasks``, ``stats``, ``virality``) are imported by its first call into
+them, so each command compiles and loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -13,27 +18,40 @@ import argparse
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import __version__, io
+from ._lazy import deferred, deferred_function
 from .cascade import CascadeTree, ReshareEvent, SocialGraph, build_cascade
 from .errors import (
     BadArgumentError, BadParamsError, CascadeKitError, ConfigInvalidError,
     InvalidCascadeError, MissingFeatureError, NonFiniteInputError, SingleClassError,
 )
-from .features import extract_features_batch
 from .learner import (
-    DEFAULT_LAMBDA, MAX_ITER, Metrics, check_folds, cross_validate, evaluate_cluster,
-    train,
+    CLUSTER_M, DEFAULT_LAMBDA, MAX_ITER, Metrics, check_folds, cross_validate,
+    evaluate_cluster, train,
 )
-from .stats import fit_powerlaw_alpha, gini
-from .synth import PARAM_TYPES, SynthParams, generate_social_graph, simulate_cascades
-from .tasks import (
-    CLUSTER_M, CascadeRecord, FeatureRanking, TaskDataset, build_cluster_task,
-    group_summaries, label_growth, label_growth_fixed_R, label_structure,
-    rank_single_feature_predictors,
+
+if TYPE_CHECKING:
+    from .synth import SynthParams
+    from .tasks import CascadeRecord, FeatureRanking, TaskDataset
+
+synth = deferred(".synth", globals(), "synth")
+tasks = deferred(".tasks", globals(), "tasks")
+generate_social_graph = deferred_function(".synth", "generate_social_graph", globals())
+simulate_cascades = deferred_function(".synth", "simulate_cascades", globals())
+extract_features_batch = deferred_function(".features", "extract_features_batch", globals())
+label_growth = deferred_function(".tasks", "label_growth", globals())
+label_growth_fixed_R = deferred_function(".tasks", "label_growth_fixed_R", globals())
+label_structure = deferred_function(".tasks", "label_structure", globals())
+build_cluster_task = deferred_function(".tasks", "build_cluster_task", globals())
+group_summaries = deferred_function(".tasks", "group_summaries", globals())
+rank_single_feature_predictors = deferred_function(
+    ".tasks", "rank_single_feature_predictors", globals()
 )
-from .virality import wiener_index_exact
+fit_powerlaw_alpha = deferred_function(".stats", "fit_powerlaw_alpha", globals())
+gini = deferred_function(".stats", "gini", globals())
+wiener_index_exact = deferred_function(".virality", "wiener_index_exact", globals())
 
 
 def _resolve(out_dir: str, path: str | None) -> Path | None:
@@ -66,7 +84,7 @@ def _load_records(events_path: str, content_path: str | None) -> list[CascadeRec
     grouped = io.read_events(events_path)
     contents = io.read_content_jsonl(content_path) if content_path else {}
     return [
-        CascadeRecord(tree=tree, content=contents.get(cid))
+        tasks.CascadeRecord(tree=tree, content=contents.get(cid))
         for cid, tree in _trees(events_path, grouped)
     ]
 
@@ -75,7 +93,7 @@ def _synth_params(path: str, cfg: Mapping[str, str]) -> SynthParams:
     """The generator parameters of a config read from ``path``; a value out
     of range names its line."""
     try:
-        return SynthParams.from_config(cfg)
+        return synth.SynthParams.from_config(cfg)
     except BadParamsError as exc:
         line = io.config_line(path, exc.fields)
         raise ConfigInvalidError(f"{path}:{line}: {exc}") from None
@@ -188,7 +206,7 @@ def _cross_validate(
 # --- subcommands ------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    params = _synth_params(args.params, io.read_config(args.params, PARAM_TYPES))
+    params = _synth_params(args.params, io.read_config(args.params, synth.PARAM_TYPES))
     print(_generate(
         params,
         _resolve(args.out_dir, args.out_events),
@@ -467,7 +485,7 @@ PIPELINE_OUTPUTS = (
 def cmd_pipeline(args) -> int:
     """generate -> label (featurize inside) -> train -> evaluate -> manifest."""
     parsers = {key: parse for key, (parse, _) in PIPELINE_KEYS.items()}
-    cfg = io.read_config(args.config, {**PARAM_TYPES, **parsers})
+    cfg = io.read_config(args.config, {**synth.PARAM_TYPES, **parsers})
     params = _synth_params(args.config, cfg)
     opts = {
         key: parse(cfg[key]) if key in cfg else default

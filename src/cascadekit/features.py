@@ -12,12 +12,13 @@ Any feature whose inputs are unknown is carried as missing (value 0 plus a
 missing flag), never fabricated. Per-index features are emitted for the
 configured k only; vectors for different k must not be mixed in a dataset.
 
-``layout_columns`` is the one column layout, shared by the CSV files and
-the design matrix: each value column followed by its ``<name>_missing``
-indicator. A ``FeatureVector``'s ``row`` is one row in that layout, and
-``extract_features_batch`` writes the rows of a batch into one flat
-``array("d")`` buffer, which numpy views as the design matrix without a
-copy; featurizing never loads numpy.
+``layout_columns`` (defined in ``cascade``, so that ``io`` and ``tasks`` use
+it without loading this module) is the one column layout, shared by the CSV
+files and the design matrix: each value column followed by its
+``<name>_missing`` indicator. A ``FeatureVector``'s ``row`` is one row in
+that layout, and ``extract_features_batch`` writes the rows of a batch into
+one flat ``array("d")`` buffer, which numpy views as the design matrix
+without a copy; featurizing never loads numpy.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cascade import CascadeTree, SocialGraph, prefix
+from .cascade import CascadeTree, SocialGraph, layout_columns, prefix
 from .errors import EmptyInputError, NonFiniteInputError, TimeNotNormalizedError
-
-MISSING_SUFFIX = "_missing"
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,9 @@ class ContentRecord:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
+CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
 # The content block of every feature vector: the record's fields but its labels.
-CONTENT_FEATURES = tuple(
-    f.name for f in fields(ContentRecord) if f.name not in ("category", "cluster_id")
-)
+CONTENT_FEATURES = tuple(n for n in CONTENT_FIELDS if n not in ("category", "cluster_id"))
 CONTENT_SCORE_NAMES = tuple(n for n in CONTENT_FEATURES if n.startswith("score_"))
 
 
@@ -124,11 +122,6 @@ def _finite(name: str, v: object) -> float:
     if not math.isfinite(v):
         raise NonFiniteInputError(f"feature {name!r} is not finite: {v}")
     return v
-
-
-def layout_columns(names: Iterable[str]) -> list[str]:
-    """Each feature name followed by its ``<name>_missing`` indicator."""
-    return [column for name in names for column in (name, name + MISSING_SUFFIX)]
 
 
 def feature_names(k: int) -> list[str]:

@@ -15,7 +15,9 @@ once per file: one dict, kept for that read only, hands out the first
 string equal to each id, so repeated ids cost one object. Event lines
 are written by code generated from the ``ReshareEvent`` fields, byte for
 byte what ``json.dumps(..., sort_keys=True)`` writes; a value that is not an
-exact str, int or finite float takes the json encoder.
+exact str, int or finite float takes the json encoder. ``features``,
+``learner`` and ``tasks`` are imported by the readers and writers that use
+them, on first use, so that a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -27,23 +29,36 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
 from typing import (
-    Callable, Iterable, Iterator, Mapping, Sequence, TextIO, get_args, get_type_hints
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, get_args,
+    get_type_hints,
 )
 
 from ._lazy import deferred
-from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph
+from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, layout_columns
 from .errors import BadArgumentError, ConfigInvalidError
-from .features import ContentRecord, layout_columns
-from .learner import Model
-from .tasks import ClusterInstance, TaskDataset
+
+if TYPE_CHECKING:
+    from .features import ContentRecord
+    from .learner import Model
+    from .tasks import ClusterInstance, TaskDataset
 
 decimal = deferred("decimal", globals(), "decimal")
 hashlib = deferred("hashlib", globals(), "hashlib")
 np = deferred("numpy", globals(), "np")
+features = deferred(".features", globals(), "features")
+learner = deferred(".learner", globals(), "learner")
+tasks = deferred(".tasks", globals(), "tasks")
 
-CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
+
+def __getattr__(name: str):
+    # ``CONTENT_FIELDS`` is the content record's field names, which only
+    # ``features`` can list.
+    if name == "CONTENT_FIELDS":
+        return features.CONTENT_FIELDS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _field_types(cls: type) -> dict[str, type]:
@@ -233,7 +248,12 @@ def _compile_row_values(cls: type, key: str | None = None):
 
 
 _event_row_values = _compile_row_values(ReshareEvent)
-_content_row_values = _compile_row_values(ContentRecord, key="cascade_id")
+
+
+@cache
+def _content_row_values():
+    """The ``row_values`` of content lines, compiled on first use."""
+    return _compile_row_values(features.ContentRecord, key="cascade_id")
 
 
 def _compile_event_line():
@@ -358,7 +378,8 @@ def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord])
             record = contents[cid]
             row = {"cascade_id": cid}
             row.update(
-                {k: v for k in CONTENT_FIELDS if (v := getattr(record, k)) is not None}
+                {k: v for k in features.CONTENT_FIELDS
+                 if (v := getattr(record, k)) is not None}
             )
             fh.write(f"{_encode_sorted(row)}\n")
 
@@ -366,11 +387,12 @@ def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord])
 def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
     out: dict[str, ContentRecord] = {}
     share = {}.setdefault
+    row_values = _content_row_values()
     for lineno, line in _lines(path):
         row = _json_object(path, lineno, line)
         try:
-            cid, *values = _content_row_values(row, share)
-            record = ContentRecord(*values)
+            cid, *values = row_values(row, share)
+            record = features.ContentRecord(*values)
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         if cid in out:
@@ -573,7 +595,7 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
                 f"{len(winners)} winner rows, expected 1"
             )
         instances.append(
-            ClusterInstance(
+            tasks.ClusterInstance(
                 cluster_id,
                 members=tuple(row[1] for _, row in group),
                 final_sizes=tuple(sizes),
@@ -664,7 +686,7 @@ def read_model(path: str | Path) -> Model:
             except ValueError as exc:
                 raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
     try:
-        model = Model(
+        model = learner.Model(
             feature_names=tuple(names),
             weights=weights,
             bias=scalars["bias"],

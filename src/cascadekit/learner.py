@@ -28,6 +28,9 @@ np = deferred("numpy", globals(), "np")
 DEFAULT_LAMBDA = 0.01
 GRAD_TOL = 1e-6
 MAX_ITER = 10_000
+# Members per same-content ranking instance (``evaluate_cluster``'s input)
+# when none is asked for.
+CLUSTER_M = 10
 
 
 @dataclass

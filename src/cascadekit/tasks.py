@@ -14,10 +14,10 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ._lazy import deferred
-from .cascade import CascadeTree, SocialGraph
+from ._lazy import deferred, deferred_function
+from .cascade import MISSING_SUFFIX, CascadeTree, SocialGraph
 from .errors import (
     BadArgumentError,
     EmptyDatasetError,
@@ -27,15 +27,17 @@ from .errors import (
     UnknownFieldError,
     ZeroVarianceError,
 )
-from .features import MISSING_SUFFIX, ContentRecord, extract_features_batch
-from .learner import DEFAULT_LAMBDA, check_folds, cross_validate
+from .learner import CLUSTER_M, DEFAULT_LAMBDA, check_folds, cross_validate
 from .stats import median, pearson
 from .virality import wiener_index_exact
 
-np = deferred("numpy", globals(), "np")
+if TYPE_CHECKING:
+    from .features import ContentRecord
 
-# Members per same-content ranking instance when none is asked for.
-CLUSTER_M = 10
+np = deferred("numpy", globals(), "np")
+# Imported on first use, so that reading a cluster CSV does not load features.
+features = deferred(".features", globals(), "features")
+extract_features_batch = deferred_function(".features", "extract_features_batch", globals())
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,7 @@ def group_summaries(
             return getattr(r.content, group_by)
         return None
 
-    if group_by != "root_type" and not hasattr(ContentRecord, group_by):
+    if group_by != "root_type" and not hasattr(features.ContentRecord, group_by):
         raise UnknownFieldError(f"unknown grouping field {group_by!r}")
     groups: dict[str, list[CascadeRecord]] = {}
     for r in records:

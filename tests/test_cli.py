@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError, replace
@@ -20,7 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 import cascadekit
 from cascadekit import cli, io
-from cascadekit.cascade import NODE_TYPES, ReshareEvent, SocialGraph, build_cascade
+from cascadekit.cascade import (
+    EVENT_FIELDS, NODE_TYPES, ReshareEvent, SocialGraph, build_cascade,
+)
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
 from cascadekit.features import CONTENT_SCORE_NAMES, ContentRecord
@@ -34,7 +37,9 @@ from cascadekit.tasks import (
     label_growth,
 )
 
-from conftest import event, star_tree, typed_fields
+from conftest import event, path_tree, star_tree, typed_fields
+from test_cascade import event_logs
+from test_features import hub_graph_cascades
 
 
 PIPELINE_CFG = """\
@@ -1921,6 +1926,81 @@ def test_edited_inputs_end_in_one_error_line_at_most(
         code = main(argv)
     lines = err.getvalue().splitlines()
     assert (code, len(lines)) in ((0, 0), (2, 1)), (code, lines)
+
+
+# What one mutated field holds, as JSON text: a value that is not finite,
+# one at a float's extremes or beyond them, or one of no field's type.
+MUTANTS = ["NaN", "Infinity", "-Infinity", "1e308", "-1e308", "5e-324", "1" + "0" * 400,
+           '""', "[]", "{}", "true", "null"]
+# Two cascades beside the drawn one, with sizes and Wiener indices that no
+# cascade of its size can equal, so every median split has both labels.
+COMPANIONS = (star_tree(30, cascade_id="a"), path_tree(40, cascade_id="b"))
+
+
+@st.composite
+def mutated_corpora(draw):
+    """(events JSONL, content JSONL, edge list or None, k): a cascade drawn
+    by ``event_logs()`` or ``hub_graph_cascades()`` (with its graph) beside
+    ``COMPANIONS``, one content line per cascade, and one field of one of
+    the drawn cascade's lines replaced by one of ``MUTANTS``."""
+    if draw(st.booleans()):
+        events, graph = draw(event_logs()), None
+    else:
+        tree, _, graph = draw(hub_graph_cascades())
+        events = list(tree.events)
+    rows = [io.event_to_dict(e) for e in events]
+    contents = [{"cascade_id": cid, "category": cid, "score_food": 0.5}
+                for cid in ("a", "b", events[0].cascade_id)]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from(EVENT_FIELDS))] = "\0"
+    else:
+        row = contents[-1]
+        row[draw(st.sampled_from(["cascade_id", *io.CONTENT_FIELDS]))] = "\0"
+    mutant = draw(st.sampled_from(MUTANTS))
+
+    def jsonl(rows):
+        return "".join(
+            json.dumps(row, sort_keys=True).replace('"\\u0000"', mutant) + "\n"
+            for row in rows
+        )
+
+    companions = [io.event_to_dict(e) for tree in COMPANIONS for e in tree.events]
+    edges = graph and "".join(f"{u} {v}\n" for u, v in graph.edges())
+    return jsonl(companions + rows), jsonl(contents), edges, draw(st.integers(1, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=mutated_corpora())
+def test_mutated_field_ends_in_one_error_line_at_most(tmp_path_factory, corpus):
+    """A non-finite, extreme or mistyped value in one field of an event or
+    content line ends every command that reads it in exit 0, or in exit 2
+    with one ``error: `` line; never in a traceback, a warning or another
+    exit code."""
+    events_text, content_text, edges, k = corpus
+    tmp = tmp_path_factory.mktemp("mutated")
+    events, content, graph = tmp / "events.jsonl", tmp / "content.jsonl", tmp / "graph.edges"
+    events.write_text(events_text, encoding="utf-8")
+    content.write_text(content_text, encoding="utf-8")
+    window = ["--k", str(k), "--in", str(events), "--content", str(content)]
+    if edges:
+        graph.write_text(edges, encoding="utf-8")
+        window += ["--graph", str(graph)]
+    for argv in (
+        ["featurize", *window, "--out", str(tmp / "features.csv")],
+        ["label", "growth", *window, "--out", str(tmp / "growth.csv")],
+        ["label", "structure", *window, "--out", str(tmp / "structure.csv")],
+        ["wiener", str(events)],
+        ["report", "groups", "--in", str(events), "--content", str(content)],
+    ):
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert (code, len(lines)) in ((0, 0), (2, 1)), (argv[:2], code, lines)
+        assert code == 0 or lines[0].startswith("error: "), (argv[:2], lines)
+
 
 def test_version_is_declared_once():
     """pyproject.toml takes the version from ``cascadekit.__version__``."""
