@@ -22,8 +22,8 @@ _EXPORTS = {
             "percentile_90", "slope_through_origin",
         ),
         "learner": (
-            "Metrics", "Model", "auc", "cross_validate", "evaluate_cluster", "f1",
-            "mrr", "predict_proba", "train",
+            "ClusterInstance", "Metrics", "Model", "auc", "cross_validate",
+            "evaluate_cluster", "f1", "mrr", "predict_proba", "train",
         ),
         "stats": (
             "PowerLawSpec", "fisher_z_compare", "fit_powerlaw_alpha", "gini",
@@ -34,7 +34,7 @@ _EXPORTS = {
             "simulate_cascades",
         ),
         "tasks": (
-            "CascadeRecord", "ClusterInstance", "TaskDataset", "build_cluster_task",
+            "CascadeRecord", "TaskDataset", "build_cluster_task",
             "group_summaries", "label_growth", "label_growth_fixed_R",
             "label_structure", "rank_single_feature_predictors",
         ),

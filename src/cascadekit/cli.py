@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import __version__, io
 from ._lazy import deferred, deferred_function
-from .cascade import CascadeTree, ReshareEvent, SocialGraph, build_cascade
+from .cascade import CascadeTree, ReshareEvent, SocialGraph, build_cascade, gc_paused
 from .errors import (
     BadArgumentError, BadParamsError, CascadeKitError, ConfigInvalidError,
     InvalidCascadeError, MissingFeatureError, NonFiniteInputError, SingleClassError,
@@ -33,6 +33,7 @@ from .learner import (
 )
 
 if TYPE_CHECKING:
+    from .features import ContentRecord
     from .synth import SynthParams
     from .tasks import CascadeRecord, FeatureRanking, TaskDataset
 
@@ -80,12 +81,20 @@ def _trees(
         yield cid, tree
 
 
-def _load_records(events_path: str, content_path: str | None) -> list[CascadeRecord]:
+def _with_content(
+    events_path: str, content_path: str | None
+) -> list[tuple[CascadeTree, ContentRecord | None]]:
+    """Each cascade's tree and its content record (None if it has none), in
+    cascade_id order."""
     grouped = io.read_events(events_path)
     contents = io.read_content_jsonl(content_path) if content_path else {}
+    return [(tree, contents.get(cid)) for cid, tree in _trees(events_path, grouped)]
+
+
+def _load_records(events_path: str, content_path: str | None) -> list[CascadeRecord]:
     return [
-        tasks.CascadeRecord(tree=tree, content=contents.get(cid))
-        for cid, tree in _trees(events_path, grouped)
+        tasks.CascadeRecord(tree=tree, content=content)
+        for tree, content in _with_content(events_path, content_path)
     ]
 
 
@@ -217,9 +226,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    records = _load_records(args.input, args.content)
+    pairs = _with_content(args.input, args.content)
     graph = _load_graph(args)
-    usable = [(r.tree, r.content) for r in records if r.tree.size >= args.k]
+    usable = [(tree, content) for tree, content in pairs if tree.size >= args.k]
     if not usable:
         raise ConfigInvalidError(f"no cascades with >= {args.k} reshares")
     ids, rows, columns = extract_features_batch(
@@ -652,7 +661,7 @@ def main(argv=None) -> int:
             raise BadArgumentError(f"m must be >= 1, got {args.m}")
         if args.folds < 2 and not (command == "train" and args.folds == 0):
             raise BadArgumentError(f"folds must be >= 2, got {args.folds}")
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), gc_paused():
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {_on_input(args, message)}", file=sys.stderr
             )

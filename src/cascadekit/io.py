@@ -15,9 +15,9 @@ once per file: one dict, kept for that read only, hands out the first
 string equal to each id, so repeated ids cost one object. Event lines
 are written by code generated from the ``ReshareEvent`` fields, byte for
 byte what ``json.dumps(..., sort_keys=True)`` writes; a value that is not an
-exact str, int or finite float takes the json encoder. ``features``,
-``learner`` and ``tasks`` are imported by the readers and writers that use
-them, on first use, so that a command loads only what it runs.
+exact str, int or finite float takes the json encoder. ``features`` and
+``learner`` are imported by the readers and writers that use them, on
+first use, so that a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -37,20 +37,19 @@ from typing import (
 )
 
 from ._lazy import deferred
-from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, layout_columns
+from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, gc_paused, layout_columns
 from .errors import BadArgumentError, ConfigInvalidError
 
 if TYPE_CHECKING:
     from .features import ContentRecord
-    from .learner import Model
-    from .tasks import ClusterInstance, TaskDataset
+    from .learner import ClusterInstance, Model
+    from .tasks import TaskDataset
 
 decimal = deferred("decimal", globals(), "decimal")
 hashlib = deferred("hashlib", globals(), "hashlib")
 np = deferred("numpy", globals(), "np")
 features = deferred(".features", globals(), "features")
 learner = deferred(".learner", globals(), "learner")
-tasks = deferred(".tasks", globals(), "tasks")
 
 
 def __getattr__(name: str):
@@ -318,11 +317,13 @@ def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
     """Events grouped by cascade_id, input order preserved within a cascade.
 
     JSONL by default; a ``.csv`` suffix switches to CSV with the documented
-    header (the ReshareEvent field names; empty cells mean absent).
+    header (the ReshareEvent field names; empty cells mean absent). The read
+    runs under ``gc_paused``.
     """
     grouped: dict[str, list[ReshareEvent]] = {}
-    for _, e in _numbered_events(path):
-        grouped.setdefault(e.cascade_id, []).append(e)
+    with gc_paused():
+        for _, e in _numbered_events(path):
+            grouped.setdefault(e.cascade_id, []).append(e)
     return grouped
 
 
@@ -595,7 +596,7 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
                 f"{len(winners)} winner rows, expected 1"
             )
         instances.append(
-            tasks.ClusterInstance(
+            learner.ClusterInstance(
                 cluster_id,
                 members=tuple(row[1] for _, row in group),
                 final_sizes=tuple(sizes),

@@ -10,7 +10,9 @@ reproducible by construction.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from ._lazy import deferred
@@ -446,10 +448,36 @@ def mrr(ranks_of_truth: Sequence[int]) -> float:
     return math.fsum(1.0 / r for r in ranks_of_truth) / len(ranks_of_truth)
 
 
-def evaluate_cluster(model: Model, instances: Sequence) -> tuple[float, float]:
+@dataclass(frozen=True, eq=False)
+class ClusterInstance:
+    """One same-content ranking instance: its members' cascade ids, final
+    sizes and feature rows, and which member ended up the largest.
+
+    ``rows`` is one flat float64 ``array("d")`` of ``len(columns)`` values
+    per member, in ``members`` order, as ``extract_features_batch`` writes
+    it and ``evaluate_cluster`` scores it. ``X`` is the float64 ndarray
+    that views it, made on first read.
+    """
+
+    cluster_id: str
+    members: tuple[str, ...]
+    final_sizes: tuple[int, ...]
+    rows: array
+    columns: list[str]
+    winner_index: int
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        flat = np.frombuffer(self.rows, dtype=np.float64)
+        return flat.reshape(len(self.members), len(self.columns))
+
+
+def evaluate_cluster(
+    model: Model, instances: Sequence[ClusterInstance]
+) -> tuple[float, float]:
     """Score same-content ranking instances: (top-1 accuracy, MRR).
 
-    Each instance is a ``tasks.ClusterInstance``: member cascade ids, their
+    Each instance is a ``ClusterInstance``: member cascade ids, their
     feature ``rows`` with its ``columns``, and ``winner_index``. Members
     are ranked by predicted probability descending, ties broken by
     cascade_id ascending; the rank of the true winner feeds both metrics.

@@ -27,7 +27,9 @@ from .errors import (
     UnknownFieldError,
     ZeroVarianceError,
 )
-from .learner import CLUSTER_M, DEFAULT_LAMBDA, check_folds, cross_validate
+from .learner import (
+    CLUSTER_M, DEFAULT_LAMBDA, ClusterInstance, check_folds, cross_validate,
+)
 from .stats import median, pearson
 from .virality import wiener_index_exact
 
@@ -54,29 +56,6 @@ class CascadeRecord:
     @property
     def final_size(self) -> int:
         return self.tree.size
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterInstance:
-    """One same-content ranking instance: its members' cascade ids, final
-    sizes and feature rows, and which member ended up the largest.
-
-    ``rows`` is one flat float64 ``array("d")`` of ``len(columns)`` values
-    per member, in ``members`` order, as ``extract_features_batch`` writes
-    it. ``X`` is the float64 ndarray that views it, made on first read.
-    """
-
-    cluster_id: str
-    members: tuple[str, ...]
-    final_sizes: tuple[int, ...]
-    rows: array
-    columns: list[str]
-    winner_index: int
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        flat = np.frombuffer(self.rows, dtype=np.float64)
-        return flat.reshape(len(self.members), len(self.columns))
 
 
 @dataclass(eq=False)

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import fields
 
 import numpy as np
@@ -52,3 +53,17 @@ def path_tree(n_reshares, cascade_id="t", **kwargs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def collector_switch_restored():
+    """Every test ends with the cyclic garbage collector on or off as it
+    began: a pause (``cascade.gc_paused``) that a return, a raise or an
+    error exit forgot to end fails the test that left it."""
+    was_on = gc.isenabled()
+    yield
+    left_on = gc.isenabled()
+    (gc.enable if was_on else gc.disable)()  # so later tests start as this one did
+    assert left_on == was_on, (
+        f"the cyclic garbage collector was left {'on' if left_on else 'off'}"
+    )

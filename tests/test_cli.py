@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cascadekit
 from cascadekit import cli, io
 from cascadekit.cascade import (
-    EVENT_FIELDS, NODE_TYPES, ReshareEvent, SocialGraph, build_cascade,
+    EVENT_FIELDS, NODE_TYPES, ReshareEvent, SocialGraph, build_cascade, layout_columns,
 )
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
@@ -1566,40 +1566,53 @@ def test_event_row_with_one_fault_reports_its_error(tmp_path_factory, row):
         assert err.getvalue() == f"error: {path}:{line}: {_one_fault_reason(source)}\n"
 
 
-# Two features in the layout: each value column, then its missing indicator.
-LAYOUT = ["a", "a_missing", "b", "b_missing"]
-SIZES = st.integers(min_value=0, max_value=10**6)
+SIZES = st.integers(min_value=0, max_value=2**53)
 # Cluster-CSV sizes are read exactly, past float64's integers too; a
 # labeled CSV's sizes are float64 by contract.
 CLUSTER_SIZES = SIZES | st.sampled_from([2**53 + 1, 10**300])
 CSV_IDS = IDS | st.sampled_from(["c,1", 'c"2"', "c03\r", "\rc", "c\r\n4"])
+# Matrix values at a float's extremes: both zeros, the smallest subnormal, the
+# smallest normal and the largest finite magnitudes, besides any finite float.
+EXTREME_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]) | st.floats(allow_nan=False, allow_infinity=False)
+# Feature names that a header may carry: one token without whitespace.
+FEATURE_NAMES = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Z")), min_size=1, max_size=4
+)
 
 
 @st.composite
-def layout_rows(draw, n):
-    """``n`` rows in LAYOUT: a missing value is 0.0 with its flag 1.0."""
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(len(LAYOUT) // 2):
-            missing = draw(st.booleans())
-            value = 0.0 if missing else draw(
-                st.floats(allow_nan=False, allow_infinity=False)
-            )
-            row += [value, float(missing)]
-        rows.append(row)
-    return np.array(rows, dtype=np.float64).reshape(n, len(LAYOUT))
+def layouts(draw, keys):
+    """Up to three features' columns in the layout (each value column, then
+    its missing indicator), none of them one of ``keys``."""
+    columns = layout_columns(draw(st.lists(FEATURE_NAMES, max_size=3, unique=True)))
+    assume(len(set(columns)) == len(columns) and not set(columns) & set(keys))
+    return columns
+
+
+@st.composite
+def layout_rows(draw, n, width):
+    """``n`` flat rows of ``width`` layout columns: a missing value is 0.0
+    with its flag 1.0, and any other value may be extreme."""
+    rows = array("d")
+    for _ in range(n * width // 2):
+        missing = draw(st.booleans())
+        rows.extend([0.0 if missing else draw(EXTREME_FLOATS), float(missing)])
+    return rows
 
 
 @st.composite
 def datasets(draw):
+    columns = draw(layouts(("label", "final_size", "cascade_id")))
     n = draw(st.integers(min_value=1, max_value=6))
     return TaskDataset(
         examples=tuple(draw(st.lists(CSV_IDS, min_size=n, max_size=n, unique=True))),
         final_sizes=tuple(draw(st.lists(SIZES, min_size=n, max_size=n))),
-        rows=array("d", draw(layout_rows(n)).ravel()),
+        rows=draw(layout_rows(n, len(columns))),
         labels=tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))),
-        columns=LAYOUT,
+        columns=columns,
         k=1,
         threshold=0.5,
     )
@@ -1607,6 +1620,7 @@ def datasets(draw):
 
 @st.composite
 def cluster_instances(draw):
+    columns = draw(layouts(io._CLUSTER_KEYS))
     cluster_ids = draw(st.lists(CSV_IDS, min_size=1, max_size=3, unique=True))
     instances = []
     for cluster_id in cluster_ids:
@@ -1615,8 +1629,8 @@ def cluster_instances(draw):
             cluster_id,
             members=tuple(draw(st.lists(CSV_IDS, min_size=m, max_size=m))),
             final_sizes=tuple(draw(st.lists(CLUSTER_SIZES, min_size=m, max_size=m))),
-            rows=array("d", draw(layout_rows(m)).ravel()),
-            columns=LAYOUT,
+            rows=draw(layout_rows(m, len(columns))),
+            columns=columns,
             winner_index=draw(st.integers(min_value=0, max_value=m - 1)),
         ))
     return instances
@@ -1624,27 +1638,34 @@ def cluster_instances(draw):
 
 @given(ds=datasets())
 def test_labeled_csv_roundtrip_property(tmp_path_factory, ds):
+    """Every float reads back bit for bit, -0.0 and the extremes included;
+    labels, sizes, ids and columns read back equal."""
     path = tmp_path_factory.mktemp("labeled") / "labeled.csv"
     io.write_labeled_csv(path, ds)
     X, y, sizes, ids, columns = io.read_labeled_csv(path)
     assert ids == list(ds.examples)
     assert sizes.tolist() == list(ds.final_sizes)
-    assert y.tolist() == ds.y.tolist()
-    assert columns == LAYOUT
-    assert X.tolist() == ds.X.tolist()
+    assert y.tolist() == list(ds.labels)
+    assert columns == ds.columns
+    assert X.shape == (len(ds.examples), len(ds.columns))
+    assert X.tobytes() == ds.rows.tobytes()
     assert X.dtype == np.float64 and X.flags.c_contiguous and X.flags.writeable
 
 
 @given(instances=cluster_instances())
 def test_cluster_csv_roundtrip_property(tmp_path_factory, instances):
+    """Every float reads back bit for bit, -0.0 and the extremes included;
+    ids, sizes, winners and columns read back equal."""
     path = tmp_path_factory.mktemp("clusters") / "clusters.csv"
     io.write_cluster_csv(path, instances)
     back = io.read_cluster_csv(path)
     assert [
-        (b.cluster_id, b.members, b.final_sizes, b.winner_index, b.columns, b.X.tolist())
+        (b.cluster_id, b.members, b.final_sizes, b.winner_index, b.columns,
+         b.rows.tobytes())
         for b in back
     ] == [
-        (i.cluster_id, i.members, i.final_sizes, i.winner_index, i.columns, i.X.tolist())
+        (i.cluster_id, i.members, i.final_sizes, i.winner_index, i.columns,
+         i.rows.tobytes())
         for i in instances
     ]
 
@@ -1906,7 +1927,6 @@ def _edit_lines(lines, edits):
     return lines
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=60, deadline=None)
 @given(target=st.sampled_from(sorted(FUZZ_TARGETS)),
        edits=st.lists(LINE_EDITS, min_size=1, max_size=3))
@@ -1922,7 +1942,10 @@ def test_edited_inputs_end_in_one_error_line_at_most(
                    encoding="utf-8")
     argv = [a.format(bad=bad, dir=fuzz_corpus, tmp=tmp) for a in FUZZ_TARGETS[target]]
     err = StringIO()
-    with redirect_stdout(StringIO()), redirect_stderr(err):
+    # Warnings are errors inside the command only, so that a failure's report
+    # (which hypothesis builds outside it) prints the falsifying example.
+    with redirect_stdout(StringIO()), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     lines = err.getvalue().splitlines()
     assert (code, len(lines)) in ((0, 0), (2, 1)), (code, lines)

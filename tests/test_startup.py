@@ -116,7 +116,11 @@ UNLOADED = {
     "wiener": (["wiener", "{events}"], {"features", "tasks", "synth", "stats"}),
     "evaluate --cluster": (
         ["evaluate", "--cluster", "{clusters}", "--model", "{model}"],
-        {"features", "synth", "concurrent.futures"},
+        {"features", "tasks", "synth", "stats", "virality", "concurrent.futures"},
+    ),
+    "featurize": (
+        ["featurize", "--k", "1", "--in", "{events}", "--out", "f.csv"],
+        {"tasks", "synth", "stats", "virality"},
     ),
     "train": (
         ["train", "--in", "{labeled}", "--model-out", "m.txt", "--folds", "2"],
