@@ -9,7 +9,11 @@ as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
 ``path:line``; a missing one raises ``FileNotFoundError``, and an output
 path in a directory that does not exist raises ``BadArgumentError``.
 Each format's reader owns all of its format's checks and names a fault's
-line from the lines it has read. Event and content lines share one field
+line from the lines it has read. A line's own faults are checked as the
+line is read, so the error names the first faulty line: the CSV readers
+check the header, then each row as ``csv`` yields it, and hold no row's
+cells past its parse; only the cluster reader's one winner per cluster is
+checked after the last row. Event and content lines share one field
 converter, and their readers and the edge-list reader hold equal strings
 once per file: one dict, kept for that read only, hands out the first
 string equal to each id, so repeated ids cost one object. Event lines
@@ -27,7 +31,7 @@ import itertools
 import json
 import math
 from array import array
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import MISSING, fields
 from functools import cache
 from pathlib import Path
@@ -50,14 +54,6 @@ hashlib = deferred("hashlib", globals(), "hashlib")
 np = deferred("numpy", globals(), "np")
 features = deferred(".features", globals(), "features")
 learner = deferred(".learner", globals(), "learner")
-
-
-def __getattr__(name: str):
-    # ``CONTENT_FIELDS`` is the content record's field names, which only
-    # ``features`` can list.
-    if name == "CONTENT_FIELDS":
-        return features.CONTENT_FIELDS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _field_types(cls: type) -> dict[str, type]:
@@ -418,8 +414,10 @@ def _layout_cells(flat: Sequence[float], n: int) -> Iterator[list[str]]:
         yield cells
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and (line number, cells) of every data row of a CSV file."""
+def _read_rows(path: str | Path) -> Iterator:
+    """The checked header of a CSV file, then (line number, cells) of each
+    data row as ``csv`` reads it; no list of rows is kept. A caller closes
+    it, so that a fault it raises leaves no file open."""
     with _text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -435,17 +433,17 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
         if len(set(header)) < len(header):
             twice = next(name for i, name in enumerate(header) if name in header[:i])
             raise ConfigInvalidError(f"{path}:1: column {twice!r} appears twice")
-        rows = []
+        yield header
         for row in reader:
             if len(row) != len(header):
                 raise ConfigInvalidError(
                     f"{path}:{reader.line_num}: {len(row)} cells, "
                     f"header has {len(header)}"
                 )
-            rows.append((reader.line_num, row))
-    if not rows:
-        raise ConfigInvalidError(f"{path}:1: header row without data rows")
-    return header, rows
+            yield reader.line_num, row
+        # The header is one line: no column name holds a line end.
+        if reader.line_num == 1:
+            raise ConfigInvalidError(f"{path}:1: header row without data rows")
 
 
 def _numbers(path: str | Path, lineno: int, cells: Sequence[str]) -> list[float]:
@@ -513,34 +511,32 @@ def read_labeled_csv(
     """Returns (X, y, final_sizes, cascade_ids, feature_columns); each label
     is 0 or 1, each final size a whole number >= 0, and each cascade_id on
     one row. ``X`` views the one ``array("d")`` its rows are read into."""
-    header, rows = _read_rows(path)
-    if header[-3:] != ["label", "final_size", "cascade_id"]:
-        raise ConfigInvalidError(
-            f"{path}:1: expected trailing label,final_size,cascade_id columns"
-        )
-    width = len(header) - 3
-    flat = array("d")
-    labels: list[float] = []
-    sizes: list[float] = []
-    for lineno, row in rows:
-        flat.extend(_numbers(path, lineno, row[:width]))
-        label, size = _numbers(path, lineno, row[width:-1])
-        labels.append(label)
-        sizes.append(size)
-    for (lineno, row), label in zip(rows, labels):
-        if _count(label, row[-2]) is None:
+    with closing(_read_rows(path)) as rows:
+        header = next(rows)
+        if header[-3:] != ["label", "final_size", "cascade_id"]:
             raise ConfigInvalidError(
-                f"{path}:{lineno}: label must be 0 or 1 and final_size a whole "
-                f"number >= 0, got {row[-3]} and {row[-2]}"
+                f"{path}:1: expected trailing label,final_size,cascade_id columns"
             )
-    seen: set[str] = set()
-    for lineno, row in rows:
-        if row[-1] in seen:
-            raise ConfigInvalidError(f"{path}:{lineno}: cascade_id {row[-1]!r} appears twice")
-        seen.add(row[-1])
-    ids = [row[-1] for _, row in rows]
-    X = np.frombuffer(flat, dtype=np.float64).reshape(len(rows), width)
-    return X, np.array(labels), np.array(sizes), ids, header[:-3]
+        width = len(header) - 3
+        flat = array("d")
+        labels: list[float] = []
+        sizes: list[float] = []
+        ids: dict[str, None] = {}
+        for lineno, row in rows:
+            flat.extend(_numbers(path, lineno, row[:width]))
+            label, size = _numbers(path, lineno, row[width:-1])
+            if _count(label, row[-2]) is None:
+                raise ConfigInvalidError(
+                    f"{path}:{lineno}: label must be 0 or 1 and final_size a whole "
+                    f"number >= 0, got {row[-3]} and {row[-2]}"
+                )
+            if row[-1] in ids:
+                raise ConfigInvalidError(f"{path}:{lineno}: cascade_id {row[-1]!r} appears twice")
+            ids[row[-1]] = None
+            labels.append(label)
+            sizes.append(size)
+    X = np.frombuffer(flat, dtype=np.float64).reshape(len(ids), width)
+    return X, np.array(labels), np.array(sizes), list(ids), header[:-3]
 
 
 def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) -> None:
@@ -563,48 +559,43 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
     """The instances ``write_cluster_csv`` wrote, in file order; each
     final size is a whole number >= 0, read exactly, and each is_winner 0
     or 1. Each instance's rows are read into one ``array("d")``."""
-    header, rows = _read_rows(path)
-    columns = header[4:]
-    if tuple(header[:4]) != _CLUSTER_KEYS or layout_columns(columns[0::2]) != columns:
-        raise ConfigInvalidError(
-            f"{path}:1: expected {','.join(_CLUSTER_KEYS)} then each feature "
-            "column followed by its missing indicator"
-        )
-    groups: dict[str, list[tuple[int, list[str]]]] = {}
-    for lineno, row in rows:
-        groups.setdefault(row[0], []).append((lineno, row))
-    instances = []
-    for cluster_id, group in groups.items():
-        flat = array("d")
-        flags: list[float] = []
-        for lineno, row in group:
-            flags.append(_numbers(path, lineno, row[2:4])[1])
+    with closing(_read_rows(path)) as rows:
+        header = next(rows)
+        columns = header[4:]
+        if tuple(header[:4]) != _CLUSTER_KEYS or layout_columns(columns[0::2]) != columns:
+            raise ConfigInvalidError(
+                f"{path}:1: expected {','.join(_CLUSTER_KEYS)} then each feature "
+                "column followed by its missing indicator"
+            )
+        # Per cluster, in the order of first rows: (first line, members,
+        # final sizes, rows, winner indices).
+        clusters: dict[str, tuple[int, list[str], list[int], array, list[int]]] = {}
+        for lineno, row in rows:
+            if row[0] not in clusters:
+                clusters[row[0]] = (lineno, [], [], array("d"), [])
+            _, members, sizes, flat, winners = clusters[row[0]]
+            flag = _numbers(path, lineno, row[2:4])[1]
             flat.extend(_numbers(path, lineno, row[4:]))
-        sizes: list[int] = []
-        for (lineno, row), flag in zip(group, flags):
             size = _count(flag, row[2])
             if size is None:
                 raise ConfigInvalidError(
                     f"{path}:{lineno}: final_size must be a whole number >= 0 and "
                     f"is_winner 0 or 1, got {row[2]} and {row[3]}"
                 )
+            if flag == 1.0:
+                winners.append(len(members))
+            members.append(row[1])
             sizes.append(size)
-        winners = [i for i, flag in enumerate(flags) if flag == 1.0]
+    instances = []
+    for cluster_id, (first, members, sizes, flat, winners) in clusters.items():
         if len(winners) != 1:
             raise ConfigInvalidError(
-                f"{path}:{group[0][0]}: cluster {cluster_id!r} has "
+                f"{path}:{first}: cluster {cluster_id!r} has "
                 f"{len(winners)} winner rows, expected 1"
             )
-        instances.append(
-            learner.ClusterInstance(
-                cluster_id,
-                members=tuple(row[1] for _, row in group),
-                final_sizes=tuple(sizes),
-                rows=flat,
-                columns=columns,
-                winner_index=winners[0],
-            )
-        )
+        instances.append(learner.ClusterInstance(
+            cluster_id, tuple(members), tuple(sizes), flat, columns, winners[0]
+        ))
     return instances
 
 

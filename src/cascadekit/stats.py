@@ -61,7 +61,11 @@ def fit_powerlaw_alpha(samples: Sequence[float], x_min: float) -> float:
         raise InsufficientSamplesError(
             f"need >= 2 samples >= x_min={x_min}, got {len(retained)}"
         )
-    log_sum = math.fsum(math.log(x / x_min) for x in retained)
+    # A ratio past the float range takes the difference of the logs.
+    log_sum = math.fsum(
+        math.log(r) if (r := x / x_min) != math.inf else math.log(x) - math.log(x_min)
+        for x in retained
+    )
     if log_sum <= 0.0:
         raise DegenerateSamplesError("all retained samples equal x_min")
     return 1.0 + len(retained) / log_sum
@@ -83,19 +87,33 @@ def gini(values: Sequence[float]) -> float:
     """Gini inequality coefficient, population form, in [0, 1 - 1/n].
 
     G = sum_i (2i - n - 1) x_(i) / (n * sum x) with x sorted ascending and
-    i running 1..n. Scale-invariant; 0 means perfect equality.
+    i running 1..n. Scale-invariant; 0 means perfect equality. Where a sum
+    leaves the float range, the values are summed again scaled by 2**-64,
+    which leaves G as it is.
     """
     n = len(values)
     if n == 0:
         raise EmptyInputError("gini of empty sequence")
     if any(v < 0 for v in values):
         raise BadArgumentError("gini requires nonnegative values")
-    total = math.fsum(values)
+    ordered = sorted(values)
+    weighted, total = _gini_sums(ordered)
+    if math.isinf(weighted) or math.isinf(total):
+        weighted, total = _gini_sums([x * 2.0**-64 for x in ordered])
     if total <= 0.0:
         raise ZeroSumError("gini undefined when values sum to zero")
-    ordered = sorted(values)
-    weighted = math.fsum((2 * i - n - 1) * x for i, x in enumerate(ordered, start=1))
-    return weighted / (n * total)
+    return weighted / total
+
+
+def _gini_sums(ordered: list[float]) -> tuple[float, float]:
+    """(sum_i (2i - n - 1) x_(i), n * sum x) of values sorted ascending; an
+    infinity where a sum leaves the float range."""
+    n = len(ordered)
+    try:
+        weighted = math.fsum((2 * i - n - 1) * x for i, x in enumerate(ordered, start=1))
+        return weighted, n * math.fsum(ordered)
+    except (OverflowError, ValueError):
+        return math.inf, math.inf
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

@@ -26,7 +26,7 @@ from cascadekit.cascade import (
 )
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
-from cascadekit.features import CONTENT_SCORE_NAMES, ContentRecord
+from cascadekit.features import CONTENT_FIELDS, CONTENT_SCORE_NAMES, ContentRecord
 from cascadekit.learner import DEFAULT_LAMBDA, MAX_ITER, Model, predict_proba, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
 from cascadekit.tasks import (
@@ -281,7 +281,7 @@ def clustered(tmp_path_factory):
     for i, tree in enumerate(order):
         base = contents[tree.cascade_id]
         with_clusters[tree.cascade_id] = ContentRecord(
-            **{**{f: getattr(base, f) for f in io.CONTENT_FIELDS if f != "cluster_id"},
+            **{**{f: getattr(base, f) for f in CONTENT_FIELDS if f != "cluster_id"},
                "cluster_id": f"cl{i % 20:02d}"},
         )
     events_path = tmp_path / "events.jsonl"
@@ -398,6 +398,17 @@ def test_stats_subcommands(tmp_path, capsys):
     gini_file.write_text("0\n0\n0\n10\n")
     assert main(["stats", "gini", str(gini_file)]) == 0
     assert float(capsys.readouterr().out) == 0.75
+
+
+def test_stats_past_the_float_range(tmp_path, capsys):
+    """Valid numbers whose sums or ratios overflow print the true value."""
+    nums = tmp_path / "n.txt"
+    nums.write_text("1e308\n1e308\n")
+    assert main(["stats", "gini", str(nums)]) == 0
+    assert capsys.readouterr().out == "0.0\n"
+    nums.write_text("1\n1e300\n2\n")
+    assert main(["stats", "fit-alpha", "--xmin", "1e-10", str(nums)]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(1.0039445334, abs=1e-10)
 
 
 def test_rank_features_cli(workspace, tmp_path, capsys):
@@ -1979,7 +1990,7 @@ def mutated_corpora(draw):
         row[draw(st.sampled_from(EVENT_FIELDS))] = "\0"
     else:
         row = contents[-1]
-        row[draw(st.sampled_from(["cascade_id", *io.CONTENT_FIELDS]))] = "\0"
+        row[draw(st.sampled_from(["cascade_id", *CONTENT_FIELDS]))] = "\0"
     mutant = draw(st.sampled_from(MUTANTS))
 
     def jsonl(rows):

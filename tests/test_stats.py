@@ -77,6 +77,18 @@ class TestFitAlpha:
         alpha_hat = fit_powerlaw_alpha(samples.tolist(), 1.0)
         assert 1.95 <= alpha_hat <= 2.05
 
+    @pytest.mark.parametrize("samples, x_min", [
+        ([1.0, 1e300, 2.0], 1e-10),
+        ([1.0, 2.0, 3.0], 1e-320),
+    ])
+    def test_ratio_past_the_float_range(self, samples, x_min):
+        """A sample over x_min that overflows still adds its log ratio."""
+        log_sum = math.fsum(math.log(x) - math.log(x_min) for x in samples)
+        assert fit_powerlaw_alpha(samples, x_min) == pytest.approx(
+            1 + len(samples) / log_sum, rel=1e-15
+        )
+        assert fit_powerlaw_alpha(samples, x_min) > 1.001
+
 
 class TestGini:
     def test_perfect_equality(self):
@@ -99,6 +111,18 @@ class TestGini:
             v = rng.random(int(rng.integers(1, 40))).tolist()
             g = gini(v)
             assert 0.0 <= g <= 1.0 - 1.0 / len(v) + 1e-12
+
+    @pytest.mark.parametrize("values, expected", [
+        ([1e308, 1e308], 0.0),
+        ([0.0, 1e308], 0.5),
+        ([0.0, 0.0, 1.7976931348623157e308], 2 / 3),
+        ([1e308] * 5, 0.0),
+    ])
+    def test_sums_past_the_float_range(self, values, expected):
+        """Values whose sums overflow give the G of the same values scaled
+        down."""
+        assert gini(values) == pytest.approx(expected, abs=1e-15)
+        assert gini(values) == gini([x * 2.0**-64 for x in values])
 
     def test_errors(self):
         with pytest.raises(EmptyInputError):
