@@ -14,12 +14,12 @@ _EXPORTS = {
     name: module
     for module, names in {
         "cascade": (
-            "CascadeTree", "ReshareEvent", "SocialGraph", "build_cascade",
-            "induced_subgraph", "prefix",
+            "CascadeRecord", "CascadeTree", "ContentRecord", "ReshareEvent",
+            "SocialGraph", "build_cascade", "induced_subgraph", "prefix",
         ),
         "features": (
-            "ContentRecord", "FeatureVector", "extract_features", "feature_names",
-            "percentile_90", "slope_through_origin",
+            "FeatureVector", "extract_features", "feature_names", "percentile_90",
+            "slope_through_origin",
         ),
         "learner": (
             "ClusterInstance", "Metrics", "Model", "auc", "cross_validate",
@@ -34,9 +34,8 @@ _EXPORTS = {
             "simulate_cascades",
         ),
         "tasks": (
-            "CascadeRecord", "TaskDataset", "build_cluster_task",
-            "group_summaries", "label_growth", "label_growth_fixed_R",
-            "label_structure", "rank_single_feature_predictors",
+            "TaskDataset", "build_cluster_task", "group_summaries", "label_growth",
+            "label_growth_fixed_R", "label_structure", "rank_single_feature_predictors",
         ),
         "virality": ("wiener_index_bruteforce", "wiener_index_exact"),
     }.items()

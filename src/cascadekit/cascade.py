@@ -1,15 +1,18 @@
-"""Diffusion trees built from reshare event logs.
+"""Diffusion trees built from reshare event logs, and the records that carry
+them.
 
 A cascade starts at one root post and grows by reshares, each of which
 names an explicit parent. This module validates raw event sequences into
 immutable :class:`CascadeTree` objects and provides the prefix/ordering
-primitives every downstream computation relies on. It also holds the
-design-matrix column layout, ``layout_columns``, which ``features`` writes
-and ``io`` and ``tasks`` read: all three load this module, and importing
-``io`` or ``tasks`` does not load ``features``. ``gc_paused``, the pause
-of the cyclic garbage collector that ``cli.main``, ``io.read_events`` and
-``build_cascade`` run under, is here too, because ``cli`` and ``io`` load
-this module as well.
+primitives every downstream computation relies on. It also holds what
+several modules share, since every module loads this one: a cascade's
+content descriptors (``ContentRecord`` and its ``CONTENT_*`` field
+tuples), which ``synth`` writes, ``io`` reads and ``features`` scores; a
+tree with its content (``CascadeRecord``), which ``cli`` loads and
+``tasks`` and ``features`` take; the design-matrix column layout
+(``layout_columns``); and ``gc_paused``, the pause of the cyclic garbage
+collector that ``cli.main``, ``io.read_events`` and ``build_cascade`` run
+under.
 
 Cascade size counts reshares; the root is not a reshare.
 """
@@ -228,6 +231,62 @@ class CascadeTree:
     @property
     def n_nodes(self) -> int:
         return len(self.events)
+
+
+@dataclass(frozen=True)
+class ContentRecord:
+    """Per-cascade content descriptors supplied as precomputed inputs.
+
+    Scores and liwc proportions live in [0, 1]. ``category`` and
+    ``cluster_id`` are optional labels used by grouping and same-content
+    ranking tasks.
+    """
+
+    score_closeup: float | None = None
+    score_indoor: float | None = None
+    score_outdoor: float | None = None
+    score_synthetic: float | None = None
+    score_food: float | None = None
+    score_landmark: float | None = None
+    score_person: float | None = None
+    score_nature: float | None = None
+    score_water: float | None = None
+    score_overlaid_text: float | None = None
+    is_en: bool | None = None
+    has_caption: bool | None = None
+    liwc_pos: float | None = None
+    liwc_neg: float | None = None
+    liwc_soc: float | None = None
+    category: str | None = None
+    cluster_id: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in CONTENT_FEATURES:
+            v = getattr(self, name)
+            if v is not None and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
+
+
+CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
+# The content block of every feature vector: the record's fields but its labels.
+CONTENT_FEATURES = tuple(n for n in CONTENT_FIELDS if n not in ("category", "cluster_id"))
+CONTENT_SCORE_NAMES = tuple(n for n in CONTENT_FEATURES if n.startswith("score_"))
+
+
+@dataclass(frozen=True)
+class CascadeRecord:
+    """One cascade plus its content descriptors."""
+
+    tree: CascadeTree
+    content: ContentRecord | None = None
+
+    @property
+    def cascade_id(self) -> str:
+        return self.tree.cascade_id
+
+    @property
+    def final_size(self) -> int:
+        return self.tree.size
 
 
 @dataclass

@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import __version__, io
 from ._lazy import deferred, deferred_function
-from .cascade import CascadeTree, ReshareEvent, SocialGraph, build_cascade, gc_paused
+from .cascade import (
+    CascadeRecord, CascadeTree, ReshareEvent, SocialGraph, build_cascade, gc_paused,
+)
 from .errors import (
     BadArgumentError, BadParamsError, CascadeKitError, ConfigInvalidError,
     InvalidCascadeError, MissingFeatureError, NonFiniteInputError, SingleClassError,
@@ -33,12 +35,10 @@ from .learner import (
 )
 
 if TYPE_CHECKING:
-    from .features import ContentRecord
     from .synth import SynthParams
-    from .tasks import CascadeRecord, FeatureRanking, TaskDataset
+    from .tasks import FeatureRanking, TaskDataset
 
 synth = deferred(".synth", globals(), "synth")
-tasks = deferred(".tasks", globals(), "tasks")
 generate_social_graph = deferred_function(".synth", "generate_social_graph", globals())
 simulate_cascades = deferred_function(".synth", "simulate_cascades", globals())
 extract_features_batch = deferred_function(".features", "extract_features_batch", globals())
@@ -68,33 +68,28 @@ def _resolve(out_dir: str, path: str | None) -> Path | None:
 
 
 def _trees(
-    path: str, grouped: Mapping[str, list[ReshareEvent]]
+    path: str, grouped: dict[str, list[ReshareEvent]]
 ) -> Iterator[tuple[str, CascadeTree]]:
     """(cascade_id, tree) for each cascade read_events read from ``path``, in
-    cascade_id order; a rejected cascade names the line of its faulty event."""
+    cascade_id order; a rejected cascade names the line of its faulty event.
+    Each cascade's events are popped from ``grouped`` as its tree is built,
+    so each raw list is freed once its tree holds the re-based copies."""
     for cid in sorted(grouped):
         try:
-            tree = build_cascade(grouped[cid])
+            tree = build_cascade(grouped.pop(cid))
         except InvalidCascadeError as exc:
             line = io.event_line(path, cid, exc.index)
             raise ConfigInvalidError(f"{path}:{line}: {exc}") from None
         yield cid, tree
 
 
-def _with_content(
-    events_path: str, content_path: str | None
-) -> list[tuple[CascadeTree, ContentRecord | None]]:
-    """Each cascade's tree and its content record (None if it has none), in
+def _load_records(events_path: str, content_path: str | None) -> list[CascadeRecord]:
+    """Each cascade's tree with its content record (None if it has none), in
     cascade_id order."""
     grouped = io.read_events(events_path)
     contents = io.read_content_jsonl(content_path) if content_path else {}
-    return [(tree, contents.get(cid)) for cid, tree in _trees(events_path, grouped)]
-
-
-def _load_records(events_path: str, content_path: str | None) -> list[CascadeRecord]:
     return [
-        tasks.CascadeRecord(tree=tree, content=content)
-        for tree, content in _with_content(events_path, content_path)
+        CascadeRecord(tree, contents.get(cid)) for cid, tree in _trees(events_path, grouped)
     ]
 
 
@@ -226,9 +221,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    pairs = _with_content(args.input, args.content)
+    records = _load_records(args.input, args.content)
     graph = _load_graph(args)
-    usable = [(tree, content) for tree, content in pairs if tree.size >= args.k]
+    usable = [r for r in records if r.final_size >= args.k]
     if not usable:
         raise ConfigInvalidError(f"no cascades with >= {args.k} reshares")
     ids, rows, columns = extract_features_batch(
@@ -505,6 +500,10 @@ def cmd_pipeline(args) -> int:
         raise ConfigInvalidError(f"{args.config}:{line}: quartiles applies to growth "
                                  f"labels only, not {opts['task']}")
     paths = {name: _resolve(args.out_dir, name) for name in PIPELINE_OUTPUTS}
+    # A manifest left by an earlier run would describe files this run
+    # replaces; until this run writes its own, there is none.
+    manifest_path = _resolve(args.out_dir, "manifest.json")
+    manifest_path.unlink(missing_ok=True)
 
     _generate(params, paths["events.jsonl"], paths["graph.edges"], paths["content.jsonl"])
     # Re-read what was written so the pipeline exercises the same file
@@ -532,7 +531,7 @@ def cmd_pipeline(args) -> int:
         "seed": params.seed,
         "outputs": {name: io.sha256_file(path) for name, path in sorted(paths.items())},
     }
-    io.write_manifest(_resolve(args.out_dir, "manifest.json"), manifest)
+    io.write_manifest(manifest_path, manifest)
     _print_metrics(metrics)
     print(f"pipeline outputs in {Path(args.out_dir)}")
     return 0

@@ -2,7 +2,8 @@
 
 One call produces a named vector covering five feature families:
 
-* content    - precomputed photo/caption scores supplied as input
+* content    - precomputed photo/caption scores supplied as input, as a
+               ``cascade.ContentRecord``
 * root       - who posted the original and how connected they are
 * resharer   - aggregate demographics/connectivity of the first k resharers
 * structural - shape of the reshare tree and of the friend subgraph
@@ -12,13 +13,14 @@ Any feature whose inputs are unknown is carried as missing (value 0 plus a
 missing flag), never fabricated. Per-index features are emitted for the
 configured k only; vectors for different k must not be mixed in a dataset.
 
-``layout_columns`` (defined in ``cascade``, so that ``io`` and ``tasks`` use
-it without loading this module) is the one column layout, shared by the CSV
-files and the design matrix: each value column followed by its
-``<name>_missing`` indicator. A ``FeatureVector``'s ``row`` is one row in
-that layout, and ``extract_features_batch`` writes the rows of a batch into
-one flat ``array("d")`` buffer, which numpy views as the design matrix
-without a copy; featurizing never loads numpy.
+``layout_columns`` is the one column layout, shared by the CSV files and
+the design matrix: each value column followed by its ``<name>_missing``
+indicator. A ``FeatureVector``'s ``row`` is one row in that layout, and
+``extract_features_batch`` writes the rows of a batch of
+``cascade.CascadeRecord`` into one flat ``array("d")`` buffer, which numpy
+views as the design matrix without a copy; featurizing never loads numpy.
+The layout and the records are defined in ``cascade``, so that ``io``,
+``synth`` and ``tasks`` use them without loading this module.
 """
 
 from __future__ import annotations
@@ -26,51 +28,13 @@ from __future__ import annotations
 import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cascade import CascadeTree, SocialGraph, layout_columns, prefix
+from .cascade import (
+    CONTENT_FEATURES, CascadeRecord, CascadeTree, ContentRecord, SocialGraph,
+    layout_columns, prefix,
+)
 from .errors import EmptyInputError, NonFiniteInputError, TimeNotNormalizedError
-
-
-@dataclass(frozen=True)
-class ContentRecord:
-    """Per-cascade content descriptors supplied as precomputed inputs.
-
-    Scores and liwc proportions live in [0, 1]. ``category`` and
-    ``cluster_id`` are optional labels used by grouping and same-content
-    ranking tasks.
-    """
-
-    score_closeup: float | None = None
-    score_indoor: float | None = None
-    score_outdoor: float | None = None
-    score_synthetic: float | None = None
-    score_food: float | None = None
-    score_landmark: float | None = None
-    score_person: float | None = None
-    score_nature: float | None = None
-    score_water: float | None = None
-    score_overlaid_text: float | None = None
-    is_en: bool | None = None
-    has_caption: bool | None = None
-    liwc_pos: float | None = None
-    liwc_neg: float | None = None
-    liwc_soc: float | None = None
-    category: str | None = None
-    cluster_id: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in CONTENT_FEATURES:
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-CONTENT_FIELDS = tuple(f.name for f in fields(ContentRecord))
-# The content block of every feature vector: the record's fields but its labels.
-CONTENT_FEATURES = tuple(n for n in CONTENT_FIELDS if n not in ("category", "cluster_id"))
-CONTENT_SCORE_NAMES = tuple(n for n in CONTENT_FEATURES if n.startswith("score_"))
 
 
 class FeatureVector:
@@ -391,7 +355,7 @@ def _prefix_features(
 
 
 def extract_features_batch(
-    items: Iterable[tuple[CascadeTree, ContentRecord | None]],
+    records: Iterable[CascadeRecord],
     k: int,
     graph: SocialGraph | None = None,
     *,
@@ -410,15 +374,15 @@ def extract_features_batch(
     and ``pool.map`` keeps input order, so the thread pool changes
     throughput only.
     """
-    pairs = sorted(items, key=lambda pair: pair[0].cascade_id)
+    ordered = sorted(records, key=lambda r: r.cascade_id)
     columns = layout_columns(feature_names(k))
     width = len(columns)
-    rows = array("d", [0.0]) * (len(pairs) * width)
+    rows = array("d", [0.0]) * (len(ordered) * width)
 
-    def row(pair: tuple[CascadeTree, ContentRecord | None]) -> tuple[float, ...]:
-        tree, content = pair
+    def row(record: CascadeRecord) -> tuple[float, ...]:
         return extract_features(
-            tree, k, graph=graph, content=content, centered_slopes=centered_slopes
+            record.tree, k, graph=graph, content=record.content,
+            centered_slopes=centered_slopes,
         ).row
 
     def fill(values: Iterator[tuple[float, ...]]) -> None:
@@ -427,7 +391,7 @@ def extract_features_batch(
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fill(pool.map(row, pairs))
+            fill(pool.map(row, ordered))
     else:
-        fill(map(row, pairs))
-    return [tree.cascade_id for tree, _ in pairs], rows, columns
+        fill(map(row, ordered))
+    return [r.cascade_id for r in ordered], rows, columns

@@ -4,7 +4,7 @@ model files, and flat key=value configs.
 Everything is plain text (JSONL, CSV, whitespace edge lists) with floats
 written via repr, so outputs are diffable and byte-stable across runs.
 Feature, labeled and cluster CSVs hold design-matrix rows in the
-``features.layout_columns`` layout: value cells via ``fmt``, indicator cells
+``cascade.layout_columns`` layout: value cells via ``fmt``, indicator cells
 as ``1``/``0``. A malformed input file raises ``ConfigInvalidError`` naming
 ``path:line``; a missing one raises ``FileNotFoundError``, and an output
 path in a directory that does not exist raises ``BadArgumentError``.
@@ -19,9 +19,9 @@ once per file: one dict, kept for that read only, hands out the first
 string equal to each id, so repeated ids cost one object. Event lines
 are written by code generated from the ``ReshareEvent`` fields, byte for
 byte what ``json.dumps(..., sort_keys=True)`` writes; a value that is not an
-exact str, int or finite float takes the json encoder. ``features`` and
-``learner`` are imported by the readers and writers that use them, on
-first use, so that a command loads only what it runs.
+exact str, int or finite float takes the json encoder. Only ``decimal``,
+``hashlib`` and numpy are imported on first use, by the readers and writers
+that use them, so that a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -41,19 +41,19 @@ from typing import (
 )
 
 from ._lazy import deferred
-from .cascade import EVENT_FIELDS, ReshareEvent, SocialGraph, gc_paused, layout_columns
+from .cascade import (
+    CONTENT_FIELDS, EVENT_FIELDS, ContentRecord, ReshareEvent, SocialGraph, gc_paused,
+    layout_columns,
+)
 from .errors import BadArgumentError, ConfigInvalidError
+from .learner import ClusterInstance, Model
 
 if TYPE_CHECKING:
-    from .features import ContentRecord
-    from .learner import ClusterInstance, Model
     from .tasks import TaskDataset
 
 decimal = deferred("decimal", globals(), "decimal")
 hashlib = deferred("hashlib", globals(), "hashlib")
 np = deferred("numpy", globals(), "np")
-features = deferred(".features", globals(), "features")
-learner = deferred(".learner", globals(), "learner")
 
 
 def _field_types(cls: type) -> dict[str, type]:
@@ -247,8 +247,10 @@ _event_row_values = _compile_row_values(ReshareEvent)
 
 @cache
 def _content_row_values():
-    """The ``row_values`` of content lines, compiled on first use."""
-    return _compile_row_values(features.ContentRecord, key="cascade_id")
+    """The ``row_values`` of content lines, compiled on first use: most
+    commands read no content file, and compiling it at import would add
+    about 0.8 ms to the start-up of each."""
+    return _compile_row_values(ContentRecord, key="cascade_id")
 
 
 def _compile_event_line():
@@ -375,7 +377,7 @@ def write_content_jsonl(path: str | Path, contents: Mapping[str, ContentRecord])
             record = contents[cid]
             row = {"cascade_id": cid}
             row.update(
-                {k: v for k in features.CONTENT_FIELDS
+                {k: v for k in CONTENT_FIELDS
                  if (v := getattr(record, k)) is not None}
             )
             fh.write(f"{_encode_sorted(row)}\n")
@@ -389,7 +391,7 @@ def read_content_jsonl(path: str | Path) -> dict[str, ContentRecord]:
         row = _json_object(path, lineno, line)
         try:
             cid, *values = row_values(row, share)
-            record = features.ContentRecord(*values)
+            record = ContentRecord(*values)
         except _RECORD_ERRORS as exc:
             raise _bad_record(path, lineno, exc) from None
         if cid in out:
@@ -557,8 +559,9 @@ def write_cluster_csv(path: str | Path, instances: Sequence[ClusterInstance]) ->
 
 def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
     """The instances ``write_cluster_csv`` wrote, in file order; each
-    final size is a whole number >= 0, read exactly, and each is_winner 0
-    or 1. Each instance's rows are read into one ``array("d")``."""
+    final size is a whole number >= 0, read exactly, each is_winner 0 or 1,
+    and each cascade_id on one row of its cluster. Each instance's rows are
+    read into one ``array("d")``."""
     with closing(_read_rows(path)) as rows:
         header = next(rows)
         columns = header[4:]
@@ -567,12 +570,12 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
                 f"{path}:1: expected {','.join(_CLUSTER_KEYS)} then each feature "
                 "column followed by its missing indicator"
             )
-        # Per cluster, in the order of first rows: (first line, members,
-        # final sizes, rows, winner indices).
-        clusters: dict[str, tuple[int, list[str], list[int], array, list[int]]] = {}
+        # Per cluster, in the order of first rows: (first line, members as
+        # the keys of a dict, final sizes, rows, winner indices).
+        clusters: dict[str, tuple[int, dict[str, None], list[int], array, list[int]]] = {}
         for lineno, row in rows:
             if row[0] not in clusters:
-                clusters[row[0]] = (lineno, [], [], array("d"), [])
+                clusters[row[0]] = (lineno, {}, [], array("d"), [])
             _, members, sizes, flat, winners = clusters[row[0]]
             flag = _numbers(path, lineno, row[2:4])[1]
             flat.extend(_numbers(path, lineno, row[4:]))
@@ -582,9 +585,14 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
                     f"{path}:{lineno}: final_size must be a whole number >= 0 and "
                     f"is_winner 0 or 1, got {row[2]} and {row[3]}"
                 )
+            if row[1] in members:
+                raise ConfigInvalidError(
+                    f"{path}:{lineno}: cascade_id {row[1]!r} appears twice "
+                    f"in cluster {row[0]!r}"
+                )
             if flag == 1.0:
                 winners.append(len(members))
-            members.append(row[1])
+            members[row[1]] = None
             sizes.append(size)
     instances = []
     for cluster_id, (first, members, sizes, flat, winners) in clusters.items():
@@ -593,7 +601,7 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
                 f"{path}:{first}: cluster {cluster_id!r} has "
                 f"{len(winners)} winner rows, expected 1"
             )
-        instances.append(learner.ClusterInstance(
+        instances.append(ClusterInstance(
             cluster_id, tuple(members), tuple(sizes), flat, columns, winners[0]
         ))
     return instances
@@ -678,7 +686,7 @@ def read_model(path: str | Path) -> Model:
             except ValueError as exc:
                 raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
     try:
-        model = learner.Model(
+        model = Model(
             feature_names=tuple(names),
             weights=weights,
             bias=scalars["bias"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from ._lazy import deferred
@@ -455,8 +454,7 @@ class ClusterInstance:
 
     ``rows`` is one flat float64 ``array("d")`` of ``len(columns)`` values
     per member, in ``members`` order, as ``extract_features_batch`` writes
-    it and ``evaluate_cluster`` scores it. ``X`` is the float64 ndarray
-    that views it, made on first read.
+    it and ``evaluate_cluster`` scores it.
     """
 
     cluster_id: str
@@ -465,11 +463,6 @@ class ClusterInstance:
     rows: array
     columns: list[str]
     winner_index: int
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        flat = np.frombuffer(self.rows, dtype=np.float64)
-        return flat.reshape(len(self.members), len(self.columns))
 
 
 def evaluate_cluster(

@@ -21,9 +21,8 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from ._lazy import deferred
-from .cascade import ReshareEvent, SocialGraph
+from .cascade import CONTENT_SCORE_NAMES, ContentRecord, ReshareEvent, SocialGraph
 from .errors import AlphaOutOfRangeError, BadParamsError
-from .features import CONTENT_SCORE_NAMES, ContentRecord
 from .io import finite_float
 
 np = deferred("numpy", globals(), "np")

@@ -5,6 +5,9 @@ size reaches the median final size of all cascades that got at least k
 reshares; splitting at the median balances the classes by construction.
 Variants cover a fixed minimum final size R, a structure (Wiener index)
 target, top-vs-bottom quartile labeling, and same-content cluster ranking.
+Each task takes ``cascade.CascadeRecord``s and hands the ones it keeps to
+``features.extract_features_batch``, which is imported on its first call,
+so that ``group_summaries`` does not load ``features``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ._lazy import deferred, deferred_function
-from .cascade import MISSING_SUFFIX, CascadeTree, SocialGraph
+from .cascade import MISSING_SUFFIX, CascadeRecord, ContentRecord, SocialGraph
 from .errors import (
     BadArgumentError,
     EmptyDatasetError,
@@ -33,29 +36,8 @@ from .learner import (
 from .stats import median, pearson
 from .virality import wiener_index_exact
 
-if TYPE_CHECKING:
-    from .features import ContentRecord
-
 np = deferred("numpy", globals(), "np")
-# Imported on first use, so that reading a cluster CSV does not load features.
-features = deferred(".features", globals(), "features")
 extract_features_batch = deferred_function(".features", "extract_features_batch", globals())
-
-
-@dataclass(frozen=True)
-class CascadeRecord:
-    """One cascade plus its content descriptors."""
-
-    tree: CascadeTree
-    content: ContentRecord | None = None
-
-    @property
-    def cascade_id(self) -> str:
-        return self.tree.cascade_id
-
-    @property
-    def final_size(self) -> int:
-        return self.tree.size
 
 
 @dataclass(eq=False)
@@ -134,11 +116,7 @@ def _dataset(
         chosen, labels = retained, [int(v >= threshold) for v in values]
     by_id = {r.cascade_id: (label, r.final_size) for r, label in zip(chosen, labels)}
     ids, rows, columns = extract_features_batch(
-        [(r.tree, r.content) for r in chosen],
-        k,
-        graph=graph,
-        centered_slopes=centered_slopes,
-        threads=threads,
+        chosen, k, graph=graph, centered_slopes=centered_slopes, threads=threads
     )
     y = tuple(by_id[cid][0] for cid in ids)
     if not quartiles:
@@ -267,11 +245,7 @@ def build_cluster_task(
         chosen_idx = rng.choice(len(members_all), size=m, replace=False)
         chosen = [members_all[i] for i in sorted(chosen_idx)]
         ids, rows, columns = extract_features_batch(
-            [(r.tree, r.content) for r in chosen],
-            k,
-            graph=graph,
-            centered_slopes=centered_slopes,
-            threads=threads,
+            chosen, k, graph=graph, centered_slopes=centered_slopes, threads=threads
         )
         # ``chosen`` is in cascade_id order, as ``rows`` is.
         winner_index = min(
@@ -309,7 +283,7 @@ def group_summaries(
             return getattr(r.content, group_by)
         return None
 
-    if group_by != "root_type" and not hasattr(features.ContentRecord, group_by):
+    if group_by != "root_type" and not hasattr(ContentRecord, group_by):
         raise UnknownFieldError(f"unknown grouping field {group_by!r}")
     groups: dict[str, list[CascadeRecord]] = {}
     for r in records:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -22,11 +23,12 @@ from hypothesis import assume, given, settings, strategies as st
 import cascadekit
 from cascadekit import cli, io
 from cascadekit.cascade import (
-    EVENT_FIELDS, NODE_TYPES, ReshareEvent, SocialGraph, build_cascade, layout_columns,
+    CONTENT_FIELDS, CONTENT_SCORE_NAMES, EVENT_FIELDS, NODE_TYPES, ReshareEvent,
+    SocialGraph, build_cascade, layout_columns,
 )
 from cascadekit.cli import build_parser, main
 from cascadekit.errors import ConfigInvalidError
-from cascadekit.features import CONTENT_FIELDS, CONTENT_SCORE_NAMES, ContentRecord
+from cascadekit.features import ContentRecord
 from cascadekit.learner import DEFAULT_LAMBDA, MAX_ITER, Model, predict_proba, train
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
 from cascadekit.tasks import (
@@ -103,6 +105,18 @@ def test_wiener_root_only_cascade_is_nan(tmp_path, capsys):
     )
     assert main(["wiener", str(path)]) == 0
     assert capsys.readouterr().out == "c0\tnan\nc1\t1.0\n"
+
+
+def test_trees_release_each_raw_list_as_its_tree_is_built(tmp_path):
+    """``cli._trees`` takes each cascade's events out of the grouped dict as
+    it builds the tree, so no raw list outlives its tree."""
+    path = tmp_path / "events.jsonl"
+    io.write_events_jsonl(path, [
+        [event(cid, "r", 0), event(cid, "a", 5, "r")] for cid in ("c", "a", "b")
+    ])
+    grouped = io.read_events(path)
+    left = [(cid, sorted(grouped)) for cid, _ in cli._trees(str(path), grouped)]
+    assert left == [("a", ["b", "c"]), ("b", ["c"]), ("c", [])]
 
 
 def test_missing_input_names_path(capsys):
@@ -184,6 +198,20 @@ def test_pipeline_outputs_do_not_depend_on_string_hashing(tmp_path):
         runs.append((proc.stdout, {p.name: p.read_bytes() for p in (cwd / "out").iterdir()}))
     assert "manifest.json" in runs[0][1]
     assert runs[0] == runs[1]
+
+
+def test_failed_pipeline_rerun_leaves_no_manifest(workspace, tmp_path, capsys):
+    """A rerun into a finished run's directory that fails after its first
+    write leaves no manifest beside the files it replaced."""
+    _, _, out = workspace
+    rerun = tmp_path / "rerun"
+    shutil.copytree(out, rerun)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(PIPELINE_CFG.replace("k = 5", "k = 100000").replace("seed = 7", "seed = 8"))
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(rerun)]) == 2
+    assert capsys.readouterr().err == "error: no cascades with >= 100000 reshares\n"
+    assert (rerun / "events.jsonl").read_bytes() != (out / "events.jsonl").read_bytes()
+    assert not (rerun / "manifest.json").exists()
 
 
 def test_featurize_and_label_and_train(workspace, tmp_path, capsys):
@@ -530,6 +558,7 @@ CYCLE = (
         ("cluster", CLUSTER_HEADER + "g0,a,3,1,1.0,0\ng0,b,-5,0,2.0,0\n", 3),
         ("cluster", CLUSTER_HEADER + "g0,a,3,1,1.0,0\ng0,b,5,2,2.0,0\n", 3),
         ("labeled", LABELED_HEADER + "1.0,0,1,3.5,a\n", 2),
+        ("cluster", CLUSTER_HEADER + "g0,a,5,1,1.0,0\ng0,a,6,0,2.0,0\ng0,b,6,0,3.0,0\n", 3),
     ],
     ids=[
         "empty-labeled", "empty-cluster", "no-winner", "two-winners",
@@ -562,7 +591,7 @@ CYCLE = (
         "repeated-labeled-cascade-id", "pipeline-quartiles-for-structure",
         "labeled-column-whitespace", "cluster-column-whitespace",
         "fractional-cluster-final-size", "negative-cluster-final-size",
-        "non-bit-is-winner", "fractional-final-size",
+        "non-bit-is-winner", "fractional-final-size", "repeated-cluster-member",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, kind, text, where):
@@ -1638,7 +1667,7 @@ def cluster_instances(draw):
         m = draw(st.integers(min_value=1, max_value=4))
         instances.append(ClusterInstance(
             cluster_id,
-            members=tuple(draw(st.lists(CSV_IDS, min_size=m, max_size=m))),
+            members=tuple(draw(st.lists(CSV_IDS, min_size=m, max_size=m, unique=True))),
             final_sizes=tuple(draw(st.lists(CLUSTER_SIZES, min_size=m, max_size=m))),
             rows=draw(layout_rows(m, len(columns))),
             columns=columns,
@@ -2100,7 +2129,7 @@ class TestIoRoundTrips:
         def summary(insts):
             return [
                 (inst.cluster_id, inst.winner_index, inst.members,
-                 inst.final_sizes, inst.columns, inst.X.tolist())
+                 inst.final_sizes, inst.columns, inst.rows.tolist())
                 for inst in insts
             ]
 

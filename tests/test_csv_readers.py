@@ -79,9 +79,9 @@ def test_labeled_csv_error_names_the_first_faulty_row(tmp_path_factory, ds, data
 @given(instances=cluster_instances().filter(lambda x: sum(len(i.members) for i in x) >= 2),
        data=st.data())
 def test_cluster_csv_error_names_the_first_faulty_row(tmp_path_factory, instances, data):
-    """A row with a bad cell and a row with a bad final_size or is_winner,
-    in either order and in any clusters, end as one error line that names
-    the earlier row."""
+    """Two rows faulted in different ways (a bad cell, a bad final_size or
+    is_winner, a cascade_id an earlier row of its cluster holds), in any
+    clusters, end as one error line that names the earlier row."""
     root = tmp_path_factory.mktemp("clusters")
     path, model = root / "clusters.csv", root / "model.txt"
     io.write_cluster_csv(path, instances)
@@ -91,10 +91,16 @@ def test_cluster_csv_error_names_the_first_faulty_row(tmp_path_factory, instance
     rows = [row for _, row in records]
     at = sorted(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
                                    max_size=2, unique=True)))
-    for i, kind in zip(at, data.draw(st.permutations(["cell", "count"]))):
+    kinds = data.draw(st.permutations(["cell", "count", "member"]))[:2]
+    for i, kind in zip(at, kinds):
         row = rows[i]
         if kind == "cell":
             row[data.draw(st.integers(2, len(row) - 1))] = data.draw(NOT_NUMBERS)
+        elif kind == "member":
+            # A member repeats only after its cluster's first row.
+            first = next(j for j, other in enumerate(rows) if other[0] == row[0])
+            assume(first < i)
+            row[1] = rows[first][1]
         elif data.draw(st.booleans()):
             row[3] = data.draw(BAD_FLAGS)
         else:

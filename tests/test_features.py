@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cascadekit.cascade import CascadeTree, SocialGraph, build_cascade, prefix
+from cascadekit.cascade import CascadeRecord, CascadeTree, SocialGraph, build_cascade, prefix
 from cascadekit.errors import EmptyInputError, KTooLargeError, TimeNotNormalizedError
 from cascadekit.features import (
     ContentRecord,
@@ -264,7 +264,7 @@ class TestFeatureProperties:
     def test_batch_sorted_and_parallel_identical(self, rng):
         trees = [random_tree(rng, int(rng.integers(5, 25)), cascade_id=f"c{i:03d}")
                  for i in range(150)]
-        items = [(t, None) for t in reversed(trees[:12])]
+        items = [CascadeRecord(t) for t in reversed(trees[:12])]
         seq_ids, seq_X, seq_columns = batch(items, 3, threads=1)
         par_ids, par_X, par_columns = batch(items, 3, threads=4)
         assert seq_ids == sorted(t.cascade_id for t in trees[:12])
@@ -278,7 +278,7 @@ class TestFeatureProperties:
             expected = np.array(rows, dtype=np.float64).reshape(n, len(seq_columns))
             for threads in (1, 2):
                 ids, X, columns = batch(
-                    [(t, None) for t in reversed(trees[:n])], 3, threads=threads
+                    [CascadeRecord(t) for t in reversed(trees[:n])], 3, threads=threads
                 )
                 assert ids == [t.cascade_id for t in trees[:n]]
                 assert columns == seq_columns
@@ -338,7 +338,9 @@ def test_vector_row_is_its_batch_row(case, with_graph, with_content):
     content = ContentRecord(score_food=0.25, is_en=True) if with_content else None
     other = tree_from_parents([0] * k, cascade_id="a")
     fv = extract_features(tree, k, graph=graph, content=content)
-    ids, X, columns = batch([(tree, content), (other, None)], k, graph=graph)
+    ids, X, columns = batch(
+        [CascadeRecord(tree, content), CascadeRecord(other)], k, graph=graph
+    )
     assert ids == ["a", "t"]
     assert columns == layout_columns(fv.names)
     assert X[1].tolist() == list(fv.row)

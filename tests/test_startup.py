@@ -126,9 +126,14 @@ UNLOADED = {
         ["train", "--in", "{labeled}", "--model-out", "m.txt", "--folds", "2"],
         {"features", "tasks", "synth", "stats", "virality"},
     ),
+    "report groups": (
+        ["report", "groups", "--in", "{events}", "--content", "{content}",
+         "--group-by", "cluster_id"],
+        {"features", "synth", "concurrent.futures"},
+    ),
     "generate": (
         ["generate", "--params", "{synth}", "--out-dir", "out"],
-        {"tasks", "stats", "virality"},
+        {"features", "tasks", "stats", "virality", "concurrent.futures"},
     ),
 }
 

@@ -154,7 +154,7 @@ def test_dataset_matrix_views_its_rows(shapes, k, threads):
              for i, parents in enumerate(shapes)]
     trees = [t for t in trees if t.size >= k]
     ids, rows, columns = extract_features_batch(
-        [(t, None) for t in reversed(trees)], k, threads=threads
+        [CascadeRecord(t) for t in reversed(trees)], k, threads=threads
     )
     expected = np.array(
         [extract_features(t, k).row for t in trees], dtype=np.float64
