@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="random seed (default 0)")
     shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads (default 1)")
+                        help="no effect: feature extraction is sequential (default 1)")
     shared.add_argument("--out-dir", default=".", help="directory for output files")
     events = argparse.ArgumentParser(add_help=False)
     events.add_argument("--in", dest="input", required=True, help="events JSONL/CSV")

@@ -27,14 +27,17 @@ from __future__ import annotations
 
 import math
 from array import array
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from ._lazy import deferred_function
 from .cascade import (
     CONTENT_FEATURES, CascadeRecord, CascadeTree, ContentRecord, SocialGraph,
     layout_columns, prefix,
 )
 from .errors import EmptyInputError, NonFiniteInputError, TimeNotNormalizedError
+
+# Kept for bench/tracer.py, which swaps it, until ROADMAP item 3's benchmark PR.
+ThreadPoolExecutor = deferred_function("concurrent.futures", "ThreadPoolExecutor", globals())
 
 
 class FeatureVector:
@@ -370,28 +373,17 @@ def extract_features_batch(
     so an empty batch still has its columns. ``np.frombuffer(rows)
     .reshape(-1, w)`` views it as the design matrix without a copy. The
     buffer is allocated once and each row written into it as it is
-    extracted, so no list of rows is held. Extraction is pure per cascade
-    and ``pool.map`` keeps input order, so the thread pool changes
-    throughput only.
+    extracted, so no list of rows is held. Extraction is sequential: it is
+    pure per cascade, and ``threads`` changes nothing.
     """
+    # threads: kept for bench/tracer.py's count, until ROADMAP item 3's benchmark PR.
     ordered = sorted(records, key=lambda r: r.cascade_id)
     columns = layout_columns(feature_names(k))
     width = len(columns)
     rows = array("d", [0.0]) * (len(ordered) * width)
-
-    def row(record: CascadeRecord) -> tuple[float, ...]:
-        return extract_features(
+    for i, record in enumerate(ordered):
+        rows[i * width : (i + 1) * width] = array("d", extract_features(
             record.tree, k, graph=graph, content=record.content,
             centered_slopes=centered_slopes,
-        ).row
-
-    def fill(values: Iterator[tuple[float, ...]]) -> None:
-        for i, value in enumerate(values):
-            rows[i * width : (i + 1) * width] = array("d", value)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fill(pool.map(row, ordered))
-    else:
-        fill(map(row, ordered))
+        ).row)
     return [r.cascade_id for r in ordered], rows, columns

@@ -17,6 +17,7 @@ its per-call cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
@@ -90,11 +91,14 @@ def powerlaw_inverse_cdf(u: float, alpha: float, x_min: float) -> float:
     """Quantile function of the continuous power law: x_min * u^(-1/(alpha-1)).
 
     ``u`` is the upper-tail probability, so u = 1 gives x_min and u = 0.5
-    gives the median.
+    gives the median. A quantile past the float range is inf.
     """
     if alpha <= 1.0:
         raise AlphaOutOfRangeError(f"alpha must be > 1, got {alpha}")
-    return x_min * u ** (-1.0 / (alpha - 1.0))
+    try:
+        return x_min * u ** (-1.0 / (alpha - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def sample_powerlaw_sizes(
@@ -260,7 +264,9 @@ def simulate_cascades(
         drawn = powerlaw_inverse_cdf(
             1.0 - rng.random(), params.target_alpha, params.x_min
         )
-        target = max(1, int(drawn))
+        # An infinite draw, like any draw above the node count, grows the
+        # cascade until the nodes run out.
+        target = max(1, int(drawn)) if math.isfinite(drawn) else len(node_ids)
         boosted = drawn >= 2.0 * params.x_min
         hazard = params.rate_boost if boosted else 1.0
 

@@ -120,7 +120,12 @@ UNLOADED = {
     ),
     "featurize": (
         ["featurize", "--k", "1", "--in", "{events}", "--out", "f.csv"],
-        {"tasks", "synth", "stats", "virality"},
+        {"tasks", "synth", "stats", "virality", "concurrent.futures"},
+    ),
+    "label growth --threads 2": (
+        ["label", "growth", "--k", "1", "--threads", "2", "--in", "{events}",
+         "--out", "l.csv"],
+        {"synth", "concurrent.futures"},
     ),
     "train": (
         ["train", "--in", "{labeled}", "--model-out", "m.txt", "--folds", "2"],

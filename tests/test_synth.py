@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ class TestSampler:
 
     def test_median_u_half(self):
         assert powerlaw_inverse_cdf(0.5, 2.0, 5.0) == 10.0
+
+    def test_quantile_past_the_float_range_is_inf(self):
+        assert powerlaw_inverse_cdf(1e-10, 1.001, 1.0) == math.inf
 
     def test_alpha_validation(self):
         with pytest.raises(AlphaOutOfRangeError):
@@ -253,6 +258,22 @@ def test_generate_golden_digests_when_exposure_dies_out(tmp_path, capsys):
         for name in DIED_OUT_DIGESTS
     }
     assert digests == DIED_OUT_DIGESTS
+
+
+@pytest.mark.parametrize("extra", [
+    "target_alpha = 1.001",  # u ** (-1 / (alpha - 1)) overflows the float range
+    "target_alpha = 1.0000001",
+    "x_min = 1e308",  # x_min * u ** (-1 / (alpha - 1)) overflows to inf
+])
+def test_generate_grows_an_infinite_draw_until_the_nodes_run_out(tmp_path, extra):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"n_nodes = 50\nn_cascades = 50\n{extra}\n")
+    assert main(["generate", "--params", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    sizes = Counter(
+        json.loads(line)["cascade_id"]
+        for line in (tmp_path / "events.jsonl").read_text().splitlines()
+    )
+    assert len(sizes) == 50 and max(sizes.values()) <= 50
 
 
 def test_generator_holds_each_id_and_profile_value_once():
