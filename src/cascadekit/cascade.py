@@ -9,17 +9,14 @@ several modules share, since every module loads this one: a cascade's
 content descriptors (``ContentRecord`` and its ``CONTENT_*`` field
 tuples), which ``synth`` writes, ``io`` reads and ``features`` scores; a
 tree with its content (``CascadeRecord``), which ``cli`` loads and
-``tasks`` and ``features`` take; the design-matrix column layout
-(``layout_columns``); and ``gc_paused``, the pause of the cyclic garbage
-collector that ``cli.main``, ``io.read_events`` and ``build_cascade`` run
-under.
+``tasks`` and ``features`` take; and the design-matrix column layout
+(``layout_columns``).
 
 Cascade size counts reshares; the root is not a reshare.
 """
 
 from __future__ import annotations
 
-import gc
 import heapq
 import itertools
 import math
@@ -41,30 +38,6 @@ from .errors import (
 )
 
 NODE_TYPES = ("user", "page")
-
-
-class gc_paused:
-    """``with gc_paused():`` runs its block with the cyclic garbage collector
-    off, and on every way out, a return or a raise, turns it back on only if
-    it was on when the block began; nested pauses leave it to the outermost.
-
-    The events, trees, graphs and rows that a command makes hold no
-    reference cycle, so reference counting frees them, and collections
-    during the block would only walk them again and again. Objects that do
-    form cycles inside the block wait for the first collection after it. The
-    collector's switch is process-wide, so a pause that finds it already off,
-    because another thread paused it, leaves turning it back on to that pause.
-    """
-
-    __slots__ = ("_was_on",)
-
-    def __enter__(self) -> None:
-        self._was_on = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self._was_on:
-            gc.enable()
 
 
 def _check_timestamp(timestamp: float) -> None:
@@ -393,12 +366,10 @@ def build_cascade(events: Sequence[ReshareEvent]) -> CascadeTree:
 
     A log already in canonical order (see ``_canonical_tree``) is its own
     order; any other log, faulty ones included, takes ``_general_tree``. Both
-    hand that order to ``_tree``, which re-bases the events in it. The build
-    runs under ``gc_paused``.
+    hand that order to ``_tree``, which re-bases the events in it.
     """
-    with gc_paused():
-        tree = _canonical_tree(events) if events else None
-        return tree if tree is not None else _general_tree(events)
+    tree = _canonical_tree(events) if events else None
+    return tree if tree is not None else _general_tree(events)
 
 
 def _general_tree(events: Sequence[ReshareEvent]) -> CascadeTree:

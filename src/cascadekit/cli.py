@@ -15,6 +15,7 @@ them, so each command compiles and loads only the modules it runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 from pathlib import Path
@@ -22,9 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import __version__, io
 from ._lazy import deferred, deferred_function
-from .cascade import (
-    CascadeRecord, CascadeTree, ReshareEvent, SocialGraph, build_cascade, gc_paused,
-)
+from .cascade import CascadeRecord, CascadeTree, ReshareEvent, SocialGraph, build_cascade
 from .errors import (
     BadArgumentError, BadParamsError, CascadeKitError, ConfigInvalidError,
     InvalidCascadeError, MissingFeatureError, NonFiniteInputError, SingleClassError,
@@ -660,11 +659,21 @@ def main(argv=None) -> int:
             raise BadArgumentError(f"m must be >= 1, got {args.m}")
         if args.folds < 2 and not (command == "train" and args.folds == 0):
             raise BadArgumentError(f"folds must be >= 2, got {args.folds}")
-        with warnings.catch_warnings(), gc_paused():
-            warnings.showwarning = lambda message, *_: print(
-                f"warning: {_on_input(args, message)}", file=sys.stderr
-            )
-            return args.func(args)
+        # The events, trees, graphs and rows that a command makes hold no
+        # reference cycle, so reference counting frees them, and collections
+        # during the command would only walk them again and again. However
+        # the command ends, the collector goes back on only if it was on.
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            with warnings.catch_warnings():
+                warnings.showwarning = lambda message, *_: print(
+                    f"warning: {_on_input(args, message)}", file=sys.stderr
+                )
+                return args.func(args)
+        finally:
+            if was_on:
+                gc.enable()
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 2
@@ -677,6 +686,11 @@ def main(argv=None) -> int:
         # a failed write to a stream that has no path (a full disk on stdout).
         where = "" if exc.filename is None else f": {exc.filename}"
         print(f"error: {exc.strerror}{where}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # An allocation refused before it was made: numpy's, for an array
+        # larger than the machine, names its size.
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     except (NonFiniteInputError, SingleClassError) as exc:
         # Data that cannot be fitted or featurized: its input is to blame.

@@ -49,14 +49,9 @@ class FeatureVector:
     not finite, or does not convert to a float, is refused.
     """
 
-    __slots__ = ("names", "row", "meta")
+    __slots__ = ("names", "row")
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        raw: Mapping[str, float | None],
-        meta: Mapping[str, object] | None = None,
-    ):
+    def __init__(self, names: Sequence[str], raw: Mapping[str, float | None]):
         self.names = tuple(names)
         row: list[float] = []
         for name in self.names:
@@ -68,7 +63,6 @@ class FeatureVector:
                 row.append(_finite(name, v))
                 row.append(0.0)
         self.row = tuple(row)
-        self.meta = dict(meta or {})
 
     def value(self, name: str) -> float:
         return self.row[2 * self.names.index(name)]
@@ -219,7 +213,7 @@ def extract_features(
     to (friend counts over users, fan counts over pages, and so on) and are
     missing when no applicable resharer exists. Social-graph features are
     missing when ``graph`` is None; ``did_leave`` then falls back to "any
-    reshare at depth >= 2", recorded as approximate in ``meta``.
+    reshare at depth >= 2", which the task metadata records as approximate.
 
     ``centered_slopes`` switches the pacing/depth trends from the
     through-origin regression to an ordinary (intercept) regression.
@@ -234,7 +228,7 @@ def extract_features(
     p = prefix(tree, k)
     try:
         return FeatureVector(
-            feature_names(k), *_prefix_features(p, graph, content, centered_slopes)
+            feature_names(k), _prefix_features(p, graph, content, centered_slopes)
         )
     # An input that is not finite makes a feature that is not (or fsum
     # refuses its inf + -inf), and an int too large for a float overflows.
@@ -247,9 +241,9 @@ def _prefix_features(
     graph: SocialGraph | None,
     content: ContentRecord | None,
     centered_slopes: bool,
-) -> tuple[dict[str, float | None], dict[str, object]]:
-    """The raw values and meta of ``extract_features`` on the k-prefix tree
-    ``p``, which holds the first k reshares and nothing after them."""
+) -> dict[str, float | None]:
+    """The raw values of ``extract_features`` on the k-prefix tree ``p``,
+    which holds the first k reshares and nothing after them."""
     k = p.size
     root = p.root
     reshares = p.reshares
@@ -258,7 +252,6 @@ def _prefix_features(
 
     # A name left out of raw, or mapped to None, is missing.
     raw: dict[str, float | None] = {}
-    meta: dict[str, object] = {}
 
     # -- content ---------------------------------------------------------
     if content is not None:
@@ -327,7 +320,6 @@ def _prefix_features(
         )
     else:
         raw["did_leave"] = float(any(depth[e.node_id] >= 2 for e in reshares))
-        meta["did_leave_approximate"] = True
 
     depths = [float(depth[e.node_id]) for e in reshares]
     raw["depth_slope"] = slope(depths)
@@ -354,7 +346,7 @@ def _prefix_features(
             # count too large for one names its feature.
             raw[f"{name}_rate"] = _finite(name, raw[name]) / t_k
 
-    return raw, meta
+    return raw
 
 
 def extract_features_batch(

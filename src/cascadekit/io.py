@@ -42,7 +42,7 @@ from typing import (
 
 from ._lazy import deferred
 from .cascade import (
-    CONTENT_FIELDS, EVENT_FIELDS, ContentRecord, ReshareEvent, SocialGraph, gc_paused,
+    CONTENT_FIELDS, EVENT_FIELDS, ContentRecord, ReshareEvent, SocialGraph,
     layout_columns,
 )
 from .errors import BadArgumentError, ConfigInvalidError
@@ -66,6 +66,7 @@ def _field_types(cls: type) -> dict[str, type]:
 
 _EVENT_TYPES = _field_types(ReshareEvent)
 _CLUSTER_KEYS = ("cluster_id", "cascade_id", "final_size", "is_winner")
+_LABELED_KEYS = ("label", "final_size", "cascade_id")  # after the feature columns
 # The encoder json.dumps(obj, sort_keys=True) would build on every call.
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 # json.loads's scanner: (value, end index) of the JSON value at an index.
@@ -106,13 +107,14 @@ def _bad_record(path: str | Path, lineno: int, exc: Exception) -> ConfigInvalidE
 
 @contextmanager
 def _text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` open for reading as UTF-8; reading a byte that is not UTF-8
-    ends as an error naming the line that holds it."""
+    """``path`` open for reading as UTF-8, a leading byte-order mark skipped;
+    reading a byte that is not UTF-8 ends as an error naming the line that
+    holds it."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
-        with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline) as fh:
             # surrogateescape decodes each bad byte to one of these code points.
             lineno = next((n for n, line in enumerate(fh, start=1)
                            if any("\udc80" <= c <= "\udcff" for c in line)), None)
@@ -315,13 +317,11 @@ def read_events(path: str | Path) -> dict[str, list[ReshareEvent]]:
     """Events grouped by cascade_id, input order preserved within a cascade.
 
     JSONL by default; a ``.csv`` suffix switches to CSV with the documented
-    header (the ReshareEvent field names; empty cells mean absent). The read
-    runs under ``gc_paused``.
+    header (the ReshareEvent field names; empty cells mean absent).
     """
     grouped: dict[str, list[ReshareEvent]] = {}
-    with gc_paused():
-        for _, e in _numbered_events(path):
-            grouped.setdefault(e.cascade_id, []).append(e)
+    for _, e in _numbered_events(path):
+        grouped.setdefault(e.cascade_id, []).append(e)
     return grouped
 
 
@@ -487,7 +487,7 @@ def write_labeled_csv(path: str | Path, dataset: TaskDataset) -> None:
             dataset.labels, dataset.final_sizes, dataset.examples,
         )
     )
-    write_csv(path, [*dataset.columns, "label", "final_size", "cascade_id"], rows)
+    write_csv(path, [*dataset.columns, *_LABELED_KEYS], rows)
 
 
 def _count(flag: float, text: str) -> int | None:
@@ -515,9 +515,9 @@ def read_labeled_csv(
     one row. ``X`` views the one ``array("d")`` its rows are read into."""
     with closing(_read_rows(path)) as rows:
         header = next(rows)
-        if header[-3:] != ["label", "final_size", "cascade_id"]:
+        if tuple(header[-3:]) != _LABELED_KEYS:
             raise ConfigInvalidError(
-                f"{path}:1: expected trailing label,final_size,cascade_id columns"
+                f"{path}:1: expected trailing {','.join(_LABELED_KEYS)} columns"
             )
         width = len(header) - 3
         flat = array("d")
@@ -612,12 +612,8 @@ def read_cluster_csv(path: str | Path) -> list[ClusterInstance]:
 def write_model(path: str | Path, model: Model) -> None:
     """Human-diffable key-value model document."""
     with _create(path) as fh:
-        fh.write(f"lambda {fmt(model.lam)}\n")
-        fh.write(f"seed {model.seed}\n")
-        fh.write(f"bias {fmt(model.bias)}\n")
-        fh.write(f"iterations {model.iterations}\n")
-        fh.write(f"final_loss {fmt(model.final_loss)}\n")
-        fh.write(f"converged {int(model.converged)}\n")
+        for key, name, _, write in _MODEL_LINES:
+            fh.write(f"{key} {write(getattr(model, name))}\n")
         for name in model.feature_names:
             fh.write(
                 f"feature {name} {fmt(model.weights[name])} "
@@ -633,13 +629,22 @@ def _bit(text: str) -> bool:
     return text == "1"
 
 
-# Each one-value line write_model writes: its key and how its value parses.
-_MODEL_SCALARS = {
-    "lambda": finite_float, "seed": int, "bias": finite_float,
-    "iterations": int, "final_loss": finite_float, "converged": _bit,
-}
-# The first word of each line write_model writes.
-_MODEL_KEYS = frozenset(_MODEL_SCALARS) | {"feature", "dropped"}
+def _whole(value: int) -> str:
+    return str(int(value))
+
+
+# Each one-value line of a model file, in the order write_model writes them:
+# its key, the Model field it holds, how its value parses and how it is written.
+_MODEL_LINES = (
+    ("lambda", "lam", finite_float, fmt),
+    ("seed", "seed", int, _whole),
+    ("bias", "bias", finite_float, fmt),
+    ("iterations", "iterations", int, _whole),
+    ("final_loss", "final_loss", finite_float, fmt),
+    ("converged", "converged", _bit, _whole),
+)
+_MODEL_PARSERS = {key: parse for key, _, parse, _ in _MODEL_LINES}
+_MODEL_FIELD_KEYS = {name: key for key, name, _, _ in _MODEL_LINES}
 
 
 def read_model(path: str | Path) -> Model:
@@ -655,7 +660,7 @@ def read_model(path: str | Path) -> Model:
     for lineno, line in _lines(path):
         parts = line.split()
         key = parts[0]
-        if key not in _MODEL_KEYS:
+        if key not in _MODEL_PARSERS and key not in ("feature", "dropped"):
             raise ConfigInvalidError(
                 f"{path}:{lineno}: unknown model key {key[:40]!r}"
             )
@@ -682,25 +687,22 @@ def read_model(path: str | Path) -> Model:
             if key in scalars:
                 raise ConfigInvalidError(f"{path}:{lineno}: {key!r} appears twice")
             try:
-                scalars[key] = _MODEL_SCALARS[key](parts[1])
+                scalars[key] = _MODEL_PARSERS[key](parts[1])
             except ValueError as exc:
                 raise ConfigInvalidError(f"{path}:{lineno}: {key}: {exc}") from None
-    try:
-        model = Model(
-            feature_names=tuple(names),
-            weights=weights,
-            bias=scalars["bias"],
-            means=means,
-            stds=stds,
-            dropped=tuple(name for _, name in dropped),
-            lam=scalars["lambda"],
-            seed=scalars["seed"],
-            iterations=scalars["iterations"],
-            final_loss=scalars["final_loss"],
-            converged=scalars.get("converged", False),
-        )
-    except KeyError as exc:
-        raise ConfigInvalidError(f"{path}: missing model key {exc}") from exc
+    # A missing key is named in Model's field order; one whose field has a
+    # default (converged: a file without it is unconverged) may be left out.
+    values = {}
+    for f in fields(Model):
+        key = _MODEL_FIELD_KEYS.get(f.name)
+        if key in scalars:
+            values[f.name] = scalars[key]
+        elif key is not None and f.default is MISSING:
+            raise ConfigInvalidError(f"{path}: missing model key {key!r}")
+    model = Model(
+        feature_names=tuple(names), weights=weights, means=means, stds=stds,
+        dropped=tuple(name for _, name in dropped), **values,
+    )
     seen = set(weights)
     for lineno, name in dropped:
         if name in seen:

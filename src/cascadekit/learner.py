@@ -48,7 +48,7 @@ class Model:
     seed: int
     iterations: int
     final_loss: float
-    converged: bool
+    converged: bool = False
 
 
 @dataclass

@@ -18,6 +18,7 @@ its per-call cost.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
@@ -163,7 +164,10 @@ def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
     Each new node attaches to ``attachment_m`` distinct earlier nodes chosen
     proportionally to accumulated attachment stubs; page endpoints deposit
     ``page_degree_boost`` times as many stubs per edge, tilting the degree
-    distribution in their favor.
+    distribution in their favor. Each endpoint's stubs are held as one run,
+    its node and the stub total at its end, and a draw finds its run by
+    bisection, so memory follows the edges, not the boost. A graph whose
+    stub total passes 2**32, beyond ``_integer_draws``, is refused.
     """
     rng = np.random.default_rng([seed, 0])
     integers = _integer_draws(rng)
@@ -180,14 +184,16 @@ def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
         return 1 + extra_int + (1 if rng.random() < extra_frac else 0)
 
     graph = SocialGraph(directed=False)
-    stubs: list[int] = []
+    owners: list[int] = []
+    ends: list[int] = []
+    total = 0
     for v in range(1, n):
         limit = min(m, v)
         targets: set[int] = set()
         attempts = 0
         while len(targets) < limit:
-            if stubs and attempts < 20 * limit:
-                t = stubs[integers(len(stubs))]
+            if total and attempts < 20 * limit:
+                t = owners[bisect_right(ends, integers(total))]
                 attempts += 1
             else:
                 t = integers(v)
@@ -195,8 +201,15 @@ def generate_social_graph(params: SynthParams, seed: int) -> SocialGraph:
                 targets.add(t)
         for t in sorted(targets):
             graph.add_edge(ids[v], ids[t])
-            stubs.extend([v] * stub_copies(v))
-            stubs.extend([t] * stub_copies(t))
+            for node in (v, t):
+                total += stub_copies(node)
+                owners.append(node)
+                ends.append(total)
+            if total > 1 << 32:
+                raise BadParamsError(
+                    f"page_degree_boost {params.page_degree_boost} makes more than "
+                    "2**32 attachment stubs", "page_degree_boost",
+                )
     return graph
 
 

@@ -58,7 +58,7 @@ def rng():
 @pytest.fixture(autouse=True)
 def collector_switch_restored():
     """Every test ends with the cyclic garbage collector on or off as it
-    began: a pause (``cascade.gc_paused``) that a return, a raise or an
+    began: a pause (``cli.main``'s) that a return, a raise or an
     error exit forgot to end fails the test that left it."""
     was_on = gc.isenabled()
     yield

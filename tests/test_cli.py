@@ -788,6 +788,28 @@ def test_malformed_jsonl_line_keeps_its_error_text(tmp_path, capsys, line):
     assert capsys.readouterr().err == f"error: {bad}:2: {reason}\n"
 
 
+@pytest.mark.parametrize("left_out, error", [
+    (("lambda", "bias"), "missing model key 'bias'"),
+    (("final_loss", "seed", "lambda"), "missing model key 'lambda'"),
+    (("final_loss", "iterations", "converged"), "missing model key 'iterations'"),
+    (("converged",), None),
+])
+def test_model_without_a_scalar(tmp_path, left_out, error):
+    """Of several missing one-value keys, the first in ``Model``'s field
+    order is named; a model without ``converged`` is unconverged."""
+    path = tmp_path / "model.txt"
+    path.write_text("".join(
+        line + "\n" for line in MODEL_SCALARS.splitlines()
+        if line.split()[0] not in left_out
+    ) + "feature x 1.0 0.0 1.0\n")
+    if error is None:
+        assert io.read_model(path).converged is False
+    else:
+        with pytest.raises(ConfigInvalidError) as excinfo:
+            io.read_model(path)
+        assert str(excinfo.value) == f"{path}: {error}"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("weight, ok", [("0.0", False), ("1.0", True)])
 def test_cluster_scores_never_rank_by_nan(tmp_path, capsys, weight, ok):
@@ -1346,8 +1368,14 @@ def test_events_jsonl_csv_roundtrip(tmp_path_factory, events):
     root = tmp_path_factory.mktemp("events")
     io.write_events_jsonl(root / "events.jsonl", [events])
     io.write_events_csv(root / "events.csv", [events])
-    assert io.read_events(root / "events.jsonl") == expected
-    assert io.read_events(root / "events.csv") == expected
+    for name in ("events.jsonl", "events.csv"):
+        assert io.read_events(root / name) == expected
+        # A leading byte-order mark, as spreadsheets save, is skipped; the
+        # writers write none.
+        text = (root / name).read_bytes()
+        assert not text.startswith(b"\xef\xbb\xbf")
+        (root / f"marked-{name}").write_bytes(b"\xef\xbb\xbf" + text)
+        assert io.read_events(root / f"marked-{name}") == expected
 
 
 # Text with what json escapes: quotes, backslashes, control characters,

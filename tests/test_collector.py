@@ -1,7 +1,7 @@
-"""Commands, ``io.read_events`` and ``build_cascade`` run with the cyclic
-garbage collector paused (``cascade.gc_paused``): each call leaves the
-collector as it found it, however it ends, and a command leaves the
-collector no more cyclic garbage on a larger input than on a smaller one."""
+"""Commands run with the cyclic garbage collector paused, and ``cli.main``
+alone pauses it: each call leaves the collector as it found it, however it
+ends, and a command leaves the collector no more cyclic garbage on a larger
+input than on a smaller one."""
 
 import gc
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascadekit import cli, io
-from cascadekit.cascade import build_cascade, gc_paused
+from cascadekit.cascade import build_cascade
 from cascadekit.cli import main
 from cascadekit.errors import InvalidCascadeError
 from cascadekit.synth import SynthParams, generate_social_graph, simulate_cascades
 
+from conftest import event
 from test_cascade import event_logs
 
 
@@ -84,11 +85,12 @@ def test_a_command_that_raises_leaves_the_collector_as_it_found_it(
     monkeypatch, start_on, error
 ):
     """An exception that leaves ``main`` as a traceback, not as an
-    ``error:`` line, ends the pause too; so do nested pauses."""
+    ``error:`` line, ends the pause too, even when the command paused the
+    collector again itself."""
 
     def failing(args):
-        with gc_paused():
-            raise error("boom")
+        gc.disable()
+        raise error("boom")
 
     monkeypatch.setattr(cli, "cmd_stats", failing)
     was_on = gc.isenabled()
@@ -99,6 +101,27 @@ def test_a_command_that_raises_leaves_the_collector_as_it_found_it(
         assert gc.isenabled() == start_on
     finally:
         (gc.enable if was_on else gc.disable)()
+
+
+def test_main_alone_pauses_the_collector(tmp_path, monkeypatch, capsys):
+    """The reader and the tree builder leave the collector alone; ``main``
+    switches it off once for a command."""
+    calls = []
+    disable = gc.disable
+
+    def counting():
+        calls.append(None)
+        disable()
+
+    monkeypatch.setattr(gc, "disable", counting)
+    path = tmp_path / "events.jsonl"
+    io.write_events_jsonl(path, [[event("c", "r", 0.0), event("c", "a", 1.0, "r")]])
+    (log,) = io.read_events(path).values()
+    build_cascade(log)
+    assert calls == []
+    assert main(["wiener", str(path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "c\t1.0\n"
 
 
 @pytest.fixture(scope="module")

@@ -2,17 +2,19 @@
 faulty line named, and no row's cells held past its parse."""
 
 import csv
+import gc
 import random
 import tracemalloc
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from cascadekit import io
-from cascadekit.cascade import gc_paused, layout_columns
+from cascadekit.cascade import layout_columns
 from cascadekit.cli import main
 from cascadekit.errors import ConfigInvalidError
 from cascadekit.learner import Model
@@ -195,7 +197,23 @@ def test_reader_stopped_by_its_first_row_leaves_no_file_open(
     monkeypatch.setattr(io, "open", recording_open, raising=False)
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with gc_paused():
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
         with pytest.raises(ConfigInvalidError, match=":2: ") as excinfo:
             read(path)
         assert len(opened) == 1 and opened[0].closed, excinfo.traceback
+    finally:
+        if was_on:
+            gc.enable()
+
+
+def test_labeled_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    """A leading byte-order mark is not part of the first column's name."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("x,x_missing,label,final_size,cascade_id\n1.5,0,1,5,a\n0,1,0,2,b\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    X, y, sizes, ids, columns = io.read_labeled_csv(marked)
+    assert columns == ["x", "x_missing"]
+    for got, want in zip((X, y, sizes, ids, columns), io.read_labeled_csv(plain)):
+        assert np.array_equal(got, want)

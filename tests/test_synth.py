@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -274,6 +275,47 @@ def test_generate_grows_an_infinite_draw_until_the_nodes_run_out(tmp_path, extra
         for line in (tmp_path / "events.jsonl").read_text().splitlines()
     )
     assert len(sizes) == 50 and max(sizes.values()) <= 50
+
+
+BOOSTED_CFG = "n_nodes = 50\nn_cascades = 5\npage_fraction = 0.5\npage_degree_boost = {}\n"
+
+
+def test_generate_refuses_more_stubs_than_a_draw_can_reach(tmp_path, capsys):
+    """A boost whose stub total passes 2**32, the range of ``_integer_draws``,
+    ends as one error line naming it."""
+    cfg = tmp_path / "boost.cfg"
+    cfg.write_text(BOOSTED_CFG.format("1e300"))
+    assert main(["generate", "--params", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: page_degree_boost 1e+300 makes more than 2**32 attachment stubs"
+    ]
+
+
+def test_generate_memory_follows_the_edges_not_the_boost(tmp_path, capsys):
+    """Each endpoint's stubs are one run however large the boost: a 97-edge
+    graph at a boost of a million stays far below the 1 GB that one list
+    entry per stub took."""
+    cfg = tmp_path / "boost.cfg"
+    cfg.write_text(BOOSTED_CFG.format("1e6"))
+    argv = ["generate", "--params", str(cfg), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0  # imports the modules it runs before the measure
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert capsys.readouterr().out.endswith("97 graph edges\n")
+
+
+def test_generate_refused_allocation_is_one_error(tmp_path, capsys):
+    """numpy refuses the page mask of 10**15 nodes before allocating it."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n_nodes = 1000000000000000\nn_cascades = 5\n")
+    assert main(["generate", "--params", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: Unable to allocate 7.11 PiB")
 
 
 def test_generator_holds_each_id_and_profile_value_once():
